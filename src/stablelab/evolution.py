@@ -2,13 +2,15 @@
 
 Default scheme: Strang splitting with an exact spectral half-step for the
 nonlocal part and semi-Lagrangian backtracking (RK2 departure points,
-periodic cubic interpolation) for the advection.  An Arnoldi
-matrix-exponential path cross-validates the splitting.
+periodic quintic interpolation) for the advection.  An Arnoldi
+matrix-exponential path cross-validates the splitting.  Real fields stay
+real along the splitting, and each config builds its stepper once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy import linalg as sla
@@ -26,9 +28,12 @@ from .resolvent import drifted_generator
 SCHEMES = ("splitstep_spectral", "expm_krylov")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PropagatorConfig:
-    """One evolution run: drift, horizon, step count, scheme."""
+    """One evolution run: drift, horizon, step count, scheme.
+
+    Frozen, so that the stepper cached on it stays valid for its lifetime.
+    """
 
     drift: MollifiedDrift
     alpha: float
@@ -58,6 +63,13 @@ class PropagatorConfig:
     @property
     def dt(self) -> float:
         return self.t_final / self.steps
+
+    @cached_property
+    def stepper(self):
+        """The one-step propagator, built on first use and kept."""
+        if self.scheme == "splitstep_spectral":
+            return SplitStepPropagator(self.drift, self.alpha, self.dt)
+        return ArnoldiPropagator(self.drift, self.alpha, self.dt)
 
 
 def _interp(data: np.ndarray, idx_coords: np.ndarray) -> np.ndarray:
@@ -141,18 +153,13 @@ class ArnoldiPropagator:
         return out.reshape(shape)
 
 
-def _make_stepper(config: PropagatorConfig):
-    if config.scheme == "splitstep_spectral":
-        return SplitStepPropagator(config.drift, config.alpha, config.dt)
-    return ArnoldiPropagator(config.drift, config.alpha, config.dt)
-
-
 def propagate(config: PropagatorConfig, f):
-    """exp(-t_final (A + b . grad)) applied to a field."""
+    """exp(-t_final (A + b . grad)) applied to a field; real input gives
+    float64 output."""
     data = f.data if isinstance(f, Field) else np.asarray(f)
     was_real = not np.iscomplexobj(data)
-    stepper = _make_stepper(config)
-    u = np.array(data, dtype=complex)
+    stepper = config.stepper
+    u = np.array(data, dtype=float if was_real else complex)
     for _ in range(config.steps):
         u = stepper.step(u)
     if was_real:
@@ -181,12 +188,13 @@ def duhamel_residual(config: PropagatorConfig, f) -> float:
     The sign of the correction follows from integrating
     d/ds [exp(-(t-s)L) exp(-sA)] = exp(-(t-s)L) (b . grad) exp(-sA)."""
     grid = config.grid
-    data = np.asarray(f.data if isinstance(f, Field) else f, dtype=complex)
-    steps = config.steps if config.steps % 2 == 0 else config.steps + 1
-    dt = config.t_final / steps
-    cfg = PropagatorConfig(config.drift, config.alpha, config.t_final, steps,
-                           config.scheme)
-    stepper = _make_stepper(cfg)
+    data = f.data if isinstance(f, Field) else np.asarray(f)
+    real = not np.iscomplexobj(data)
+    data = np.asarray(data, dtype=float if real else complex)
+    cfg = (config if config.steps % 2 == 0
+           else replace(config, steps=config.steps + 1))
+    steps, dt = cfg.steps, cfg.dt
+    stepper = cfg.stepper
     b = config.drift.lattice.data
     heat_step = heat_semigroup(grid, config.alpha, dt)
 
@@ -195,7 +203,8 @@ def duhamel_residual(config: PropagatorConfig, f) -> float:
     grads = [gradient_component(grid, j) for j in range(grid.dim)]
 
     def advective_source(u):
-        return sum(b[j] * grads[j].apply(u) for j in range(grid.dim))
+        src = sum(b[j] * grads[j].apply(u) for j in range(grid.dim))
+        return src.real if real else src
 
     weights = np.full(steps + 1, 2.0)
     weights[1::2] = 4.0
@@ -228,15 +237,14 @@ def conservativeness_check(config: PropagatorConfig, x_index, k_list,
     values = {}
     mass_drift = {}
     for n in levels:
-        drift_n = (config.drift if n == config.drift.n
-                   else mollify(config.drift.base, n=n, grid=grid,
-                                epsilon_n=config.drift.epsilon_n))
-        cfg = PropagatorConfig(drift_n, config.alpha, config.t_final,
-                               config.steps, config.scheme)
+        cfg = (config if n == config.drift.n
+               else replace(config, drift=mollify(
+                   config.drift.base, n=n, grid=grid,
+                   epsilon_n=config.drift.epsilon_n)))
         for k in k_list:
             cut = cutoff_profile(radius, k)
-            values[(n, k)] = float(propagate(cfg, cut).real[site])
-        ones = propagate(cfg, np.ones(grid.shape)).real
+            values[(n, k)] = float(propagate(cfg, cut)[site])
+        ones = propagate(cfg, np.ones(grid.shape))
         mass_drift[n] = float(ones[site] - 1.0)
     checks = []
     for n in levels:

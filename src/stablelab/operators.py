@@ -1,10 +1,13 @@
 """Composable lattice operators: Fourier multipliers, pointwise
 multiplications, compositions and affine combinations.
 
-Every handle maps grid-shaped complex arrays to grid-shaped complex arrays
-and exposes an exact adjoint.  Fourier multipliers are diagonal in the
-discrete dual basis, so compositions of handles reproduce the continuum
-operator calculus up to round-off on band-limited data.
+Every handle maps grid-shaped arrays to grid-shaped arrays and exposes an
+exact adjoint.  Output is complex, with one exception: a Fourier multiplier
+whose symbol is real and even (a function of |k|^2, say) maps real input to
+real float64 output through half-spectrum transforms.  Fourier multipliers
+are diagonal in the discrete dual basis, so compositions of handles
+reproduce the continuum operator calculus up to round-off on band-limited
+data.
 """
 
 from __future__ import annotations
@@ -72,22 +75,43 @@ def _lp(arr, p, vol):
     return float((np.sum(np.abs(arr) ** p) * vol) ** (1.0 / p))
 
 
-class Identity(LatticeOperator):
-    def apply(self, data):
-        return np.array(data, dtype=complex, copy=True)
-
-    def adjoint(self):
-        return self
+def _is_even(symbol):
+    """symbol[-k] == symbol[k] at every lattice site, compared one plane of
+    the first axis at a time so that no mirrored copy is allocated."""
+    neg = [(-np.arange(n)) % n for n in symbol.shape]
+    rest = np.ix_(*neg[1:])
+    return all(np.array_equal(symbol[i], symbol[neg[0][i]][rest])
+               for i in range(symbol.shape[0] // 2 + 1))
 
 
 class FourierMultiplier(LatticeOperator):
-    """f -> ifft(symbol * fft(f)) with the symbol in FFT ordering."""
+    """f -> ifft(symbol * fft(f)) with the symbol in FFT ordering.
+
+    A real, even symbol maps real data to real data; such data then takes
+    the rfftn/irfftn path with the half-spectrum symbol (a view, not a
+    copy).  Evenness is decided on the first real input and cached.
+    """
 
     def __init__(self, grid, symbol):
         super().__init__(grid)
         self.symbol = np.broadcast_to(np.asarray(symbol), grid.shape)
+        self._half_symbol = None  # None: undecided; False: not real and even
+
+    def _real_half_symbol(self):
+        if self._half_symbol is None:
+            sym = self.symbol
+            self._half_symbol = (
+                sym[..., : sym.shape[-1] // 2 + 1]
+                if not np.iscomplexobj(sym) and _is_even(sym) else False)
+        return self._half_symbol
 
     def apply(self, data):
+        data = np.asarray(data)
+        if not np.iscomplexobj(data):
+            half = self._real_half_symbol()
+            if half is not False:
+                data = np.asarray(data, dtype=float)
+                return sfft.irfftn(half * sfft.rfftn(data), s=data.shape)
         return sfft.ifftn(self.symbol * sfft.fftn(np.asarray(data, dtype=complex)))
 
     def adjoint(self):

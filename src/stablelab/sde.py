@@ -172,7 +172,7 @@ def mc_vs_semigroup(drift: MollifiedDrift, x0, t: float, f, n_paths: int,
     mean_c, se_c, abs_c, wrap_c = mc_mean(dt, drift, seed)
     mean_f, se_f, abs_f, _ = mc_mean(dt / 2.0, drift, seed + 1)
     bias_rate = 2.0 * abs(mean_c - mean_f) / dt
-    sg = propagate(PropagatorConfig(drift, alpha, t, steps), fdata).real[site]
+    sg = propagate(PropagatorConfig(drift, alpha, t, steps), fdata)[site]
     band = 3.0 * se_c + bias_rate * dt + 3.0 * se_f
     gap = abs(mean_c - sg)
     checks = [
@@ -294,7 +294,7 @@ def contraction_probe(drift: MollifiedDrift, weight: WeightSpec, p: float,
             v = np.stack([bumps[j] * rng.standard_normal()
                           for j in range(steps + 1)])
             hv = np.zeros((steps + 1,) + grid.shape, dtype=complex)
-            memory = np.zeros(grid.shape, dtype=complex)
+            memory = np.zeros(grid.shape)
             for j in range(steps):
                 memory = propagate(stepper_cfg, memory + dt * kb * v[j])
                 hv[j + 1] = -1j * memory

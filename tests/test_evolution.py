@@ -1,5 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stablelab import drifts, evolution
 from stablelab.errors import ConfigurationError, ParameterError
@@ -263,3 +266,66 @@ def test_kernel_slice_mass(grid, smooth_drift):
     # the initial spike is unresolved for a few steps; small transient
     # ringing survives in the far field
     assert row.data.min() >= -1e-3 * np.max(row.data)
+
+
+@pytest.fixture(scope="module")
+def small_grid():
+    return TorusGrid(3, 8.0, 16)
+
+
+@pytest.fixture(scope="module")
+def small_drift(small_grid):
+    base = drifts.bounded_smooth_drift([0.5, 0.4, 0.3], 8.0, 3)
+    return drifts.mollify(base, n=4, grid=small_grid, epsilon_n=0.05)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), steps=st.integers(1, 6),
+       t=st.floats(0.01, 0.5))
+def test_propagate_keeps_real_fields_real(small_grid, small_drift, seed,
+                                          steps, t):
+    cfg = evolution.PropagatorConfig(small_drift, ALPHA, t, steps)
+    f = smooth_field(small_grid, seed)
+    real = evolution.propagate(cfg, f)
+    full = evolution.propagate(cfg, f.astype(complex))
+    assert real.dtype == np.float64
+    assert np.iscomplexobj(full)
+    assert np.linalg.norm(real - full.real) <= 1e-12 * np.linalg.norm(full)
+
+
+@pytest.fixture
+def stepper_builds(monkeypatch):
+    builds = []
+    init = evolution.SplitStepPropagator.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(evolution.SplitStepPropagator, "__init__",
+                        counting_init)
+    return builds
+
+
+def test_conservativeness_builds_one_stepper_per_level(small_grid,
+                                                       stepper_builds):
+    mol = drifts.mollify(drifts.hardy_drift(0.05, ALPHA, 3), n=8,
+                         grid=small_grid, epsilon_n=0.5)
+    cfg = evolution.PropagatorConfig(mol, ALPHA, 0.01, 5)
+    evolution.conservativeness_check(
+        cfg, small_grid.site_index([0.0] * 3), [2.0, 4.0, 6.0],
+        n_levels=(8, 16))
+    assert len(stepper_builds) == 2
+
+
+def test_duhamel_residual_builds_one_stepper(small_grid, small_drift,
+                                             stepper_builds):
+    cfg = evolution.PropagatorConfig(small_drift, ALPHA, 0.5, 10)
+    evolution.duhamel_residual(cfg, smooth_field(small_grid, 3))
+    assert len(stepper_builds) == 1
+
+
+def test_config_is_frozen(smooth_drift):
+    cfg = evolution.PropagatorConfig(smooth_drift, ALPHA, 0.5, 10)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.steps = 20

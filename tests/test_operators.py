@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import fft as sfft
 
 from stablelab import operators as ops
 from stablelab.errors import ParameterError
@@ -64,7 +66,8 @@ def test_resolvent_inverse_pair(grid3):
     A = ops.frac_laplacian(grid3, 1.5)
     R = ops.resolvent_power(grid3, 1.5, 3.0, 1.0)
     f = rand_field(grid3, 3)
-    back = ops.Affine([(3.0, ops.Identity(grid3)), (1.0, A)]).apply(R.apply(f))
+    x = R.apply(f)
+    back = 3.0 * x + A.apply(x)
     assert np.linalg.norm(back - f) <= 1e-10 * np.linalg.norm(f)
 
 
@@ -171,3 +174,56 @@ def test_norm_probe_is_lower_bound(grid3):
     probe = R.norm_probe(n_probes=4, p=2.0, seed=13, iterations=12)
     assert probe <= 0.5 + 1e-12  # true L2 norm is 1/mu
     assert probe > 0.4
+
+
+# Real data with a real, even symbol takes the half-spectrum path; the
+# result must be the real part of the complex path.
+
+REAL_PATH = settings(max_examples=25, deadline=None)
+alphas = st.floats(1.01, 1.99)
+sizes = st.sampled_from([8, 16])
+seeds = st.integers(0, 2**31 - 1)
+
+
+def assert_real_part_of_complex_path(op, f):
+    real = op.apply(f)
+    full = op.apply(f.astype(complex))
+    assert real.dtype == np.float64
+    assert np.iscomplexobj(full)
+    assert np.linalg.norm(real - full.real) <= 1e-12 * np.linalg.norm(full)
+
+
+@REAL_PATH
+@given(alpha=alphas, t=st.floats(0.0, 2.0), mu=st.floats(0.1, 50.0),
+       gamma=st.floats(0.05, 1.0), n=sizes, seed=seeds)
+def test_real_path_matches_complex_path(alpha, t, mu, gamma, n, seed):
+    grid = TorusGrid(3, 8.0, n)
+    f = rand_field(grid, seed)
+    for op in (ops.heat_semigroup(grid, alpha, t),
+               ops.frac_laplacian(grid, alpha),
+               ops.resolvent_power(grid, alpha, mu, gamma)):
+        assert_real_part_of_complex_path(op, f)
+
+
+@REAL_PATH
+@given(n=sizes, seed=seeds)
+def test_real_path_for_symmetrised_random_symbol(n, seed):
+    grid = TorusGrid(2, 4.0, n)
+    g = rand_field(grid, seed + 1)
+    even = g + np.roll(g[::-1, ::-1], 1, axis=(0, 1))  # g(k) + g(-k)
+    assert_real_part_of_complex_path(ops.FourierMultiplier(grid, even),
+                                     rand_field(grid, seed))
+
+
+@REAL_PATH
+@given(n=sizes, j=st.integers(0, 2), seed=seeds)
+def test_non_hermitian_symbols_keep_complex_path(n, j, seed):
+    grid = TorusGrid(3, 8.0, n)
+    f = rand_field(grid, seed)
+    odd = rand_field(grid, seed + 1)  # real but, almost surely, not even
+    for op in (ops.gradient_component(grid, j),
+               ops.FourierMultiplier(grid, odd)):
+        out = op.apply(f)
+        assert np.iscomplexobj(out)
+        assert np.array_equal(
+            out, sfft.ifftn(op.symbol * sfft.fftn(f.astype(complex))))
