@@ -2,7 +2,11 @@
 
 Default scheme: Strang splitting with an exact spectral half-step for the
 nonlocal part and semi-Lagrangian backtracking (RK2 departure points,
-periodic quintic interpolation) for the advection.  An Arnoldi
+periodic quintic interpolation) for the advection.  The interpolation is
+matrix-free: the Courant check keeps every departure within one cell, so
+each site reads the same seven spline coefficients per axis, and one
+advection is a weighted sum of shifted views of the coefficient array
+(weights rebuilt from the stored displacements at each step).  An Arnoldi
 matrix-exponential path cross-validates the splitting.  Real fields stay
 real along the splitting, and each config builds its stepper once.
 """
@@ -13,6 +17,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import linalg as sla
 from scipy import ndimage
 
@@ -20,7 +25,7 @@ from .drifts import MollifiedDrift, mollify
 from .errors import ConfigurationError, ParameterError
 from .grid import Field, TorusGrid
 from .kernels import cutoff_mass
-from .operators import heat_semigroup
+from .operators import gradient_component, heat_semigroup, real_gradient
 from .profiles import cutoff_profile
 from .report import VerificationReport, build_report
 from .resolvent import drifted_generator
@@ -72,41 +77,119 @@ class PropagatorConfig:
         return ArnoldiPropagator(self.drift, self.alpha, self.dt)
 
 
-def _interp(data: np.ndarray, idx_coords: np.ndarray) -> np.ndarray:
+# Periodic quintic B-spline interpolation at sub-cell displacements.  With
+# spline coefficients c of the data, the value at site i + d (|d| < 1 per
+# axis) is the tensor product over axes of sum_o B5(d - o) c[i + o] with
+# the same seven slots o = -3..3 at every site.  Row o + 3 of _QUINTIC
+# holds B5(d - o) in the basis (1, d, d^2, d^3, d^4, d^5, max(d, 0)^5); the
+# integer table is 120 B5.
+_QUINTIC = np.array([[0, 0, 0, 0, 0, -1, 1],
+                     [1, -5, 10, -10, 5, 5, -6],
+                     [26, -50, 20, 20, -20, -10, 15],
+                     [66, 0, -60, 0, 30, 10, -20],
+                     [26, 50, 20, -20, -20, -5, 15],
+                     [1, 5, 10, 10, 5, 1, -6],
+                     [0, 0, 0, 0, 0, 0, 1]]) / 120.0
+_SLOTS = 3
+
+
+def _check_subcell(displacement: np.ndarray, name: str) -> None:
+    worst = float(np.max(np.abs(displacement)))
+    if not worst < 1.0:
+        raise ConfigurationError(
+            f"{name} displacement reaches {worst:.3f} cells; the quintic "
+            "advection kernel needs |d| < 1 per axis (reduce dt)")
+
+
+def _slot_weights(displacement: np.ndarray) -> np.ndarray:
+    """B5(d - o) for o = -3..3 on every axis, shape (dim, 7, N, ..., N):
+    one product of _QUINTIC with the basis powers per axis."""
+    out = np.empty((len(displacement), len(_QUINTIC)) + displacement.shape[1:])
+    powers = np.empty(out.shape[1:])
+    for w, d in zip(out, displacement):
+        powers[0] = 1.0
+        powers[1] = d
+        for k in range(2, 6):
+            np.multiply(powers[k - 1], d, out=powers[k])
+        np.multiply(powers[5], d > 0.0, out=powers[6])
+        # einsum, not matmul: a BLAS call would wake spinning threads
+        np.einsum("ok,k...->o...", _QUINTIC, powers, out=w)
+    return out
+
+
+def _shifted_sum(coeffs: np.ndarray, weights: np.ndarray, axis: int):
+    """sum over slots o of weights[axis][o] times the contraction of the
+    lower axes, on views of the padded coefficients shifted by o along
+    ``axis``.  Axis 0 is contracted last, on a contiguous copy, as one
+    einsum over its seven windows."""
+    n = weights.shape[-1]
+    if axis == 0:
+        windows = sliding_window_view(np.ascontiguousarray(coeffs), n, axis=0)
+        return np.einsum("a...,a...->...", weights[0],
+                         np.moveaxis(windows, -1, 1))
+    lead = (slice(None),) * axis
+    total = np.zeros(weights.shape[2:], dtype=coeffs.dtype)
+    for o, w in enumerate(weights[axis]):
+        term = _shifted_sum(coeffs[lead + (slice(o, o + n),)], weights,
+                            axis - 1)
+        term *= w
+        total += term
+    return total
+
+
+def quintic_shift(data: np.ndarray, displacement: np.ndarray) -> np.ndarray:
+    """Periodic quintic spline interpolation of ``data`` at the sites
+    i + displacement[:, i], given in cells.
+
+    Every |d| must lie below one cell: larger displacements fall outside
+    the seven slots and give wrong values (``SplitStepPropagator`` checks
+    this when it is built).  ``displacement`` has shape (dim, N, ..., N);
+    leading axes of ``data`` beyond the last dim are interpolated one slice
+    at a time with the same weights.  Real data gives float64, complex
+    data complex128.
+    """
+    data = np.asarray(data)
+    weights = _slot_weights(displacement)
+    dim = len(displacement)
+    out = np.empty(data.shape, dtype=np.result_type(data, float))
     # quintic keeps the advection error below the splitting error at desk
     # resolutions
-    return ndimage.map_coordinates(data, idx_coords, order=5,
-                                   mode="grid-wrap", prefilter=True)
+    for lead in np.ndindex(data.shape[:data.ndim - dim]):
+        coeffs = ndimage.spline_filter(data[lead], order=5, mode="grid-wrap",
+                                       output=out.dtype)
+        out[lead] = _shifted_sum(np.pad(coeffs, _SLOTS, mode="wrap"),
+                                 weights, dim - 1)
+    return out
 
 
 class SplitStepPropagator:
-    """Reusable stepper: precomputes the departure indices once."""
+    """Reusable stepper: keeps the RK2 departure displacements, in cells
+    per axis, and advects by the matrix-free quintic kernel above.
+
+    The Courant check of ``PropagatorConfig`` keeps every displacement
+    below one cell; a stepper built with a larger step raises
+    ``ConfigurationError``.
+    """
 
     def __init__(self, drift: MollifiedDrift, alpha: float, dt: float):
         self.grid = drift.grid
         self.dt = dt
         self.half_heat = heat_semigroup(self.grid, alpha, 0.5 * dt)
-        grid = self.grid
-        b = drift.lattice.data
-        coords = np.stack([np.broadcast_to(c, grid.shape)
-                           for c in grid.coordinates()])
         if drift.sup_norm() == 0.0:
-            self.departure_idx = None
+            self.displacement = None
             return
+        b = drift.lattice.data
+        cells = dt / self.grid.spacing
         # RK2 departure points: midpoint velocity, then full backtrack
-        mid = coords - 0.5 * dt * b
-        mid_idx = (mid + grid.half_length) / grid.spacing
-        b_mid = np.stack([_interp(b[j], mid_idx) for j in range(grid.dim)])
-        dep = coords - dt * b_mid
-        self.departure_idx = (dep + grid.half_length) / grid.spacing
+        mid = -0.5 * cells * b
+        _check_subcell(mid, "midpoint")
+        self.displacement = -cells * quintic_shift(b, mid)
+        _check_subcell(self.displacement, "departure")
 
     def _advect(self, u: np.ndarray) -> np.ndarray:
-        if self.departure_idx is None:
+        if self.displacement is None:
             return u
-        if np.iscomplexobj(u):
-            return (_interp(u.real, self.departure_idx)
-                    + 1j * _interp(u.imag, self.departure_idx))
-        return _interp(u, self.departure_idx)
+        return quintic_shift(u, self.displacement)
 
     def step(self, u: np.ndarray) -> np.ndarray:
         u = self.half_heat.apply(u)
@@ -179,6 +262,16 @@ def kernel_slice(config: PropagatorConfig, site) -> Field:
     return Field(grid, propagate(config, delta))
 
 
+def advective_source(drift: MollifiedDrift, u: np.ndarray) -> np.ndarray:
+    """b . grad u on the lattice.  Real u gives float64 through one rfftn
+    and d irfftn calls; complex u takes the complex i*k_j multipliers."""
+    b = drift.lattice.data
+    if np.iscomplexobj(u):
+        return sum(bj * gradient_component(drift.grid, j).apply(u)
+                   for j, bj in enumerate(b))
+    return np.sum(b * real_gradient(drift.grid, u), axis=0)
+
+
 def duhamel_residual(config: PropagatorConfig, f) -> float:
     """Relative L^2 residual of the perturbation identity
 
@@ -195,16 +288,7 @@ def duhamel_residual(config: PropagatorConfig, f) -> float:
            else replace(config, steps=config.steps + 1))
     steps, dt = cfg.steps, cfg.dt
     stepper = cfg.stepper
-    b = config.drift.lattice.data
     heat_step = heat_semigroup(grid, config.alpha, dt)
-
-    from .operators import gradient_component
-
-    grads = [gradient_component(grid, j) for j in range(grid.dim)]
-
-    def advective_source(u):
-        src = sum(b[j] * grads[j].apply(u) for j in range(grid.dim))
-        return src.real if real else src
 
     weights = np.full(steps + 1, 2.0)
     weights[1::2] = 4.0
@@ -212,11 +296,11 @@ def duhamel_residual(config: PropagatorConfig, f) -> float:
     weights *= dt / 3.0
 
     heat_f = np.array(data)
-    accum = weights[0] * advective_source(heat_f)  # s = 0 term
+    accum = weights[0] * advective_source(config.drift, heat_f)  # s = 0 term
     for k in range(1, steps + 1):
         accum = stepper.step(accum)
         heat_f = heat_step.apply(heat_f)
-        accum += weights[k] * advective_source(heat_f)
+        accum += weights[k] * advective_source(config.drift, heat_f)
     lhs = propagate(cfg, data)
     residual = lhs - heat_f + accum
     return float(np.linalg.norm(residual) / max(np.linalg.norm(data), 1e-300))

@@ -270,6 +270,25 @@ def gradient_component(grid, j) -> FourierMultiplier:
     return FourierMultiplier(grid, 1j * grid.frequencies()[j])
 
 
+def real_gradient(grid, data) -> np.ndarray:
+    """Spectral gradient of real data as a (dim, N, ..., N) float64 array:
+    one rfftn, then one irfftn per axis.
+
+    i*k_j is odd except on the Nyquist plane of axis j, where it maps real
+    data to imaginary data; that plane is zeroed, so component j equals
+    ``gradient_component(grid, j).apply(data).real``.
+    """
+    data = np.asarray(data, dtype=float)
+    spec = sfft.rfftn(data)
+    nyquist = grid.points_per_axis // 2
+    out = np.empty((grid.dim,) + data.shape)
+    for j, k in enumerate(grid.frequencies()):
+        symbol = 1j * k[..., : nyquist + 1]
+        symbol[(slice(None),) * j + (nyquist,)] = 0.0
+        out[j] = sfft.irfftn(symbol * spec, s=data.shape)
+    return out
+
+
 def dot_gradient(vector_values, inner: LatticeOperator) -> LatticeOperator:
     """v . grad(inner(.)) as a scalar-to-scalar handle.
 

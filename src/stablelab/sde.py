@@ -203,8 +203,7 @@ def mc_vs_semigroup(drift: MollifiedDrift, x0, t: float, f, n_paths: int,
                     "abs_drift_levels": abs_levels})
 
 
-def identify_driving_noise(ensemble: PathEnsemble, kappa_list,
-                           bias_allowance: float = 0.0) -> list:
+def identify_driving_noise(ensemble: PathEnsemble, kappa_list) -> list:
     """Characteristic function of the recovered noise at each dual vector
     against the pure stable exponent exp(-t |kappa|^alpha)."""
     z = ensemble.recovered_noise()
@@ -221,7 +220,7 @@ def identify_driving_noise(ensemble: PathEnsemble, kappa_list,
 
 def noise_identification_report(ensemble: PathEnsemble, kappa_list,
                                 bias_allowance: float = 0.0) -> VerificationReport:
-    probes = identify_driving_noise(ensemble, kappa_list, bias_allowance)
+    probes = identify_driving_noise(ensemble, kappa_list)
     checks = []
     for pr in probes:
         band = 3.0 * pr.stderr + bias_allowance

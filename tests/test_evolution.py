@@ -3,11 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import ndimage
 
 from stablelab import drifts, evolution
 from stablelab.errors import ConfigurationError, ParameterError
 from stablelab.grid import Field, TorusGrid
-from stablelab.operators import heat_semigroup
+from stablelab.operators import gradient_component, heat_semigroup
 
 ALPHA = 1.5
 
@@ -329,3 +330,58 @@ def test_config_is_frozen(smooth_drift):
     cfg = evolution.PropagatorConfig(smooth_drift, ALPHA, 0.5, 10)
     with pytest.raises(dataclasses.FrozenInstanceError):
         cfg.steps = 20
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), n=st.sampled_from([8, 16]),
+       dim=st.integers(1, 3), is_complex=st.booleans(),
+       reach=st.floats(0.0, 0.999))
+def test_quintic_shift_matches_map_coordinates(seed, n, dim, is_complex,
+                                               reach):
+    rng = np.random.default_rng(seed)
+    shape = (n,) * dim
+    u = rng.standard_normal(shape)
+    if is_complex:
+        u = u + 1j * rng.standard_normal(shape)
+    d = reach * rng.uniform(-1.0, 1.0, (dim,) + shape)
+    expect = ndimage.map_coordinates(u, np.indices(shape) + d, order=5,
+                                     mode="grid-wrap")
+    got = evolution.quintic_shift(u, d)
+    assert got.dtype == expect.dtype
+    assert np.max(np.abs(got - expect)) <= 1e-12
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1))
+def test_advective_source_real_path_matches_complex(small_grid, small_drift,
+                                                    seed):
+    # white noise carries the Nyquist planes that i*k_j maps off the reals
+    u = np.random.default_rng(seed).standard_normal(small_grid.shape)
+    b = small_drift.lattice.data
+    expect = sum(b[j] * gradient_component(small_grid, j).apply(u).real
+                 for j in range(small_grid.dim))
+    got = evolution.advective_source(small_drift, u)
+    assert got.dtype == np.float64
+    assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
+
+
+@pytest.mark.parametrize("cells, which", [(1.5, "departure"),
+                                          (3.0, "midpoint")])
+def test_stepper_rejects_displacement_of_a_cell(small_drift, cells, which):
+    # the Courant check of PropagatorConfig is bypassed on purpose
+    b_max = np.max(np.abs(small_drift.lattice.data))
+    dt = cells * small_drift.grid.spacing / b_max
+    with pytest.raises(ConfigurationError, match=f"{which} displacement"):
+        evolution.SplitStepPropagator(small_drift, ALPHA, dt)
+
+
+def test_no_map_coordinates_fallback(small_grid, small_drift, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("map_coordinates called")
+
+    monkeypatch.setattr(ndimage, "map_coordinates", refuse)
+    cfg = evolution.PropagatorConfig(small_drift, ALPHA, 0.25, 5)
+    stepper = evolution.SplitStepPropagator(small_drift, ALPHA, cfg.dt)
+    assert stepper.displacement is not None
+    out = evolution.propagate(cfg, smooth_field(small_grid, 4))
+    assert np.all(np.isfinite(out))
