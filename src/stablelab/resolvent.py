@@ -202,7 +202,7 @@ def verify_lp_inequalities(potential: np.ndarray, p: float, mu: float,
     bumps, and the transported L^2 extremizer, which attains ratio
     delta/(delta c) for candidate c = 1 in every L^p.
     """
-    from .formbound import estimate_weak_formbound, power_iteration
+    from .formbound import estimate_weak_formbound, top_eigenpair
 
     if np.any(potential < 0):
         raise ParameterError("potential must be nonnegative")
@@ -249,7 +249,7 @@ def verify_lp_inequalities(potential: np.ndarray, p: float, mu: float,
     # eigenfield of sqrt(V) R sqrt(V); then op_b f = delta V^(1/p-1/2) phi
     sandwich = Compose([PointwiseMultiplier(grid, np.sqrt(potential)), res,
                         PointwiseMultiplier(grid, np.sqrt(potential))])
-    _, phi, _ = power_iteration(sandwich, grid, tol=1e-8, seed=seed)
+    _, phi, _, _ = top_eigenpair(sandwich, grid, tol=1e-8, seed=seed)
     mask = potential > 1e-9 * np.max(potential)
     with np.errstate(divide="ignore", invalid="ignore"):
         transported = np.where(mask, potential ** (1.0 / p - 0.5), 0.0) * phi

@@ -113,7 +113,11 @@ def run_formbound_audit(cfg: ExperimentConfig) -> ScenarioResult:
                          checks,
                          provenance={
                              "per_grid": {str(k): v.per_lambda
-                                          for k, v in estimates.items()}}))
+                                          for k, v in estimates.items()},
+                             "eigensolver": {
+                                 str(k): {"lam": v.lam, "matvecs": v.matvecs,
+                                          "residual": v.residual}
+                                 for k, v in estimates.items()}}))
 
     kato_vals = []
     for n_axis in (cfg.grid_n // 2, cfg.grid_n, cfg.grid_n * 2):
@@ -195,10 +199,12 @@ def run_resolvent_verify(cfg: ExperimentConfig) -> ScenarioResult:
     mol = drifts.mollify(cfg.drift, n=int(cfg.half_length / 2), grid=grid_big,
                          epsilon_n=max(0.25, grid_big.spacing))
     potential = mol.magnitude()
+    delta = formbound.estimate_weak_formbound(potential, 0.01, grid_big,
+                                              cfg.alpha, seed=cfg.seed).delta_est
     for p_exp in (2.0, 4.5):
         rep = resolvent.verify_lp_inequalities(
             potential, p_exp, mu=1.0, lam=0.01, grid=grid_big,
-            alpha=cfg.alpha, n_probes=50, seed=cfg.seed)
+            alpha=cfg.alpha, n_probes=50, seed=cfg.seed, delta=delta)
         product_ok = all(rep.metrics[f"product_quarter:{w}"] <= 1.0 + 1e-6
                          for w in ("a", "b", "c"))
         checks = [("product_constant_all_pass", float(product_ok),
@@ -231,10 +237,9 @@ def run_weighted_verify(cfg: ExperimentConfig) -> ScenarioResult:
         [_grid(cfg, n_ref), _grid(cfg, n_ref * 2)]))
     mol = drifts.mollify(cfg.drift, n=4, grid=grid_small,
                          epsilon_n=2.0 * grid_small.spacing)
-    wtheta = weighted.weighted_lp_resolvent(mol, w_small, 5.0, cfg.p, cfg.q,
-                                            cfg.r, grid_small, cfg.alpha)
     plain = resolvent.assemble_lp_resolvent(mol, 5.0, cfg.p, cfg.q, cfg.r,
                                             grid_small, cfg.alpha)
+    wtheta = weighted.weighted_lp_resolvent(plain, w_small, cfg.alpha)
     h = np.random.default_rng(cfg.seed).standard_normal(grid_small.shape)
     lhs = wtheta.apply(h)
     rhs = plain.apply(w_small.lattice * h) / w_small.lattice

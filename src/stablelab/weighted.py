@@ -9,14 +9,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .drifts import DriftSpec, MollifiedDrift, mollify
+from .drifts import DriftSpec, mollify
 from .errors import AdmissibilityError, ParameterError
 from .grid import TorusGrid
-from .operators import (Affine, Compose, LatticeOperator, PointwiseMultiplier,
-                        frac_laplacian, heat_semigroup, resolvent_power)
+from .operators import (Affine, Compose, LatticeOperator, NeumannInverse,
+                        PointwiseMultiplier, frac_laplacian, heat_semigroup,
+                        resolvent_power)
 from .profiles import truncate_weight
 from .report import VerificationReport, build_report
-from .resolvent import assemble_lp_resolvent, magnitude_power
+from .resolvent import (ResolventAssembly, assemble_lp_resolvent,
+                        magnitude_power)
 
 
 @dataclass
@@ -343,33 +345,25 @@ def verify_weighted_lp_inequalities(potential: np.ndarray, p: float,
                         checks, provenance={"seed": seed})
 
 
-def weighted_lp_resolvent(drift: MollifiedDrift, weight: WeightSpec,
-                          mu: float, p: float, q: float, r: float,
-                          grid: TorusGrid, alpha: float) -> LatticeOperator:
+def weighted_lp_resolvent(plain: ResolventAssembly, weight: WeightSpec,
+                          alpha: float) -> LatticeOperator:
     """The conjugated factorization eta^(-1) theta(mu, b) eta assembled
-    from individually conjugated blocks (every fractional power appears
-    as (mu + A_eta)^(-gamma)); algebraically identical to conjugating the
-    assembled resolvent."""
-    plain = assemble_lp_resolvent(drift, mu, p, q, r, grid, alpha)
-    pieces = plain.handles
+    from the individually conjugated blocks of the plain assembly (every
+    fractional power appears as (mu + A_eta)^(-gamma)); algebraically
+    identical to conjugating the assembled resolvent."""
+    grid, mu = weight.grid, plain.mu
     frac = -1.0 + 1.0 / alpha
-    q_c = q / (q - 1.0)
-    r_c = r / (r - 1.0)
+    r_c = plain.r / (plain.r - 1.0)
     conj = weight.conjugate
     correction = Compose([
-        conjugated_resolvent_power(weight, alpha, grid, mu, 1.0 / alpha - frac / q),
-        conj(pieces["Q"]),
-        conj_neumann(weight, pieces, p),
-        conj(pieces["G"]),
+        conjugated_resolvent_power(weight, alpha, grid, mu,
+                                   1.0 / alpha - frac / plain.q),
+        conj(plain.handles["Q"]),
+        NeumannInverse(conj(plain.handles["T"]), tol=1e-12, norm_p=plain.p),
+        conj(plain.handles["G"]),
         conjugated_resolvent_power(weight, alpha, grid, mu, -frac / r_c),
     ])
     return Affine([
         (1.0, conjugated_resolvent_power(weight, alpha, grid, mu, 1.0)),
         (-1.0, correction),
     ])
-
-
-def conj_neumann(weight: WeightSpec, pieces: dict, p: float):
-    from .operators import NeumannInverse
-
-    return NeumannInverse(weight.conjugate(pieces["T"]), tol=1e-12, norm_p=p)

@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -135,6 +139,25 @@ def test_rerun_reproduces_summary(tmp_path):
                 "[parameters]\nn_paths = 4000\n")
     cli.run(cfg, out_dir=str(tmp_path / "one"), stream=out)
     cli.run(cfg, out_dir=str(tmp_path / "two"), stream=out)
+    a = (tmp_path / "one" / "summary.json").read_bytes()
+    b = (tmp_path / "two" / "summary.json").read_bytes()
+    assert a == b
+
+
+def test_summary_identical_across_processes(tmp_path):
+    # digests of summary.json are compared across fresh processes, where
+    # no in-process cache or state can be shared between the runs
+    cfg = write(tmp_path, "audit.cfg",
+                "[experiment]\nscenario = formbound_audit\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for name in ("one", "two"):
+        done = subprocess.run(
+            [sys.executable, "-m", "stablelab.cli", "run", cfg,
+             "--grid-n", "16", "--out-dir", str(tmp_path / name)],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stdout + done.stderr
     a = (tmp_path / "one" / "summary.json").read_bytes()
     b = (tmp_path / "two" / "summary.json").read_bytes()
     assert a == b

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from stablelab import drifts, formbound
 from stablelab.errors import ConvergenceError, ParameterError
 from stablelab.grid import TorusGrid
-from stablelab.operators import heat_semigroup
+from stablelab.operators import Compose, PointwiseMultiplier, resolvent_power
 
 ALPHA = 1.5
 
@@ -22,7 +23,7 @@ def hardy_mol(grid):
 
 def test_zero_drift_gives_zero(grid):
     est = formbound.estimate_weak_formbound(np.zeros(grid.shape), 0.1, grid, ALPHA)
-    assert est.delta_est == 0.0 and est.converged
+    assert est.delta_est == 0.0 and est.matvecs == 0 and est.residual == 0.0
     assert formbound.estimate_kato_norm(np.zeros(grid.shape), 0.1, grid, ALPHA) == 0.0
 
 
@@ -69,7 +70,8 @@ def test_symmetrized_equals_weak_bound(grid, hardy_mol):
 
 
 def test_duality_interpolation_ordering(grid):
-    # symmetrized 2->2 estimate is dominated by the Kato sup-norm estimate
+    # symmetrized 2->2 estimate is dominated by the Kato sup-norm estimate,
+    # and the weak form-bound by the full one (Heinz inequality)
     lam = 0.05
     for spec, n in ((drifts.hardy_drift(0.05, ALPHA, 3), 4),
                     (drifts.kato_example_drift(0.8, 0.25, 2.0, 3), 4),
@@ -78,14 +80,32 @@ def test_duality_interpolation_ordering(grid):
         sym = formbound.estimate_symmetrized_formbound(mol, lam, grid, ALPHA)
         kato = formbound.estimate_kato_norm(mol, lam, grid, ALPHA)
         assert sym <= kato * (1.0 + 1e-6)
+        weak = formbound.estimate_weak_formbound(mol, lam, grid, ALPHA)
+        full = formbound.estimate_formbound(mol, lam, grid, ALPHA)
+        assert weak.delta_est <= full.delta_est * (1.0 + 1e-6)
 
 
-def test_lanczos_never_decreases(grid, hardy_mol):
-    power = formbound.estimate_weak_formbound(hardy_mol, 0.01, grid, ALPHA,
-                                              method="power")
-    lanczos = formbound.estimate_weak_formbound(hardy_mol, 0.01, grid, ALPHA,
-                                                method="lanczos")
-    assert lanczos.delta_est >= power.delta_est * (1.0 - 1e-12)
+@pytest.mark.parametrize("dim,n", [(3, 16), (1, 4)])
+def test_top_eigenpair_resolvent_power_oracle(dim, n):
+    # the zero mode carries the top eigenvalue lam^(-gamma) of the
+    # multiplier; a 4-site lattice is smaller than the Lanczos basis
+    grid = TorusGrid(dim, 8.0, n)
+    lam, gamma, tol = 0.3, 0.6, 1e-6
+    op = resolvent_power(grid, ALPHA, lam, gamma)
+    value, vec, matvecs, residual = formbound.top_eigenpair(op, grid, tol=tol,
+                                                            seed=2)
+    assert value == pytest.approx(lam ** (-gamma), rel=1e-10)
+    assert residual <= tol * value
+    assert vec.shape == grid.shape and matvecs > 0
+
+
+def test_top_eigenpair_seed_reproducible(grid, hardy_mol):
+    root = formbound.fractional_shift_root(grid, ALPHA, 0.01)
+    op = Compose([root, PointwiseMultiplier(grid, hardy_mol.magnitude()),
+                  root])
+    one = formbound.top_eigenpair(op, grid, seed=7)
+    two = formbound.top_eigenpair(op, grid, seed=7)
+    assert one[0] == two[0] and one[2] == two[2]
 
 
 def test_hardy_ladder_convergence_toward_target():
@@ -150,11 +170,18 @@ def test_formbound_full_class_bounded_drift(grid):
     assert est.class_tag == "formbound"
 
 
-def test_power_iteration_stagnation_raises(grid):
-    op = heat_semigroup(grid, ALPHA, 0.001)
+def test_top_eigenpair_no_convergence_raises(grid, monkeypatch):
+    def stalled(lin, **kw):
+        lin.matvec(kw["v0"])
+        raise ArpackNoConvergence("no convergence", np.zeros(0),
+                                  np.zeros((lin.shape[0], 0)))
+
+    monkeypatch.setattr(formbound, "eigsh", stalled)
+    op = resolvent_power(grid, ALPHA, 0.3, 0.6)
     with pytest.raises(ConvergenceError) as err:
-        formbound.power_iteration(op, grid, tol=1e-14, max_iter=3)
+        formbound.top_eigenpair(op, grid)
     assert err.value.last_iterate is not None
+    assert err.value.last_iterate.shape == grid.shape
 
 
 def test_drift_magnitude_shape_guard(grid):

@@ -141,9 +141,8 @@ def test_weighted_factorization_matches_conjugation(grid, weight):
     base = drifts.hardy_drift(0.05, ALPHA, 3)
     mol = drifts.mollify(base, n=4, grid=grid, epsilon_n=0.5)
     mu, p, q, r = 5.0, 5.0, 6.0, 2.0
-    wtheta = weighted.weighted_lp_resolvent(mol, weight, mu, p, q, r, grid,
-                                            ALPHA)
     plain = assemble_lp_resolvent(mol, mu, p, q, r, grid, ALPHA)
+    wtheta = weighted.weighted_lp_resolvent(plain, weight, ALPHA)
     h = np.random.default_rng(4).standard_normal(grid.shape)
     lhs = wtheta.apply(h)
     rhs = plain.apply(weight.lattice * h) / weight.lattice
