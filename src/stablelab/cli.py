@@ -13,18 +13,18 @@ import sys
 import time
 from pathlib import Path
 
-from .config import (SCENARIO_ANCHORS, SCENARIOS, load_config,
-                     reference_m_constant)
+from .config import load_config, reference_m_constant
 from .errors import AdmissibilityError, ConfigurationError, StableLabError
 from .report import _plain
+from .scenarios import SCENARIO_RUNNERS, run_scenario
 
 
 def list_scenarios() -> str:
-    """Stable sorted listing of scenarios with their check anchors."""
-    lines = []
-    for name in sorted(SCENARIOS):
-        lines.append(f"{name}: {SCENARIO_ANCHORS[name]}")
-    return "\n".join(lines)
+    """Stable sorted listing of scenarios with their check anchors (each
+    runner's docstring)."""
+    anchors = {name: run.__doc__ for name, run in SCENARIO_RUNNERS.items()}
+    anchors["full_suite"] = "all checks in dependency order"
+    return "\n".join(f"{name}: {anchors[name]}" for name in sorted(anchors))
 
 
 def run(config_path, out_dir=None, seed=None, grid_n=None, quick=False,
@@ -51,8 +51,6 @@ def run(config_path, out_dir=None, seed=None, grid_n=None, quick=False,
     except StableLabError as exc:
         print(f"config error: {exc}", file=stream)
         return 2
-
-    from .scenarios import run_scenario
 
     results = run_scenario(cfg)
     bundle_dir = Path(out_dir) if out_dir else (

@@ -12,27 +12,7 @@ import numpy as np
 from .drifts import DriftSpec, hardy_drift
 from .errors import AdmissibilityError, ConfigurationError
 from .formbound import admissible_delta_threshold
-
-SCENARIOS = (
-    "evolution_verify",
-    "formbound_audit",
-    "full_suite",
-    "resolvent_verify",
-    "sampler_check",
-    "sde_identify",
-    "weighted_verify",
-)
-
-# anchors name the mathematical object each scenario exercises
-SCENARIO_ANCHORS = {
-    "sampler_check": "stable increment law: characteristic exponent exp(-t|k|^alpha)",
-    "formbound_audit": "drift classes: weak form-bound and Kato-norm estimates",
-    "resolvent_verify": "perturbed resolvent factorizations and L^p potential bounds",
-    "weighted_verify": "polynomial-weight resolvent estimates and conjugated generator",
-    "evolution_verify": "drifted semigroup: perturbation identity, mass, approximation",
-    "sde_identify": "path law: Monte Carlo semigroup match and noise recovery",
-    "full_suite": "all checks in dependency order",
-}
+from .scenarios import SCENARIO_RUNNERS
 
 
 @dataclass
@@ -59,7 +39,7 @@ class ExperimentConfig:
     m_constant: float = None
 
     def __post_init__(self):
-        if self.scenario not in SCENARIOS:
+        if self.scenario not in (*SCENARIO_RUNNERS, "full_suite"):
             raise ConfigurationError(f"unknown scenario {self.scenario!r}")
         if self.drift is None:
             self.drift = hardy_drift(self.delta, self.alpha, self.dim)

@@ -13,11 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import fft as sfft
-from scipy import integrate, special
+from scipy import special
 
 from .errors import ParameterError
 from .grid import Field, TorusGrid, VectorField
-from .kernels import sphere_area
 
 
 def hardy_constant(alpha: float, dim: int) -> float:
@@ -170,14 +169,6 @@ def custom_drift(fn, dim: int, singular_points=None) -> DriftSpec:
 
 # ---------------------------------------------------------------------------
 # Mollification
-
-
-def mollifier_normalization(dim: int) -> float:
-    """Continuum normalization c with <c exp(-1/(1-|x|^2)) 1_(|x|<1)> = 1,
-    by radial quadrature."""
-    val, _ = integrate.quad(
-        lambda r: np.exp(-1.0 / (1.0 - r * r)) * r ** (dim - 1), 0.0, 1.0)
-    return 1.0 / (sphere_area(dim) * val)
 
 
 def mollifier(grid: TorusGrid, epsilon: float) -> Field:

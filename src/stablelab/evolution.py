@@ -252,16 +252,6 @@ def propagate(config: PropagatorConfig, f):
     return u
 
 
-def kernel_slice(config: PropagatorConfig, site) -> Field:
-    """Evolution of the scaled lattice indicator at ``site``: the kernel
-    of the semigroup read in its second argument at fixed target point
-    (for the symmetric part this is also the transition row)."""
-    grid = config.grid
-    delta = np.zeros(grid.shape)
-    delta[tuple(site)] = 1.0 / grid.cell_volume
-    return Field(grid, propagate(config, delta))
-
-
 def advective_source(drift: MollifiedDrift, u: np.ndarray) -> np.ndarray:
     """b . grad u on the lattice.  Real u gives float64 through one rfftn
     and d irfftn calls; complex u takes the complex i*k_j multipliers."""

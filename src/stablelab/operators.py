@@ -2,12 +2,17 @@
 multiplications, compositions and affine combinations.
 
 Every handle maps grid-shaped arrays to grid-shaped arrays and exposes an
-exact adjoint.  Output is complex, with one exception: a Fourier multiplier
-whose symbol is real and even (a function of |k|^2, say) maps real input to
-real float64 output through half-spectrum transforms.  Fourier multipliers
-are diagonal in the discrete dual basis, so compositions of handles
-reproduce the continuum operator calculus up to round-off on band-limited
-data.
+exact adjoint.  One dtype rule holds throughout: real data in gives real
+data out whenever every part is real, and numpy's type promotion decides
+otherwise.  A Fourier multiplier is real when its symbol is real and even
+(a function of |k|^2, say); it then maps real input to float64 output
+through half-spectrum transforms.  Pointwise multipliers with real values,
+and compositions, affine combinations and Neumann inverses of real parts,
+keep float64 throughout.  Gradients (``gradient_component``,
+``DotGradient``) use the complex symbol i*k_j and give complex output.
+Fourier multipliers are diagonal in the discrete dual basis, so
+compositions of handles reproduce the continuum operator calculus up to
+round-off on band-limited data.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import numpy as np
 from scipy import fft as sfft
 
 from .errors import ParameterError
-from .grid import Field, TorusGrid
+from .grid import Field, TorusGrid, VectorField
 
 
 class LatticeOperator:
@@ -128,7 +133,7 @@ class PointwiseMultiplier(LatticeOperator):
         self.values = np.broadcast_to(np.asarray(values), grid.shape)
 
     def apply(self, data):
-        return self.values * np.asarray(data, dtype=complex)
+        return self.values * np.asarray(data)
 
     def adjoint(self):
         return PointwiseMultiplier(self.grid, np.conj(self.values))
@@ -145,7 +150,7 @@ class Compose(LatticeOperator):
         self.factors = factors
 
     def apply(self, data):
-        out = np.asarray(data, dtype=complex)
+        out = np.asarray(data)
         for op in reversed(self.factors):
             out = op.apply(out)
         return out
@@ -158,18 +163,15 @@ class Affine(LatticeOperator):
     """Linear combination sum_i c_i * T_i."""
 
     def __init__(self, terms):
-        terms = [(complex(c), op) for c, op in terms]
+        terms = list(terms)
         if not terms:
             raise ParameterError("affine combination needs at least one term")
         super().__init__(terms[0][1].grid)
         self.terms = terms
 
     def apply(self, data):
-        arr = np.asarray(data, dtype=complex)
-        out = np.zeros(self.grid.shape, dtype=complex)
-        for c, op in self.terms:
-            out += c * op.apply(arr)
-        return out
+        arr = np.asarray(data)
+        return sum(c * op.apply(arr) for c, op in self.terms)
 
     def adjoint(self):
         return Affine([(np.conj(c), op.adjoint()) for c, op in self.terms])
@@ -192,7 +194,7 @@ class NeumannInverse(LatticeOperator):
 
     def apply(self, data):
         vol = self.grid.cell_volume
-        term = np.asarray(data, dtype=complex).copy()
+        term = np.asarray(data)
         out = term.copy()
         scale = _lp(term, self.norm_p, vol)
         norms = []
@@ -201,7 +203,7 @@ class NeumannInverse(LatticeOperator):
             return out
         for _ in range(self.max_terms):
             term = -self.inner.apply(term)
-            out += term
+            out = out + term
             tn = _lp(term, self.norm_p, vol)
             norms.append(tn)
             if tn < self.tol * scale:
@@ -289,26 +291,36 @@ def real_gradient(grid, data) -> np.ndarray:
     return out
 
 
-def dot_gradient(vector_values, inner: LatticeOperator) -> LatticeOperator:
-    """v . grad(inner(.)) as a scalar-to-scalar handle.
+class DotGradient(LatticeOperator):
+    """v . grad(inner(.)) as a scalar-to-scalar handle, for a Fourier
+    multiplier ``inner``.
 
-    ``vector_values`` is a (dim, N, ..., N) array (or VectorField) of
-    pointwise weights applied after each spectral derivative.
+    One fftn of the input, the inner symbol, then one ifftn of
+    i*k_j times that spectrum per axis, weighted by v_j.  The complex
+    symbol i*k_j keeps its Nyquist plane, so the output is complex and
+    equals the sum over j of v_j * gradient_component(j)(inner(f)).
+    ``vector_values`` is a (dim, N, ..., N) array or VectorField.
     """
-    from .grid import VectorField
 
-    grid = inner.grid
-    if isinstance(vector_values, VectorField):
-        vector_values = vector_values.data
-    data = np.asarray(vector_values)
-    terms = []
-    for j in range(grid.dim):
-        terms.append((1.0, Compose([
-            PointwiseMultiplier(grid, data[j]),
-            gradient_component(grid, j),
-            inner,
-        ])))
-    return Affine(terms)
+    def __init__(self, vector_values, inner: FourierMultiplier):
+        super().__init__(inner.grid)
+        if isinstance(vector_values, VectorField):
+            vector_values = vector_values.data
+        self.values = np.asarray(vector_values)
+        self.inner = inner
+
+    def apply(self, data):
+        spec = self.inner.symbol * sfft.fftn(np.asarray(data))
+        return sum(v * sfft.ifftn(1j * k * spec)
+                   for v, k in zip(self.values, self.grid.frequencies()))
+
+    def adjoint(self):
+        inner_adj = self.inner.adjoint()
+        return Affine([(1.0, Compose([
+            inner_adj,
+            gradient_component(self.grid, j).adjoint(),
+            PointwiseMultiplier(self.grid, np.conj(v)),
+        ])) for j, v in enumerate(self.values)])
 
 
 def balakrishnan_resolvent_power(grid, alpha, mu, tau, n_nodes=900):

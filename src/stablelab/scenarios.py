@@ -1,17 +1,26 @@
 """Scenario pipelines: each maps a validated configuration to a list of
-verification reports plus exportable artifacts."""
+verification reports plus exportable artifacts.
+
+``SCENARIO_RUNNERS`` is the one registry of scenarios, in dependency
+order; each runner's one-line docstring is its anchor, the mathematical
+object it exercises.  ``full_suite`` runs them all.
+"""
 
 from __future__ import annotations
+
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import drifts, evolution, formbound, kernels, resolvent, sde, weighted
-from .config import ExperimentConfig
 from .grid import TorusGrid
 from .operators import heat_semigroup
 from .report import VerificationReport, build_report
 from .sampler import (StableParams, empirical_char_function,
                       sample_increments, sample_subordinator)
+
+if TYPE_CHECKING:
+    from .config import ExperimentConfig
 
 
 class ScenarioResult:
@@ -39,6 +48,7 @@ def _smooth_probe(grid, alpha, seed, t=0.3):
 
 
 def run_sampler_check(cfg: ExperimentConfig) -> ScenarioResult:
+    """stable increment law: characteristic exponent exp(-t|k|^alpha)"""
     out = ScenarioResult("sampler_check")
     params = StableParams(alpha=cfg.alpha, dim=cfg.dim, seed=cfg.seed)
     n = max(cfg.n_paths, 10000)
@@ -89,6 +99,7 @@ def run_sampler_check(cfg: ExperimentConfig) -> ScenarioResult:
 
 
 def run_formbound_audit(cfg: ExperimentConfig) -> ScenarioResult:
+    """drift classes: weak form-bound and Kato-norm estimates"""
     out = ScenarioResult("formbound_audit")
     target = cfg.delta
     estimates = {}
@@ -159,6 +170,7 @@ def run_formbound_audit(cfg: ExperimentConfig) -> ScenarioResult:
 
 
 def run_resolvent_verify(cfg: ExperimentConfig) -> ScenarioResult:
+    """perturbed resolvent factorizations and L^p potential bounds"""
     out = ScenarioResult("resolvent_verify")
     grid = _grid(cfg, min(cfg.grid_n, 16))
     amp = [0.6, 0.4, 0.5][: cfg.dim]
@@ -221,6 +233,7 @@ def run_resolvent_verify(cfg: ExperimentConfig) -> ScenarioResult:
 
 
 def run_weighted_verify(cfg: ExperimentConfig) -> ScenarioResult:
+    """polynomial-weight resolvent estimates and conjugated generator"""
     out = ScenarioResult("weighted_verify")
     grid = _grid(cfg, min(cfg.grid_n, 32))
     w = weighted.WeightSpec(grid, nu=cfg.nu, alpha=cfg.alpha)
@@ -255,6 +268,7 @@ def run_weighted_verify(cfg: ExperimentConfig) -> ScenarioResult:
 
 
 def run_evolution_verify(cfg: ExperimentConfig) -> ScenarioResult:
+    """drifted semigroup: perturbation identity, mass, approximation"""
     out = ScenarioResult("evolution_verify")
     # fixed defect tolerances assume at least the default resolution
     grid = _grid(cfg, max(cfg.grid_n, 32))
@@ -302,6 +316,7 @@ def run_evolution_verify(cfg: ExperimentConfig) -> ScenarioResult:
 
 
 def run_sde_identify(cfg: ExperimentConfig) -> ScenarioResult:
+    """path law: Monte Carlo semigroup match and noise recovery"""
     out = ScenarioResult("sde_identify")
     grid = _grid(cfg)
     mol = drifts.mollify(cfg.drift, n=16, grid=grid,
@@ -348,18 +363,9 @@ SCENARIO_RUNNERS = {
     "sde_identify": run_sde_identify,
 }
 
-FULL_SUITE_ORDER = (
-    "sampler_check",
-    "formbound_audit",
-    "resolvent_verify",
-    "weighted_verify",
-    "evolution_verify",
-    "sde_identify",
-)
-
 
 def run_scenario(cfg: ExperimentConfig) -> list:
     """Execute the configured scenario; returns the ScenarioResult list."""
     if cfg.scenario == "full_suite":
-        return [SCENARIO_RUNNERS[name](cfg) for name in FULL_SUITE_ORDER]
+        return [run(cfg) for run in SCENARIO_RUNNERS.values()]
     return [SCENARIO_RUNNERS[cfg.scenario](cfg)]

@@ -163,6 +163,23 @@ def test_summary_identical_across_processes(tmp_path):
     assert a == b
 
 
+LISTING = """\
+evolution_verify: drifted semigroup: perturbation identity, mass, approximation
+formbound_audit: drift classes: weak form-bound and Kato-norm estimates
+full_suite: all checks in dependency order
+resolvent_verify: perturbed resolvent factorizations and L^p potential bounds
+sampler_check: stable increment law: characteristic exponent exp(-t|k|^alpha)
+sde_identify: path law: Monte Carlo semigroup match and noise recovery
+weighted_verify: polynomial-weight resolvent estimates and conjugated generator
+"""
+
+
+def test_list_scenarios_output_is_fixed(capsys):
+    # the anchors are the runners' docstrings; the listing must not drift
+    assert cli.main(["list-scenarios"]) == 0
+    assert capsys.readouterr().out == LISTING
+
+
 def test_cli_main_entry(tmp_path, capsys):
     assert cli.main(["list-scenarios"]) == 0
     captured = capsys.readouterr()

@@ -56,21 +56,6 @@ def test_mollifier_normalization_and_support():
         drifts.mollifier(grid, 2.5)
 
 
-def test_mollifier_normalization_constant_quadrature():
-    # reference value from an independent midpoint rule, refined twice
-    def midpoint(n):
-        r = (np.arange(n) + 0.5) / n
-        vals = np.exp(-1.0 / (1.0 - r * r)) * r**2
-        return 1.0 / (drifts.sphere_area(3) * vals.sum() / n)
-
-    coarse, fine = midpoint(2000), midpoint(4000)
-    assert abs(fine - coarse) / fine < 1e-6
-    assert drifts.mollifier_normalization(3) == pytest.approx(fine, rel=1e-6)
-    # frozen value
-    assert drifts.mollifier_normalization(3) == pytest.approx(2.267116739608353,
-                                                              rel=1e-9)
-
-
 def test_mollify_bounded_smooth_converges_sup():
     grid = TorusGrid(2, 4.0, 64)
     base = drifts.bounded_smooth_drift([1.0, 0.5], 4.0, 2)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy import fft as sfft
 
 from stablelab import operators as ops
@@ -129,7 +129,7 @@ def test_dot_gradient_matches_manual(grid3):
     rng = np.random.default_rng(8)
     v = rng.standard_normal((3,) + grid3.shape)
     inner = ops.resolvent_power(grid3, 1.5, 1.0, 0.5)
-    T = ops.dot_gradient(v, inner)
+    T = ops.DotGradient(v, inner)
     f = rand_field(grid3, 9)
     manual = sum(v[j] * ops.gradient_component(grid3, j).apply(inner.apply(f))
                  for j in range(3))
@@ -227,3 +227,156 @@ def test_non_hermitian_symbols_keep_complex_path(n, j, seed):
         assert np.iscomplexobj(out)
         assert np.array_equal(
             out, sfft.ifftn(op.symbol * sfft.fftn(f.astype(complex))))
+
+
+# The dtype rule of the algebra: real data in gives real data out whenever
+# every part is real; gradients keep the complex i*k_j symbol.  Trees are
+# drawn as nested specs and built with a bound on their L^2 norm, so that
+# every Neumann node can be scaled to a contraction.
+
+TREES = settings(max_examples=30, deadline=None)
+REAL_LEAVES = ("heat", "resolvent", "pointwise")
+GRADIENT_LEAVES = ("gradient", "dot_gradient")
+coefficients = st.floats(0.25, 2.0) | st.floats(-2.0, -0.25)
+
+
+def trees(leaves, depth=2):
+    leaf = st.sampled_from(leaves)
+    if depth == 0:
+        return leaf
+    kids = trees(leaves, depth - 1)
+    return st.one_of(
+        leaf,
+        st.tuples(st.just("compose"), st.lists(kids, min_size=1, max_size=3)),
+        st.tuples(st.just("affine"),
+                  st.lists(st.tuples(coefficients, kids), min_size=1,
+                           max_size=3)),
+        st.tuples(st.just("neumann"), kids))
+
+
+def has_gradient(spec):
+    if isinstance(spec, str):
+        return spec in GRADIENT_LEAVES
+    kind, parts = spec
+    if kind == "neumann":
+        return has_gradient(parts)
+    return any(has_gradient(p[1] if kind == "affine" else p) for p in parts)
+
+
+def build(spec, grid, rng, complex_values=False):
+    """The handle of a tree spec and a bound on its L^2 operator norm."""
+    if spec == "heat":
+        return ops.heat_semigroup(grid, 1.5, rng.uniform(0.0, 1.0)), 1.0
+    if spec == "resolvent":
+        return ops.resolvent_power(grid, 1.5, rng.uniform(1.0, 5.0),
+                                   rng.uniform(0.1, 1.0)), 1.0
+    if spec == "pointwise":
+        values = rng.uniform(-1.0, 1.0, grid.shape)
+        if complex_values:
+            values = values * np.exp(2j * np.pi * rng.random(grid.shape))
+        return ops.PointwiseMultiplier(grid, values), 1.0
+    k_max = float(np.max(np.abs(grid.axis_frequencies())))
+    if spec == "gradient":
+        return ops.gradient_component(grid, int(rng.integers(grid.dim))), k_max
+    if spec == "dot_gradient":
+        v = rng.uniform(-1.0, 1.0, (grid.dim,) + grid.shape)
+        return (ops.DotGradient(v, ops.resolvent_power(grid, 1.5, 1.0, 1.0)),
+                grid.dim * k_max)
+    kind, parts = spec
+    if kind == "compose":
+        built = [build(p, grid, rng, complex_values) for p in parts]
+        return (ops.Compose([op for op, _ in built]),
+                float(np.prod([b for _, b in built])))
+    if kind == "affine":
+        built = [(c,) + build(p, grid, rng, complex_values) for c, p in parts]
+        return (ops.Affine([(c, op) for c, op, _ in built]),
+                sum(abs(c) * b for c, _, b in built))
+    op, bound = build(parts, grid, rng, complex_values)
+    return ops.NeumannInverse(ops.Affine([(0.25 / max(bound, 1.0), op)]),
+                              tol=1e-14), 4.0 / 3.0
+
+
+@TREES
+@given(spec=trees(REAL_LEAVES), n=sizes, seed=seeds)
+def test_real_trees_keep_real_data_real(spec, n, seed):
+    grid = TorusGrid(2, 4.0, n)
+    op, bound = build(spec, grid, np.random.default_rng(seed))
+    f = rand_field(grid, seed)
+    real = op.apply(f)
+    full = op.apply(f.astype(complex))
+    assert real.dtype == np.float64
+    assert (np.linalg.norm(real - full.real)
+            <= 1e-12 * bound * np.linalg.norm(f))
+
+
+@TREES
+@given(spec=trees(REAL_LEAVES + GRADIENT_LEAVES), n=sizes, seed=seeds)
+def test_trees_with_gradients_stay_complex(spec, n, seed):
+    assume(has_gradient(spec))
+    grid = TorusGrid(2, 4.0, n)
+    op, bound = build(spec, grid, np.random.default_rng(seed))
+    f = rand_field(grid, seed)
+    out = op.apply(f)
+    assert np.iscomplexobj(out)
+    full = op.apply(f.astype(complex))
+    assert np.linalg.norm(out - full) <= 1e-12 * bound * np.linalg.norm(f)
+
+
+inners = st.sampled_from(["one", "resolvent", "heat", "complex_resolvent"])
+
+
+def make_inner(grid, kind, rng):
+    if kind == "one":
+        return ops.FourierMultiplier(grid, 1.0)
+    if kind == "resolvent":
+        return ops.resolvent_power(grid, 1.5, rng.uniform(0.5, 5.0),
+                                   rng.uniform(0.1, 1.0))
+    if kind == "heat":
+        return ops.heat_semigroup(grid, 1.5, rng.uniform(0.0, 1.0))
+    return ops.resolvent_power(grid, 1.5, complex(rng.uniform(0.5, 5.0),
+                                                  rng.uniform(-5.0, 5.0)),
+                               rng.uniform(0.1, 1.0))
+
+
+@TREES
+@given(kind=inners, n=sizes, dim=st.integers(1, 3), seed=seeds,
+       complex_data=st.booleans())
+def test_dot_gradient_is_per_axis_sum(kind, n, dim, seed, complex_data):
+    grid = TorusGrid(dim, 4.0, n)
+    rng = np.random.default_rng(seed)
+    inner = make_inner(grid, kind, rng)
+    v = rng.standard_normal((dim,) + grid.shape)
+    f = rand_field(grid, seed, complex_=complex_data)
+    manual = sum(v[j] * ops.gradient_component(grid, j).apply(inner.apply(f))
+                 for j in range(dim))
+    out = ops.DotGradient(v, inner).apply(f)
+    assert np.linalg.norm(out - manual) <= 1e-12 * np.linalg.norm(manual)
+
+
+def assert_adjoint_pairing(op, f, g):
+    lhs = np.vdot(g, op.apply(f))
+    rhs = np.vdot(op.adjoint().apply(g), f)
+    scale = max(np.linalg.norm(g) * np.linalg.norm(op.apply(f)),
+                np.linalg.norm(op.adjoint().apply(g)) * np.linalg.norm(f))
+    assert abs(lhs - rhs) <= 1e-12 * scale
+
+
+@TREES
+@given(kind=inners, n=sizes, dim=st.integers(1, 3), seed=seeds)
+def test_dot_gradient_adjoint_pairing(kind, n, dim, seed):
+    grid = TorusGrid(dim, 4.0, n)
+    rng = np.random.default_rng(seed)
+    v = (rng.standard_normal((dim,) + grid.shape)
+         + 1j * rng.standard_normal((dim,) + grid.shape))
+    op = ops.DotGradient(v, make_inner(grid, kind, rng))
+    assert_adjoint_pairing(op, rand_field(grid, seed, complex_=True),
+                           rand_field(grid, seed + 1, complex_=True))
+
+
+@TREES
+@given(spec=trees(REAL_LEAVES + GRADIENT_LEAVES), n=sizes, seed=seeds)
+def test_random_tree_adjoint_pairing(spec, n, seed):
+    grid = TorusGrid(2, 4.0, n)
+    op, _ = build(spec, grid, np.random.default_rng(seed), complex_values=True)
+    assert_adjoint_pairing(op, rand_field(grid, seed, complex_=True),
+                           rand_field(grid, seed + 1, complex_=True))
