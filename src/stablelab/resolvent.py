@@ -177,11 +177,27 @@ def assemble_lp_resolvent(drift: MollifiedDrift, mu: float, p: float,
                              theta=theta)
 
 
+def l2_extremizer(potential: np.ndarray, mu: float, grid: TorusGrid,
+                  alpha: float, seed: int = 0) -> np.ndarray:
+    """Top eigenfield phi of sqrt(V) (mu+A)^(-(a-1)/a) sqrt(V), the L^2
+    extremizer that ``verify_lp_inequalities`` transports to every L^p;
+    it does not depend on p."""
+    from .formbound import top_eigenpair
+
+    res = resolvent_power(grid, alpha, mu, (alpha - 1.0) / alpha)
+    root = PointwiseMultiplier(grid, np.sqrt(potential))
+    _, phi, _, _ = top_eigenpair(Compose([root, res, root]), grid, tol=1e-8,
+                                 seed=seed)
+    return phi
+
+
 def verify_lp_inequalities(potential: np.ndarray, p: float, mu: float,
                            lam: float, grid: TorusGrid, alpha: float,
                            n_probes: int = 50, seed: int = 0,
                            delta: float | None = None,
-                           candidates=None) -> VerificationReport:
+                           candidates=None,
+                           extremizer: np.ndarray | None = None
+                           ) -> VerificationReport:
     """Probe the three resolvent-weighted bounds for a nonnegative
     potential V whose weak form-bound at shift lam is delta:
 
@@ -195,9 +211,11 @@ def verify_lp_inequalities(potential: np.ndarray, p: float, mu: float,
     coincide at p = 2 and the numerics single out the product form for
     p != 2.  Probes include random fields, sign fields, concentrated
     bumps, and the transported L^2 extremizer, which attains ratio
-    delta/(delta c) for candidate c = 1 in every L^p.
+    delta/(delta c) for candidate c = 1 in every L^p.  ``extremizer`` is
+    ``l2_extremizer(potential, mu, grid, alpha, seed)``, solved here when
+    not given.
     """
-    from .formbound import estimate_weak_formbound, top_eigenpair
+    from .formbound import estimate_weak_formbound
 
     if np.any(potential < 0):
         raise ParameterError("potential must be nonnegative")
@@ -242,9 +260,8 @@ def verify_lp_inequalities(potential: np.ndarray, p: float, mu: float,
     # transported L^2 extremizer: f = V^(1/p - 1/2) phi with phi the top
     # eigenfield of sqrt(V) R sqrt(V); the operator of bound (b),
     # V^(1/p) R V^(1/p'), maps f to delta V^(1/p-1/2) phi
-    sandwich = Compose([PointwiseMultiplier(grid, np.sqrt(potential)), res,
-                        PointwiseMultiplier(grid, np.sqrt(potential))])
-    _, phi, _, _ = top_eigenpair(sandwich, grid, tol=1e-8, seed=seed)
+    phi = (extremizer if extremizer is not None
+           else l2_extremizer(potential, mu, grid, alpha, seed))
     mask = potential > 1e-9 * np.max(potential)
     with np.errstate(divide="ignore", invalid="ignore"):
         transported = np.where(mask, potential ** (1.0 / p - 0.5), 0.0) * phi

@@ -64,10 +64,17 @@ def _kanter_positive_stable(sigma: float, n: int, rng) -> np.ndarray:
     theta = rng.uniform(0.0, np.pi, size=n)
     expo = rng.standard_exponential(size=n)
     ratio = (1.0 - sigma) / sigma
-    a = (np.sin(sigma * theta) ** (sigma / (1.0 - sigma))
-         * np.sin((1.0 - sigma) * theta)
-         / np.sin(theta) ** (1.0 / (1.0 - sigma)))
-    return (a / expo) ** ratio
+    # (A(theta) / E) ** ratio in place, to spare n-sized temporaries; the
+    # operations and their order are those of the closed form, so are the bits
+    a = np.sin(sigma * theta)
+    a **= sigma / (1.0 - sigma)
+    a *= np.sin((1.0 - sigma) * theta)
+    np.sin(theta, out=theta)
+    theta **= 1.0 / (1.0 - sigma)
+    a /= theta
+    a /= expo
+    a **= ratio
+    return a
 
 
 def sample_subordinator(alpha_half: float, dt: float, n: int, seed) -> np.ndarray:
@@ -95,10 +102,11 @@ def sample_increments(params: StableParams, dt: float, n: int) -> IncrementBatch
     if n * params.dim > _MAX_VALUES:
         raise CapacityError(f"batch of {n} x {params.dim} values exceeds capacity")
     rng = _rng_for(params.seed, "increments")
-    clock = dt ** (2.0 / params.alpha) * _kanter_positive_stable(
-        params.alpha / 2.0, n, rng)
-    normals = rng.standard_normal(size=(n, params.dim))
-    values = np.sqrt(2.0 * clock)[:, None] * normals
+    clock = _kanter_positive_stable(params.alpha / 2.0, n, rng)
+    clock *= dt ** (2.0 / params.alpha)
+    clock *= 2.0
+    values = rng.standard_normal(size=(n, params.dim))
+    values *= np.sqrt(clock, out=clock)[:, None]
     return IncrementBatch(params=params, dt=dt, values=values)
 
 

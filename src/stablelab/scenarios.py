@@ -213,10 +213,13 @@ def run_resolvent_verify(cfg: ExperimentConfig) -> ScenarioResult:
     potential = mol.magnitude()
     delta = formbound.estimate_weak_formbound(potential, 0.01, grid_big,
                                               cfg.alpha, seed=cfg.seed).delta_est
+    phi = resolvent.l2_extremizer(potential, 1.0, grid_big, cfg.alpha,
+                                  seed=cfg.seed)
     for p_exp in (2.0, 4.5):
         rep = resolvent.verify_lp_inequalities(
             potential, p_exp, mu=1.0, lam=0.01, grid=grid_big,
-            alpha=cfg.alpha, n_probes=50, seed=cfg.seed, delta=delta)
+            alpha=cfg.alpha, n_probes=50, seed=cfg.seed, delta=delta,
+            extremizer=phi)
         product_ok = all(rep.metrics[f"product_quarter:{w}"] <= 1.0 + 1e-6
                          for w in ("a", "b", "c"))
         checks = [("product_constant_all_pass", float(product_ok),

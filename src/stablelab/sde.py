@@ -21,12 +21,16 @@ from .weighted import WeightSpec, random_bumps
 
 @dataclass
 class PathEnsemble:
-    """Simulated paths with accumulated drift integrals.
+    """Simulated paths with accumulated drift integrals at recorded times.
 
-    ``states`` holds unwrapped coordinates; ``wrapped`` are the torus
+    ``states`` holds unwrapped coordinates, shape (paths, times, dim), at
+    the times in ``times``: every Euler step, or only the start and the
+    end (see ``integrate``).  ``wrapped_states`` gives the torus
     representatives used for lattice evaluations.  ``drift_integral``
     accumulates b(X) dt, so states - x0 + drift_integral reproduces the
-    noise increments exactly at the discrete level.
+    noise increments exactly at the discrete level; ``abs_drift_integral``
+    accumulates |b(X)| dt.  ``wrap_fraction`` counts cell changes over
+    every step, recorded or not.
     """
 
     x0: np.ndarray
@@ -83,27 +87,40 @@ def _wrap(x: np.ndarray, half_length: float) -> np.ndarray:
     return (x + half_length) % (2.0 * half_length) - half_length
 
 
-def _lattice_eval(data: np.ndarray, points: np.ndarray, grid: TorusGrid,
-                  order=1) -> np.ndarray:
-    idx = ((points + grid.half_length) / grid.spacing).T
-    return ndimage.map_coordinates(data, idx, order=order, mode="grid-wrap")
+def _lattice_coords(points: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """Fractional lattice indices of wrapped points, one row per axis."""
+    return np.ascontiguousarray(((points + grid.half_length) / grid.spacing).T)
+
+
+def _lattice_eval(data: np.ndarray, coords: np.ndarray, order=1) -> np.ndarray:
+    return ndimage.map_coordinates(data, coords, order=order, mode="grid-wrap")
 
 
 def drift_at(points: np.ndarray, drift: MollifiedDrift) -> np.ndarray:
     """Mollified drift interpolated at arbitrary (wrapped) points."""
     grid = drift.grid
-    wrapped = _wrap(points, grid.half_length)
-    return np.stack([_lattice_eval(drift.lattice.data[j], wrapped, grid)
+    coords = _lattice_coords(_wrap(points, grid.half_length), grid)
+    return np.stack([_lattice_eval(drift.lattice.data[j], coords)
                      for j in range(grid.dim)], axis=-1)
 
 
 def integrate(drift: MollifiedDrift, x0, t_final: float, dt: float,
               n_paths: int, seed: int, alpha: float,
-              freeze_noise: bool = False) -> PathEnsemble:
+              freeze_noise: bool = False,
+              record: str = "final") -> PathEnsemble:
     """Explicit Euler steps X' = X - b(X) dt + dZ with exact stable
     increments; drift integrals are accumulated with the same b values
-    that drive the steps."""
+    that drive the steps.
+
+    The state and both drift integrals are carried as running (paths,
+    dim) and (paths,) arrays and stored only at the recorded times:
+    ``record="final"`` keeps times [0, t_final], ``record="all"`` keeps
+    every step.  The recorded rows are the same numbers either way.  A
+    non-finite state raises ``ParameterError`` at the step that made it.
+    """
     grid = drift.grid
+    if record not in ("final", "all"):
+        raise ParameterError(f"record must be 'final' or 'all', got {record!r}")
     if dt <= 0 or t_final <= 0:
         raise ParameterError("dt and t_final must be positive")
     if dt * drift.sup_norm() > grid.half_length / 8.0:
@@ -116,27 +133,36 @@ def integrate(drift: MollifiedDrift, x0, t_final: float, dt: float,
     if not freeze_noise:
         all_noise = sample_increments(params, dt, n_paths * n_steps).values
         all_noise = all_noise.reshape(n_paths, n_steps, grid.dim)
-    times = dt * np.arange(n_steps + 1)
-    states = np.empty((n_paths, n_steps + 1, grid.dim))
-    drift_int = np.zeros((n_paths, n_steps + 1, grid.dim))
-    abs_drift = np.zeros((n_paths, n_steps + 1))
-    states[:, 0, :] = x0
+    every_step = record == "all"
+    times = dt * (np.arange(n_steps + 1) if every_step
+                  else np.array([0, n_steps]))
+    states = np.empty((n_paths, len(times), grid.dim))
+    drift_int = np.zeros((n_paths, len(times), grid.dim))
+    abs_drift = np.zeros((n_paths, len(times)))
+    x = np.broadcast_to(x0, (n_paths, grid.dim)).copy()
+    states[:, 0, :] = x
+    running_int = np.zeros((n_paths, grid.dim))
+    running_abs = np.zeros(n_paths)
     wrap_events = 0
-    cell = np.floor((states[:, 0, :] + grid.half_length)
-                    / (2.0 * grid.half_length))
+    cell = np.floor((x + grid.half_length) / (2.0 * grid.half_length))
     for k in range(n_steps):
-        x = states[:, k, :]
         b = drift_at(x, drift)
         step = -b * dt
         if not freeze_noise:
-            step = step + all_noise[:, k, :]
-        states[:, k + 1, :] = x + step
-        drift_int[:, k + 1, :] = drift_int[:, k, :] + b * dt
-        abs_drift[:, k + 1] = abs_drift[:, k] + np.linalg.norm(b, axis=1) * dt
-        new_cell = np.floor((states[:, k + 1, :] + grid.half_length)
-                            / (2.0 * grid.half_length))
+            step += all_noise[:, k, :]
+        x += step
+        if not np.all(np.isfinite(x)):
+            raise ParameterError(f"path state not finite after step {k + 1}")
+        running_int += b * dt
+        running_abs += np.linalg.norm(b, axis=1) * dt
+        new_cell = np.floor((x + grid.half_length) / (2.0 * grid.half_length))
         wrap_events += int(np.count_nonzero(np.any(new_cell != cell, axis=1)))
         cell = new_cell
+        if every_step or k + 1 == n_steps:
+            row = k + 1 if every_step else 1
+            states[:, row, :] = x
+            drift_int[:, row, :] = running_int
+            abs_drift[:, row] = running_abs
     wrap_fraction = wrap_events / float(n_paths * n_steps)
     return PathEnsemble(x0=x0, times=times, states=states,
                         drift_integral=drift_int, abs_drift_integral=abs_drift,
@@ -163,7 +189,8 @@ def mc_vs_semigroup(drift: MollifiedDrift, x0, t: float, f, n_paths: int,
 
     def mc_mean(d, lev_drift, sd):
         ens = integrate(lev_drift, x0, t, d, n_paths, sd, alpha)
-        vals = _lattice_eval(fdata, wrapped_states(ens, grid), grid, order=3)
+        vals = _lattice_eval(
+            fdata, _lattice_coords(wrapped_states(ens, grid), grid), order=3)
         return (float(np.mean(vals)),
                 float(np.std(vals, ddof=1) / np.sqrt(len(vals))),
                 float(np.mean(ens.abs_drift_integral[:, -1])),

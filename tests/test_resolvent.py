@@ -218,3 +218,17 @@ def test_lp_inequalities_separate_candidates_at_p45():
                for w in ("a", "b", "c"))
     assert rep.verdict == "fail"  # reciprocal candidate fails by design
     assert any(name.startswith("reciprocal") for name in rep.failures)
+
+
+def test_given_extremizer_gives_the_same_report(grid):
+    mol = drifts.mollify(drifts.hardy_drift(0.05, ALPHA, 3), n=4, grid=grid,
+                         epsilon_n=0.5)
+    potential = mol.magnitude()
+    phi = resolvent.l2_extremizer(potential, 1.0, grid, ALPHA, seed=3)
+    for p in (2.0, 4.5):
+        solved = resolvent.verify_lp_inequalities(
+            potential, p, 1.0, 0.01, grid, ALPHA, n_probes=8, seed=3)
+        given = resolvent.verify_lp_inequalities(
+            potential, p, 1.0, 0.01, grid, ALPHA, n_probes=8, seed=3,
+            extremizer=phi)
+        assert given.metrics == solved.metrics

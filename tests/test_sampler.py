@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
-from stablelab import kernels
+from stablelab import kernels, sampler
 from stablelab.errors import CapacityError, ParameterError
 from stablelab.sampler import (IncrementBatch, StableParams,
                                empirical_char_function, sample_increments,
@@ -115,3 +116,24 @@ def test_batch_shape_contract():
     assert np.all(np.isfinite(batch.values))
     with pytest.raises(ParameterError):
         IncrementBatch(p, 0.1, np.zeros((3, 3)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(alpha=st.floats(1.01, 1.99), dt=st.floats(1e-3, 2.0),
+       seed=st.integers(0, 2**32 - 1))
+@example(alpha=4.0 / 3.0, dt=0.5, seed=0)  # integer powers 2 and 3
+def test_increments_match_closed_form_bit_for_bit(alpha, dt, seed):
+    # the in-place evaluation keeps the closed form's operations and order
+    n, dim = 64, 3
+    rng = sampler._rng_for(seed, "increments")
+    sigma = alpha / 2.0
+    theta = rng.uniform(0.0, np.pi, size=n)
+    expo = rng.standard_exponential(size=n)
+    a = (np.sin(sigma * theta) ** (sigma / (1.0 - sigma))
+         * np.sin((1.0 - sigma) * theta)
+         / np.sin(theta) ** (1.0 / (1.0 - sigma)))
+    clock = dt ** (2.0 / alpha) * (a / expo) ** ((1.0 - sigma) / sigma)
+    normals = rng.standard_normal(size=(n, dim))
+    expected = np.sqrt(2.0 * clock)[:, None] * normals
+    got = sample_increments(StableParams(alpha, dim, seed), dt, n).values
+    np.testing.assert_array_equal(got, expected)

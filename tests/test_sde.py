@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from stablelab import drifts, sde, weighted
@@ -28,12 +29,15 @@ def zero(grid):
 
 
 def test_integrate_shapes_and_determinism(grid, hardy):
-    a = sde.integrate(hardy, [0.0] * 3, 0.1, 0.01, 64, seed=5, alpha=ALPHA)
-    b = sde.integrate(hardy, [0.0] * 3, 0.1, 0.01, 64, seed=5, alpha=ALPHA)
+    a = sde.integrate(hardy, [0.0] * 3, 0.1, 0.01, 64, seed=5, alpha=ALPHA,
+                      record="all")
+    b = sde.integrate(hardy, [0.0] * 3, 0.1, 0.01, 64, seed=5, alpha=ALPHA,
+                      record="all")
     assert a.states.shape == (64, 11, 3)
     np.testing.assert_array_equal(a.states, b.states)
     np.testing.assert_array_equal(a.drift_integral, b.drift_integral)
-    c = sde.integrate(hardy, [0.0] * 3, 0.1, 0.01, 64, seed=6, alpha=ALPHA)
+    c = sde.integrate(hardy, [0.0] * 3, 0.1, 0.01, 64, seed=6, alpha=ALPHA,
+                      record="all")
     assert not np.array_equal(a.states, c.states)
 
 
@@ -48,9 +52,57 @@ def test_integrate_guards(grid, hardy):
         sde.integrate(strong, [0.0] * 3, 0.1, 0.01, 8, seed=0, alpha=ALPHA)
 
 
+def test_integrate_rejects_unknown_record(grid, hardy):
+    with pytest.raises(ParameterError):
+        sde.integrate(hardy, [0.0] * 3, 0.1, 0.01, 8, seed=0, alpha=ALPHA,
+                      record="every")
+
+
+def test_default_record_keeps_start_and_end(grid, hardy):
+    ens = sde.integrate(hardy, [0.0] * 3, 0.1, 0.01, 32, seed=5, alpha=ALPHA)
+    assert ens.states.shape == (32, 2, 3)
+    assert ens.drift_integral.shape == (32, 2, 3)
+    assert ens.abs_drift_integral.shape == (32, 2)
+    assert ens.times[0] == 0.0 and ens.times[-1] == pytest.approx(0.1)
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), n_paths=st.integers(1, 40),
+       steps=st.integers(1, 12), freeze=st.booleans())
+def test_final_record_is_first_and_last_row_of_all(hardy, seed, n_paths,
+                                                   steps, freeze):
+    args = (hardy, [0.3, -0.2, 0.0], 0.01 * steps, 0.01, n_paths)
+    kw = dict(seed=seed, alpha=ALPHA, freeze_noise=freeze)
+    fin = sde.integrate(*args, **kw)
+    full = sde.integrate(*args, record="all", **kw)
+    ends = [0, -1]
+    np.testing.assert_array_equal(fin.states, full.states[:, ends, :])
+    np.testing.assert_array_equal(fin.drift_integral,
+                                  full.drift_integral[:, ends, :])
+    np.testing.assert_array_equal(fin.abs_drift_integral,
+                                  full.abs_drift_integral[:, ends])
+    np.testing.assert_array_equal(fin.times, full.times[ends])
+    assert fin.wrap_fraction == full.wrap_fraction
+
+
+def test_non_finite_state_fails_at_its_step(grid, hardy, monkeypatch):
+    calls = []
+    real_drift_at = sde.drift_at
+
+    def nan_at_step_3(points, drift):
+        calls.append(1)
+        b = real_drift_at(points, drift)
+        return np.full_like(b, np.nan) if len(calls) == 3 else b
+
+    monkeypatch.setattr(sde, "drift_at", nan_at_step_3)
+    with pytest.raises(ParameterError, match="step 3"):
+        sde.integrate(hardy, [0.0] * 3, 0.2, 0.01, 16, seed=0, alpha=ALPHA)
+    assert len(calls) <= 4
+
+
 def test_drift_integral_bookkeeping(grid, hardy):
     ens = sde.integrate(hardy, [0.5, 0.0, 0.0], 0.2, 0.01, 16, seed=7,
-                        alpha=ALPHA)
+                        alpha=ALPHA, record="all")
     # recompute each increment of the integral from the stored states
     recomputed = np.zeros_like(ens.drift_integral)
     for k in range(ens.states.shape[1] - 1):
@@ -172,7 +224,7 @@ def test_noise_identification_hardy(grid, hardy):
 def test_recovered_noise_independent_increments(grid, zero):
     # disjoint-interval increments of the recovered noise decorrelate
     ens = sde.integrate(zero, [0.0] * 3, 0.4, 0.01, 20000, seed=15,
-                        alpha=ALPHA)
+                        alpha=ALPHA, record="all")
     z1 = np.linalg.norm(ens.recovered_noise(20), axis=1)
     z2 = np.linalg.norm(ens.recovered_noise(-1)
                         - ens.recovered_noise(20), axis=1)
