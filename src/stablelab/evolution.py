@@ -5,27 +5,29 @@ nonlocal part and semi-Lagrangian backtracking (RK2 departure points,
 periodic quintic interpolation) for the advection.  The interpolation is
 matrix-free: the Courant check keeps every departure within one cell, so
 each site reads the same seven spline coefficients per axis, and one
-advection is a weighted sum of shifted views of the coefficient array
-(weights rebuilt from the stored displacements at each step).  An Arnoldi
-matrix-exponential path cross-validates the splitting.  Real fields stay
-real along the splitting, and each config builds its stepper once.
+advection is a weighted sum of shifted views of the coefficient array.
+The spline prefilter is a Fourier multiplier folded into the leading
+half-step, and the slot weights are built from the stored displacements
+once per propagation, not at each step.  An Arnoldi matrix-exponential
+path cross-validates the splitting.  Real fields stay real along the
+splitting, and each config builds its stepper once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 from scipy import linalg as sla
-from scipy import ndimage
 
 from .drifts import MollifiedDrift, mollify
 from .errors import ConfigurationError, ParameterError
 from .grid import Field, TorusGrid
 from .kernels import cutoff_mass
-from .operators import gradient_component, heat_semigroup, real_gradient
+from .operators import (FourierMultiplier, gradient_component, heat_semigroup,
+                        real_gradient)
 from .profiles import cutoff_profile
 from .report import VerificationReport, build_report
 from .resolvent import drifted_generator
@@ -82,7 +84,8 @@ class PropagatorConfig:
 # axis) is the tensor product over axes of sum_o B5(d - o) c[i + o] with
 # the same seven slots o = -3..3 at every site.  Row o + 3 of _QUINTIC
 # holds B5(d - o) in the basis (1, d, d^2, d^3, d^4, d^5, max(d, 0)^5); the
-# integer table is 120 B5.
+# integer table is 120 B5.  Quintic keeps the advection error below the
+# splitting error at desk resolutions.
 _QUINTIC = np.array([[0, 0, 0, 0, 0, -1, 1],
                      [1, -5, 10, -10, 5, 5, -6],
                      [26, -50, 20, 20, -20, -10, 15],
@@ -121,12 +124,14 @@ def _shifted_sum(coeffs: np.ndarray, weights: np.ndarray, axis: int):
     """sum over slots o of weights[axis][o] times the contraction of the
     lower axes, on views of the padded coefficients shifted by o along
     ``axis``.  Axis 0 is contracted last, on a contiguous copy, as one
-    einsum over its seven windows."""
+    einsum over a strided view of its seven windows."""
     n = weights.shape[-1]
     if axis == 0:
-        windows = sliding_window_view(np.ascontiguousarray(coeffs), n, axis=0)
-        return np.einsum("a...,a...->...", weights[0],
-                         np.moveaxis(windows, -1, 1))
+        block = np.ascontiguousarray(coeffs)
+        windows = as_strided(block, (len(weights[0]), n) + block.shape[1:],
+                             block.strides[:1] + block.strides,
+                             writeable=False)
+        return np.einsum("a...,a...->...", weights[0], windows)
     lead = (slice(None),) * axis
     total = np.zeros(weights.shape[2:], dtype=coeffs.dtype)
     for o, w in enumerate(weights[axis]):
@@ -135,6 +140,28 @@ def _shifted_sum(coeffs: np.ndarray, weights: np.ndarray, axis: int):
         term *= w
         total += term
     return total
+
+
+def _slot_sum(coeffs: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Quintic interpolation from spline coefficients: the slot sum of
+    each (N, ..., N) slice of ``coeffs`` with the same weights."""
+    dim = len(weights)
+    out = np.empty(coeffs.shape, dtype=coeffs.dtype)
+    for lead in np.ndindex(coeffs.shape[:coeffs.ndim - dim]):
+        out[lead] = _shifted_sum(np.pad(coeffs[lead], _SLOTS, mode="wrap"),
+                                 weights, dim - 1)
+    return out
+
+
+def quintic_prefilter(grid: TorusGrid) -> FourierMultiplier:
+    """Periodic quintic spline prefilter, data -> spline coefficients, as
+    the Fourier multiplier 1 / B5-hat: on each axis
+    120 / (66 + 52 cos theta + 2 cos 2 theta) with theta = 2 pi m / N
+    (Unser, IEEE SPM 1999).  It depends on N and d only."""
+    theta = 2.0 * np.pi * np.abs(np.fft.fftfreq(grid.points_per_axis))
+    axis = 120.0 / (66.0 + 52.0 * np.cos(theta) + 2.0 * np.cos(2.0 * theta))
+    return FourierMultiplier(grid, reduce(np.multiply.outer,
+                                          [axis] * grid.dim))
 
 
 def quintic_shift(data: np.ndarray, displacement: np.ndarray) -> np.ndarray:
@@ -148,27 +175,23 @@ def quintic_shift(data: np.ndarray, displacement: np.ndarray) -> np.ndarray:
     at a time with the same weights.  Real data gives float64, complex
     data complex128.
     """
-    data = np.asarray(data)
-    weights = _slot_weights(displacement)
-    dim = len(displacement)
-    out = np.empty(data.shape, dtype=np.result_type(data, float))
-    # quintic keeps the advection error below the splitting error at desk
-    # resolutions
-    for lead in np.ndindex(data.shape[:data.ndim - dim]):
-        coeffs = ndimage.spline_filter(data[lead], order=5, mode="grid-wrap",
-                                       output=out.dtype)
-        out[lead] = _shifted_sum(np.pad(coeffs, _SLOTS, mode="wrap"),
-                                 weights, dim - 1)
-    return out
+    dim, n = len(displacement), displacement.shape[-1]
+    # the torus size does not enter the prefilter
+    coeffs = quintic_prefilter(TorusGrid(dim, 1.0, n)).apply(data)
+    return _slot_sum(coeffs, _slot_weights(displacement))
 
 
 class SplitStepPropagator:
     """Reusable stepper: keeps the RK2 departure displacements, in cells
     per axis, and advects by the matrix-free quintic kernel above.
 
-    The Courant check of ``PropagatorConfig`` keeps every displacement
-    below one cell; a stepper built with a larger step raises
-    ``ConfigurationError``.
+    One step applies half_heat times the quintic prefilter as one Fourier
+    multiplier, then the slot sum, then half_heat.
+    The slot weights (7 per axis and site, 5.5 MB at N = 32 in 3-D) are
+    not kept: ``slot_weights`` builds them, once per propagation, and
+    ``step`` takes them.  The Courant check of ``PropagatorConfig`` keeps
+    every displacement below one cell; a stepper built with a larger step
+    raises ``ConfigurationError``.
     """
 
     def __init__(self, drift: MollifiedDrift, alpha: float, dt: float):
@@ -178,23 +201,30 @@ class SplitStepPropagator:
         if drift.sup_norm() == 0.0:
             self.displacement = None
             return
+        prefilter = quintic_prefilter(self.grid)
+        self.prefiltered_half_heat = FourierMultiplier(
+            self.grid, self.half_heat.symbol * prefilter.symbol)
         b = drift.lattice.data
         cells = dt / self.grid.spacing
         # RK2 departure points: midpoint velocity, then full backtrack
         mid = -0.5 * cells * b
         _check_subcell(mid, "midpoint")
-        self.displacement = -cells * quintic_shift(b, mid)
+        self.displacement = -cells * _slot_sum(prefilter.apply(b),
+                                               _slot_weights(mid))
         _check_subcell(self.displacement, "departure")
 
-    def _advect(self, u: np.ndarray) -> np.ndarray:
+    def slot_weights(self):
+        """The advection's slot weights, or None without a drift."""
         if self.displacement is None:
-            return u
-        return quintic_shift(u, self.displacement)
+            return None
+        return _slot_weights(self.displacement)
 
-    def step(self, u: np.ndarray) -> np.ndarray:
-        u = self.half_heat.apply(u)
-        u = self._advect(u)
-        return self.half_heat.apply(u)
+    def step(self, u: np.ndarray, weights) -> np.ndarray:
+        """One Strang step; ``weights`` is what ``slot_weights`` gave."""
+        if self.displacement is None:
+            return self.half_heat.apply(self.half_heat.apply(u))
+        coeffs = self.prefiltered_half_heat.apply(u)
+        return self.half_heat.apply(_slot_sum(coeffs, weights))
 
 
 class ArnoldiPropagator:
@@ -208,7 +238,11 @@ class ArnoldiPropagator:
         self.dt = dt
         self.subspace = subspace
 
-    def step(self, u: np.ndarray) -> np.ndarray:
+    def slot_weights(self):
+        """None: the Arnoldi step needs no slot weights."""
+        return None
+
+    def step(self, u: np.ndarray, weights=None) -> np.ndarray:
         shape = self.grid.shape
         v0 = np.asarray(u, dtype=complex).ravel()
         beta = np.linalg.norm(v0)
@@ -242,9 +276,10 @@ def propagate(config: PropagatorConfig, f):
     data = f.data if isinstance(f, Field) else np.asarray(f)
     was_real = not np.iscomplexobj(data)
     stepper = config.stepper
+    weights = stepper.slot_weights()
     u = np.array(data, dtype=float if was_real else complex)
     for _ in range(config.steps):
-        u = stepper.step(u)
+        u = stepper.step(u, weights)
     if was_real:
         u = u.real
     if isinstance(f, Field):
@@ -278,6 +313,7 @@ def duhamel_residual(config: PropagatorConfig, f) -> float:
            else replace(config, steps=config.steps + 1))
     steps, dt = cfg.steps, cfg.dt
     stepper = cfg.stepper
+    slots = stepper.slot_weights()
     heat_step = heat_semigroup(grid, config.alpha, dt)
 
     weights = np.full(steps + 1, 2.0)
@@ -288,7 +324,7 @@ def duhamel_residual(config: PropagatorConfig, f) -> float:
     heat_f = np.array(data)
     accum = weights[0] * advective_source(config.drift, heat_f)  # s = 0 term
     for k in range(1, steps + 1):
-        accum = stepper.step(accum)
+        accum = stepper.step(accum, slots)
         heat_f = heat_step.apply(heat_f)
         accum += weights[k] * advective_source(config.drift, heat_f)
     lhs = propagate(cfg, data)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import fft as sfft
 
-from .errors import ParameterError
+from .errors import ConvergenceError, DivergenceError, ParameterError
 from .grid import Field, TorusGrid, VectorField
 
 
@@ -92,9 +92,11 @@ def _is_even(symbol):
 class FourierMultiplier(LatticeOperator):
     """f -> ifft(symbol * fft(f)) with the symbol in FFT ordering.
 
-    A real, even symbol maps real data to real data; such data then takes
-    the rfftn/irfftn path with the half-spectrum symbol (a view, not a
-    copy).  Evenness is decided on the first real input and cached.
+    The transforms run over the last ``grid.dim`` axes only, so a stack
+    of fields of shape (..., N, ..., N) takes one call.  A real, even
+    symbol maps real data to real data; such data then takes the
+    rfftn/irfftn path with the half-spectrum symbol (a view, not a copy).
+    Evenness is decided on the first real input and cached.
     """
 
     def __init__(self, grid, symbol):
@@ -112,12 +114,15 @@ class FourierMultiplier(LatticeOperator):
 
     def apply(self, data):
         data = np.asarray(data)
+        axes = tuple(range(-self.grid.dim, 0))
         if not np.iscomplexobj(data):
             half = self._real_half_symbol()
             if half is not False:
                 data = np.asarray(data, dtype=float)
-                return sfft.irfftn(half * sfft.rfftn(data), s=data.shape)
-        return sfft.ifftn(self.symbol * sfft.fftn(np.asarray(data, dtype=complex)))
+                return sfft.irfftn(half * sfft.rfftn(data, axes=axes),
+                                   s=self.grid.shape, axes=axes)
+        return sfft.ifftn(self.symbol * sfft.fftn(
+            np.asarray(data, dtype=complex), axes=axes), axes=axes)
 
     def adjoint(self):
         return FourierMultiplier(self.grid, np.conj(self.symbol))
@@ -181,8 +186,13 @@ class NeumannInverse(LatticeOperator):
     """(1 + C)^{-1} realized by the truncated Neumann series.
 
     Terms are accumulated until the latest term norm drops below
-    ``tol`` relative to the input, measured in L^norm_p.
+    ``tol`` relative to the input, measured in L^norm_p.  A series whose
+    latest term norm is no smaller than the one ``_STALL`` terms earlier
+    is taken to diverge: ``DivergenceError`` is raised at once, with the
+    mean growth ratio over those terms as ``norm_estimate``.
     """
+
+    _STALL = 8
 
     def __init__(self, inner: LatticeOperator, tol=1e-12, max_terms=4000, norm_p=2.0):
         super().__init__(inner.grid)
@@ -208,9 +218,14 @@ class NeumannInverse(LatticeOperator):
             norms.append(tn)
             if tn < self.tol * scale:
                 break
+            if len(norms) > self._STALL and tn >= norms[-1 - self._STALL]:
+                ratio = (tn / norms[-1 - self._STALL]) ** (1.0 / self._STALL)
+                self.last_term_norms = norms
+                raise DivergenceError(
+                    f"Neumann series stalled: term {len(norms)} norm "
+                    f"{tn:.3e} >= the one {self._STALL} terms earlier",
+                    norm_estimate=ratio)
         else:
-            from .errors import ConvergenceError
-
             raise ConvergenceError(
                 f"Neumann series did not reach tol={self.tol} "
                 f"within {self.max_terms} terms",

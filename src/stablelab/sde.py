@@ -84,7 +84,15 @@ class CharFnProbe:
 
 
 def _wrap(x: np.ndarray, half_length: float) -> np.ndarray:
-    return (x + half_length) % (2.0 * half_length) - half_length
+    """(x + L) % (2L) - L, bit for bit.  numpy's float remainder is the
+    identity on [0, 2L) (up to the sign of a zero, which subtracting L
+    erases), so it is taken only where x + L falls outside."""
+    period = 2.0 * half_length
+    shifted = np.add(x, half_length)
+    outside = (shifted < 0.0) | (shifted >= period)
+    np.remainder(shifted, period, out=shifted, where=outside)
+    shifted -= half_length
+    return shifted
 
 
 def _lattice_coords(points: np.ndarray, grid: TorusGrid) -> np.ndarray:

@@ -81,13 +81,20 @@ def test_sup_norm_contraction_and_positivity(grid, smooth_drift):
     assert pos.min() >= -1e-6 * np.max(np.abs(f))
 
 
-def test_discrete_semigroup_property(grid, smooth_drift):
-    f = smooth_field(grid, 4)
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), steps=st.integers(1, 5),
+       t=st.floats(0.01, 0.25), is_complex=st.booleans())
+def test_discrete_semigroup_property(small_grid, small_drift, seed, steps, t,
+                                     is_complex):
+    # (t, n) twice is (2t, 2n) once: the same dt, so the same steps
+    f = smooth_field(small_grid, seed)
+    if is_complex:
+        f = f + 1j * smooth_field(small_grid, seed + 1)
     one = evolution.propagate(
-        evolution.PropagatorConfig(smooth_drift, ALPHA, 0.5, 20), f)
-    half_cfg = evolution.PropagatorConfig(smooth_drift, ALPHA, 0.25, 10)
+        evolution.PropagatorConfig(small_drift, ALPHA, 2.0 * t, 2 * steps), f)
+    half_cfg = evolution.PropagatorConfig(small_drift, ALPHA, t, steps)
     two = evolution.propagate(half_cfg, evolution.propagate(half_cfg, f))
-    assert np.max(np.abs(one - two)) <= 1e-6 * np.max(np.abs(f))
+    assert np.array_equal(one, two)
 
 
 def test_richardson_step_refinement(grid, smooth_drift):
@@ -379,11 +386,54 @@ def test_stepper_rejects_displacement_of_a_cell(small_drift, cells, which):
 
 def test_no_map_coordinates_fallback(small_grid, small_drift, monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("map_coordinates called")
+        raise AssertionError("scipy.ndimage called")
 
     monkeypatch.setattr(ndimage, "map_coordinates", refuse)
+    monkeypatch.setattr(ndimage, "spline_filter", refuse)
     cfg = evolution.PropagatorConfig(small_drift, ALPHA, 0.25, 5)
     stepper = evolution.SplitStepPropagator(small_drift, ALPHA, cfg.dt)
     assert stepper.displacement is not None
     out = evolution.propagate(cfg, smooth_field(small_grid, 4))
     assert np.all(np.isfinite(out))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), n=st.sampled_from([8, 16]),
+       dim=st.integers(1, 3), is_complex=st.booleans())
+def test_quintic_prefilter_matches_spline_filter(seed, n, dim, is_complex):
+    rng = np.random.default_rng(seed)
+    shape = (n,) * dim
+    u = rng.standard_normal(shape)
+    if is_complex:
+        u = u + 1j * rng.standard_normal(shape)
+    expect = ndimage.spline_filter(u, order=5, mode="grid-wrap",
+                                   output=u.dtype)
+    got = evolution.quintic_prefilter(TorusGrid(dim, 8.0, n)).apply(u)
+    assert got.dtype == expect.dtype
+    assert np.max(np.abs(got - expect)) <= 1e-12
+
+
+def test_slot_weights_built_once_per_propagation(small_grid, small_drift,
+                                                 monkeypatch):
+    cfg = evolution.PropagatorConfig(small_drift, ALPHA, 0.5, 10)
+    stepper = cfg.stepper  # the build interpolates the drift once
+    builds = []
+    slot_weights = evolution._slot_weights
+
+    def counting(displacement):
+        builds.append(1)
+        return slot_weights(displacement)
+
+    monkeypatch.setattr(evolution, "_slot_weights", counting)
+    f = smooth_field(small_grid, 5)
+    evolution.propagate(cfg, f)
+    assert len(builds) == 1
+    evolution.propagate(cfg, f)
+    assert len(builds) == 2
+    # one for the Duhamel loop, one for its propagate call
+    evolution.duhamel_residual(cfg, f)
+    assert len(builds) == 4
+    # never kept: neither the stepper nor the config holds a weight array
+    kept = list(vars(stepper).values()) + list(vars(cfg).values())
+    assert not any(np.shape(v)[:2] == (small_grid.dim, 7) for v in kept
+                   if isinstance(v, np.ndarray))

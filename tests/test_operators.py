@@ -4,7 +4,7 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy import fft as sfft
 
 from stablelab import operators as ops
-from stablelab.errors import ParameterError
+from stablelab.errors import DivergenceError, ParameterError
 from stablelab.grid import TorusGrid
 
 
@@ -167,6 +167,22 @@ def test_neumann_inverse_matches_direct():
     # recorded term norms decay geometrically
     norms = np.array(inv.last_term_norms)
     assert np.all(norms[1:] <= norms[:-1] * 0.45)
+
+
+def test_neumann_inverse_fails_fast_on_divergence():
+    grid = TorusGrid(2, 4.0, 16)
+    applies = []
+
+    class Doubling(ops.LatticeOperator):
+        def apply(self, data):
+            applies.append(1)
+            return 2.0 * np.asarray(data)
+
+    inv = ops.NeumannInverse(Doubling(grid))
+    with pytest.raises(DivergenceError) as err:
+        inv.apply(rand_field(grid, 14))
+    assert len(applies) <= 10
+    assert err.value.norm_estimate == pytest.approx(2.0)
 
 
 def test_norm_probe_is_lower_bound(grid3):

@@ -28,6 +28,23 @@ def zero(grid):
     return drifts.mollify(drifts.bounded_smooth_drift([0.0] * 3, 8.0, 3), 4, grid)
 
 
+_L = 8.0
+_SPECIAL = [0.0, -0.0, _L, -_L, np.nextafter(_L, 0.0), -np.nextafter(_L, 0.0),
+            2.0 * _L, -2.0 * _L, 3.0 * _L, 1e300, -1e300, 5e-324]
+
+
+@settings(max_examples=50, deadline=None)
+@given(xs=st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                             st.floats(-3 * _L, 3 * _L),
+                             st.sampled_from(_SPECIAL)),
+                   min_size=1, max_size=60))
+def test_wrap_matches_remainder_bit_for_bit(xs):
+    x = np.array(xs + _SPECIAL)
+    expect = (x + _L) % (2.0 * _L) - _L
+    got = sde._wrap(x, _L)
+    assert np.array_equal(got.view(np.int64), expect.view(np.int64))
+
+
 def test_integrate_shapes_and_determinism(grid, hardy):
     a = sde.integrate(hardy, [0.0] * 3, 0.1, 0.01, 64, seed=5, alpha=ALPHA,
                       record="all")
