@@ -16,7 +16,7 @@ from scipy import fft as sfft
 from scipy import special
 
 from .errors import ParameterError
-from .grid import Field, TorusGrid, VectorField
+from .grid import Field, TorusGrid, VectorField, component_magnitude
 
 
 def hardy_constant(alpha: float, dim: int) -> float:
@@ -57,11 +57,15 @@ class DriftSpec:
             raise ParameterError("custom_closure drift needs a callable")
 
     def components(self, coords):
-        """Evaluate b at broadcastable coordinate arrays; singular sites
-        (zero radius or listed points) evaluate to 0."""
+        """Iterable of the components of b at broadcastable coordinates;
+        singular sites (zero radius or listed points) evaluate to 0.
+        Radial kinds hand out g(|x|) * x_j one component at a time."""
         p = self.parameters
         if self.kind == "custom_closure":
-            return [np.asarray(c) for c in self.closure(*coords)]
+            comps = [np.asarray(c) for c in self.closure(*coords)]
+            if len(comps) != len(coords):
+                raise ParameterError("closure must return one component per axis")
+            return comps
         if self.kind == "bounded_smooth":
             amp = np.atleast_1d(np.asarray(p["amplitude"], dtype=float))
             half = float(p["half_period"])
@@ -71,8 +75,7 @@ class DriftSpec:
             return [amp[j] * np.sin(np.pi * coords[(j + 1) % d] / half)
                     for j in range(d)]
         # radial kinds: b(x) = g(|x|) * x
-        r2 = sum(np.asarray(c) ** 2 for c in coords)
-        r = np.sqrt(r2)
+        r = np.sqrt(sum(np.asarray(c) ** 2 for c in coords))
         safe = np.where(r > 0, r, 1.0)
         if self.kind == "hardy":
             g = p["prefactor"] * safe ** (-p["alpha"])
@@ -83,20 +86,32 @@ class DriftSpec:
 
             g = (p["prefactor"] * safe ** (-p["beta"] - 1.0)
                  * cutoff_profile(r, p["radius"]))
+        del safe
         g = np.where(r > 0, g, 0.0)
-        return [g * np.asarray(c) for c in coords]
+        return (g * np.asarray(c) for c in coords)
 
     def magnitude(self, coords):
         comps = self.components(coords)
         return np.sqrt(sum(np.abs(c) ** 2 for c in comps))
 
     def on_lattice(self, grid: TorusGrid) -> VectorField:
-        coords = grid.coordinates()
-        comps = self.components(coords)
-        data = np.stack([np.broadcast_to(c, grid.shape).copy() for c in comps])
+        """The (d, N, ..., N) float64 field of b, allocated once and
+        filled one component at a time; listed singular points are 0."""
+        data = np.empty((grid.dim,) + grid.shape)
+        for j, c in enumerate(self.components(grid.coordinates())):
+            data[j] = c
         for pt in self.singular_points:
             data[(slice(None),) + grid.site_index(pt)] = 0.0
         return VectorField(grid, data)
+
+    def lattice_magnitude(self, grid: TorusGrid) -> np.ndarray:
+        """``on_lattice(grid).magnitude()`` bit for bit, summed one
+        component at a time without the vector field (same checks)."""
+        mag = component_magnitude(self.components(grid.coordinates()),
+                                  grid.shape)
+        for pt in self.singular_points:
+            mag[grid.site_index(pt)] = 0.0
+        return Field(grid, mag).data
 
     def to_json(self) -> str:
         if self.kind == "custom_closure":

@@ -53,8 +53,7 @@ def drift_magnitude(b, grid: TorusGrid) -> np.ndarray:
             raise ParameterError("mollified drift lives on a different grid")
         return b.magnitude()
     if isinstance(b, DriftSpec):
-        mag = b.on_lattice(grid).magnitude()
-        return mag
+        return b.lattice_magnitude(grid)
     if isinstance(b, VectorField):
         return b.magnitude()
     arr = np.asarray(b, dtype=float)

@@ -104,6 +104,16 @@ def _check_data(grid, data, components=None):
     return arr
 
 
+def component_magnitude(components, shape) -> np.ndarray:
+    """sqrt(sum_j |c_j|^2) of components broadcastable to ``shape``, added
+    one at a time into one float64 buffer in the order of np.sum(axis=0),
+    so the bits are those of the stacked array."""
+    mag = np.zeros(shape)
+    for c in components:
+        mag += np.abs(c) ** 2
+    return np.sqrt(mag, out=mag)
+
+
 @dataclass
 class Field:
     """Scalar lattice function (real or complex) on a TorusGrid."""
@@ -113,11 +123,6 @@ class Field:
 
     def __post_init__(self):
         self.data = _check_data(self.grid, self.data)
-
-    @classmethod
-    def from_function(cls, grid, fn) -> "Field":
-        coords = grid.coordinates()
-        return cls(grid, np.broadcast_to(fn(*coords), grid.shape).copy())
 
     @classmethod
     def constant(cls, grid, value=1.0) -> "Field":
@@ -183,15 +188,9 @@ class VectorField:
     def __post_init__(self):
         self.data = _check_data(self.grid, self.data, components=self.grid.dim)
 
-    @classmethod
-    def from_function(cls, grid, fn) -> "VectorField":
-        coords = grid.coordinates()
-        comps = fn(*coords)
-        arr = np.stack([np.broadcast_to(c, grid.shape) for c in comps])
-        return cls(grid, arr.copy())
-
     def magnitude(self) -> np.ndarray:
-        return np.sqrt(np.sum(np.abs(self.data) ** 2, axis=0))
+        """|v| at every site, streamed by ``component_magnitude``."""
+        return component_magnitude(self.data, self.grid.shape)
 
     def sup_norm(self) -> float:
         return float(np.max(self.magnitude()))

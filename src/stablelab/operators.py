@@ -314,7 +314,9 @@ class DotGradient(LatticeOperator):
     i*k_j times that spectrum per axis, weighted by v_j.  The complex
     symbol i*k_j keeps its Nyquist plane, so the output is complex and
     equals the sum over j of v_j * gradient_component(j)(inner(f)).
-    ``vector_values`` is a (dim, N, ..., N) array or VectorField.
+    ``vector_values`` is a (dim, N, ..., N) array or VectorField.  The
+    transforms run over the last ``grid.dim`` axes, so a stack of fields
+    of shape (..., N, ..., N) takes one call.
     """
 
     def __init__(self, vector_values, inner: FourierMultiplier):
@@ -325,8 +327,9 @@ class DotGradient(LatticeOperator):
         self.inner = inner
 
     def apply(self, data):
-        spec = self.inner.symbol * sfft.fftn(np.asarray(data))
-        return sum(v * sfft.ifftn(1j * k * spec)
+        axes = tuple(range(-self.grid.dim, 0))
+        spec = self.inner.symbol * sfft.fftn(np.asarray(data), axes=axes)
+        return sum(v * sfft.ifftn(1j * k * spec, axes=axes)
                    for v, k in zip(self.values, self.grid.frequencies()))
 
     def adjoint(self):

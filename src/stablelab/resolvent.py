@@ -213,7 +213,9 @@ def verify_lp_inequalities(potential: np.ndarray, p: float, mu: float,
     bumps, and the transported L^2 extremizer, which attains ratio
     delta/(delta c) for candidate c = 1 in every L^p.  ``extremizer`` is
     ``l2_extremizer(potential, mu, grid, alpha, seed)``, solved here when
-    not given.
+    not given.  Each probe is evaluated as soon as it is drawn, so a
+    bounded number of fields is alive whatever ``n_probes`` is; the
+    ratios are maxima, which do not depend on the order.
     """
     from .formbound import estimate_weak_formbound
 
@@ -245,34 +247,35 @@ def verify_lp_inequalities(potential: np.ndarray, p: float, mu: float,
 
     rng = np.random.default_rng(seed)
     vol = grid.cell_volume
-    probes = []
-    for _ in range(max(4, n_probes - 3)):
-        kind = rng.integers(0, 2)
-        f = rng.standard_normal(grid.shape)
-        if kind == 1:
-            f = np.sign(f)
-        probes.append(f)
-    # concentrated bump at the potential maximum
-    peak = np.unravel_index(np.argmax(potential), grid.shape)
-    bump = np.zeros(grid.shape)
-    bump[peak] = 1.0
-    probes.append(bump)
-    # transported L^2 extremizer: f = V^(1/p - 1/2) phi with phi the top
-    # eigenfield of sqrt(V) R sqrt(V); the operator of bound (b),
-    # V^(1/p) R V^(1/p'), maps f to delta V^(1/p-1/2) phi
-    phi = (extremizer if extremizer is not None
-           else l2_extremizer(potential, mu, grid, alpha, seed))
-    mask = potential > 1e-9 * np.max(potential)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        transported = np.where(mask, potential ** (1.0 / p - 0.5), 0.0) * phi
-    probes.append(transported)
-    probes.append(np.abs(transported))
+
+    def probes():
+        for _ in range(max(4, n_probes - 3)):
+            kind = rng.integers(0, 2)
+            f = rng.standard_normal(grid.shape)
+            if kind == 1:
+                f = np.sign(f)
+            yield f
+        # concentrated bump at the potential maximum
+        peak = np.unravel_index(np.argmax(potential), grid.shape)
+        bump = np.zeros(grid.shape)
+        bump[peak] = 1.0
+        yield bump
+        # transported L^2 extremizer: f = V^(1/p - 1/2) phi with phi the top
+        # eigenfield of sqrt(V) R sqrt(V); the operator of bound (b),
+        # V^(1/p) R V^(1/p'), maps f to delta V^(1/p-1/2) phi
+        phi = (extremizer if extremizer is not None
+               else l2_extremizer(potential, mu, grid, alpha, seed))
+        mask = potential > 1e-9 * np.max(potential)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            transported = np.where(mask, potential ** (1.0 / p - 0.5), 0.0) * phi
+        yield transported
+        yield np.abs(transported)
 
     def lp(arr):
         return float((np.sum(np.abs(arr) ** p) * vol) ** (1.0 / p))
 
     raw_ratio = {"a": 0.0, "b": 0.0, "c": 0.0}
-    for f in probes:
+    for count, f in enumerate(probes(), 1):
         nf = lp(f)
         if nf == 0.0:
             continue
@@ -294,5 +297,5 @@ def verify_lp_inequalities(potential: np.ndarray, p: float, mu: float,
         "markov_lp_resolvent_bounds",
         {"p": p, "mu": mu, "lam": lam, "delta": delta,
          "candidates": {k: v for k, v in candidates.items()}},
-        checks, provenance={"seed": seed, "n_probes": len(probes),
+        checks, provenance={"seed": seed, "n_probes": count,
                             "grid_n": grid.points_per_axis})

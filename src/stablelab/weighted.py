@@ -273,7 +273,7 @@ def verify_eta_b_integrability(drift: DriftSpec, nu: float, p: float,
     values = []
     for grid in grids:
         weight = WeightSpec(grid, nu, alpha)
-        mag = drift.on_lattice(grid).magnitude()
+        mag = drift.lattice_magnitude(grid)
         val = float(np.sum(mag * weight.lattice ** (2.0 - p))
                     * grid.cell_volume)
         values.append((grid.points_per_axis, grid.half_length, val))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stablelab import drifts
 from stablelab.errors import ParameterError
@@ -134,3 +135,59 @@ def test_kato_example_compact_support():
     r = grid.radius()
     assert np.all(mag[r > 2.5] == 0.0)
     assert np.max(mag) > 0.0
+
+
+def point_source(x0):
+    """(x - x0) / |x - x0|^2, non-finite at x0 unless x0 is listed."""
+    def field(*coords):
+        diff = [c - x for c, x in zip(coords, x0)]
+        r2 = sum(d**2 for d in diff)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return [d / r2 for d in diff]
+    return field
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["hardy", "lp_radial", "kato_example",
+                             "bounded_smooth", "custom_closure"]),
+       n=st.sampled_from([8, 16]), dim=st.integers(1, 3),
+       seed=st.integers(0, 2**31 - 1))
+def test_lattice_magnitude_is_vector_magnitude_bitwise(kind, n, dim, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "hardy":
+        dim = 3
+        spec = drifts.hardy_drift(rng.uniform(0.01, 0.5), ALPHA, dim)
+    elif kind == "lp_radial":
+        spec = drifts.lp_radial_drift(rng.uniform(0.1, 2.0),
+                                      rng.uniform(0.0, dim - 0.1), dim)
+    elif kind == "kato_example":
+        spec = drifts.kato_example_drift(rng.uniform(0.1, 2.0),
+                                         rng.uniform(0.0, 0.45),
+                                         rng.uniform(0.5, 2.0), dim)
+    elif kind == "bounded_smooth":
+        spec = drifts.bounded_smooth_drift(rng.uniform(-1.0, 1.0, dim), 4.0,
+                                           dim)
+    else:
+        # a listed singular point away from the origin, where the closure
+        # is not finite
+        grid = TorusGrid(dim, 4.0, n)
+        x0 = [grid.axis_coordinates()[i] for i in rng.integers(0, n, dim)]
+        spec = drifts.custom_drift(point_source(x0), dim, [x0])
+    grid = TorusGrid(dim, 4.0, n)
+    expect = spec.on_lattice(grid).magnitude()
+    got = spec.lattice_magnitude(grid)
+    assert got.dtype == np.float64
+    assert np.array_equal(got.view(np.int64), expect.view(np.int64))
+    for pt in spec.singular_points:
+        assert got[grid.site_index(pt)] == 0.0
+
+
+def test_lattice_evaluation_rejects_nonfinite_and_miscounted_closures():
+    grid = TorusGrid(2, 4.0, 8)
+    unlisted = drifts.custom_drift(point_source([0.0, 0.0]), 2)
+    miscounted = drifts.custom_drift(lambda x, y: (x + y,), 2)
+    for spec in (unlisted, miscounted):
+        with pytest.raises(ParameterError):
+            spec.on_lattice(grid)
+        with pytest.raises(ParameterError):
+            spec.lattice_magnitude(grid)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stablelab.errors import CapacityError, ParameterError
 from stablelab.grid import Field, TorusGrid, VectorField
@@ -86,3 +87,22 @@ def test_vector_field_magnitude():
                                     np.full(grid.shape, 4.0)]))
     assert v.sup_norm() == pytest.approx(5.0)
     assert v.component(1).data[0, 0] == 4.0
+
+
+@settings(max_examples=30, deadline=None)
+@given(dim=st.integers(1, 3), n=st.sampled_from([8, 16]),
+       seed=st.integers(0, 2**31 - 1), complex_data=st.booleans())
+def test_streamed_magnitude_is_stacked_sum_bitwise(dim, n, seed,
+                                                   complex_data):
+    grid = TorusGrid(dim, 2.0, n)
+    rng = np.random.default_rng(seed)
+    # spread of magnitudes, exact zeros and negative zeros included
+    data = rng.standard_normal((dim,) + grid.shape) * 10.0 ** rng.integers(
+        -150, 150, (dim,) + grid.shape)
+    data[..., 0] = -0.0
+    if complex_data:
+        data = data + 1j * rng.standard_normal(data.shape)
+    expect = np.sqrt(np.sum(np.abs(data) ** 2, axis=0))
+    got = VectorField(grid, data).magnitude()
+    assert got.dtype == np.float64
+    assert np.array_equal(got.view(np.int64), expect.view(np.int64))

@@ -396,3 +396,24 @@ def test_random_tree_adjoint_pairing(spec, n, seed):
     op, _ = build(spec, grid, np.random.default_rng(seed), complex_values=True)
     assert_adjoint_pairing(op, rand_field(grid, seed, complex_=True),
                            rand_field(grid, seed + 1, complex_=True))
+
+
+@TREES
+@given(kind=inners, n=sizes, dim=st.integers(1, 3), seed=seeds,
+       members=st.integers(2, 3), complex_data=st.booleans())
+def test_dot_gradient_stack_matches_members(kind, n, dim, seed, members,
+                                            complex_data):
+    # the T shape b^(1/p).grad inner |b|^(1/p'): a stack of fields takes
+    # one call, transformed over the last dim axes only
+    grid = TorusGrid(dim, 4.0, n)
+    rng = np.random.default_rng(seed)
+    op = ops.Compose([
+        ops.DotGradient(rng.standard_normal((dim,) + grid.shape),
+                        make_inner(grid, kind, rng)),
+        ops.PointwiseMultiplier(grid, rng.uniform(0.0, 1.0, grid.shape))])
+    stack = np.stack([rand_field(grid, seed + m, complex_=complex_data)
+                      for m in range(members)])
+    out = op.apply(stack)
+    for m in range(members):
+        assert np.array_equal(out[m].view(np.int64),
+                              op.apply(stack[m]).view(np.int64))

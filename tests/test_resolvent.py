@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -232,3 +234,29 @@ def test_given_extremizer_gives_the_same_report(grid):
             potential, p, 1.0, 0.01, grid, ALPHA, n_probes=8, seed=3,
             extremizer=phi)
         assert given.metrics == solved.metrics
+
+
+def test_lp_probes_are_streamed():
+    # the traced peak may not grow with the probe count: each probe is
+    # evaluated as soon as it is drawn
+    grid = TorusGrid(3, 8.0, 32)
+    mol = drifts.mollify(drifts.hardy_drift(0.05, ALPHA, 3), n=4, grid=grid,
+                         epsilon_n=0.25)
+    potential = mol.magnitude()
+    phi = resolvent.l2_extremizer(potential, 1.0, grid, ALPHA, seed=3)
+
+    def traced_peak(n_probes):
+        tracemalloc.start()
+        try:
+            rep = resolvent.verify_lp_inequalities(
+                potential, 4.5, 1.0, 0.01, grid, ALPHA, n_probes=n_probes,
+                seed=3, delta=0.05, extremizer=phi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.provenance["n_probes"] == n_probes
+        return peak
+
+    traced_peak(10)  # warm caches outside the comparison
+    growth = traced_peak(50) - traced_peak(10)
+    assert growth < potential.nbytes
