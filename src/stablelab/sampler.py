@@ -11,7 +11,12 @@ One-sided stable variables use Kanter's representation
     A(theta) = sin(sigma theta)^(sigma/(1-sigma)) * sin((1-sigma) theta)
                / sin(theta)^(1/(1-sigma)),
 with theta uniform on (0, pi) and E a unit exponential; then
-E exp(-u S) = exp(-u^sigma).
+E exp(-u S) = exp(-u^sigma).  As sigma -> 1 the powers 1/(1-sigma) grow
+without bound and, for theta near 0 or pi, the factors of A(theta)
+underflow (0/0, or a spurious 0 or inf).  Where they do, S is taken from
+the algebraically equal form with powers at most 1/sigma < 2,
+    S = sin(sigma theta) * (sin((1-sigma) theta) / E) ** ((1-sigma)/sigma)
+        / sin(theta) ** (1/sigma).
 """
 
 from __future__ import annotations
@@ -69,11 +74,18 @@ def _kanter_positive_stable(sigma: float, n: int, rng) -> np.ndarray:
     a = np.sin(sigma * theta)
     a **= sigma / (1.0 - sigma)
     a *= np.sin((1.0 - sigma) * theta)
-    np.sin(theta, out=theta)
-    theta **= 1.0 / (1.0 - sigma)
-    a /= theta
-    a /= expo
-    a **= ratio
+    den = np.sin(theta)
+    den **= 1.0 / (1.0 - sigma)
+    tiny = np.finfo(float).tiny
+    lost = (a < tiny) | (den < tiny)
+    with np.errstate(divide="ignore", invalid="ignore"):  # lost is redone
+        a /= den
+        a /= expo
+        a **= ratio
+    if lost.any():
+        t, e = theta[lost], expo[lost]
+        a[lost] = (np.sin(sigma * t) * (np.sin((1.0 - sigma) * t) / e) ** ratio
+                   / np.sin(t) ** (1.0 / sigma))
     return a
 
 

@@ -122,18 +122,59 @@ def test_batch_shape_contract():
 @given(alpha=st.floats(1.01, 1.99), dt=st.floats(1e-3, 2.0),
        seed=st.integers(0, 2**32 - 1))
 @example(alpha=4.0 / 3.0, dt=0.5, seed=0)  # integer powers 2 and 3
+@example(alpha=1.984375, dt=1.0, seed=1)  # factors of A(theta) underflow
 def test_increments_match_closed_form_bit_for_bit(alpha, dt, seed):
     # the in-place evaluation keeps the closed form's operations and order
+    # wherever its factors are normal numbers, and the rearranged form's
+    # elsewhere
     n, dim = 64, 3
     rng = sampler._rng_for(seed, "increments")
     sigma = alpha / 2.0
     theta = rng.uniform(0.0, np.pi, size=n)
     expo = rng.standard_exponential(size=n)
-    a = (np.sin(sigma * theta) ** (sigma / (1.0 - sigma))
-         * np.sin((1.0 - sigma) * theta)
-         / np.sin(theta) ** (1.0 / (1.0 - sigma)))
-    clock = dt ** (2.0 / alpha) * (a / expo) ** ((1.0 - sigma) / sigma)
+    num = (np.sin(sigma * theta) ** (sigma / (1.0 - sigma))
+           * np.sin((1.0 - sigma) * theta))
+    den = np.sin(theta) ** (1.0 / (1.0 - sigma))
+    tiny = np.finfo(float).tiny
+    lost = (num < tiny) | (den < tiny)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        closed = (num / den / expo) ** ((1.0 - sigma) / sigma)
+    rearranged = (np.sin(sigma * theta)
+                  * (np.sin((1.0 - sigma) * theta) / expo) ** ((1.0 - sigma) / sigma)
+                  / np.sin(theta) ** (1.0 / sigma))
+    a = np.where(lost, rearranged, closed)
+    clock = dt ** (2.0 / alpha) * a
     normals = rng.standard_normal(size=(n, dim))
     expected = np.sqrt(2.0 * clock)[:, None] * normals
     got = sample_increments(StableParams(alpha, dim, seed), dt, n).values
     np.testing.assert_array_equal(got, expected)
+
+
+def test_rearranged_kanter_form_matches_closed_form():
+    # the underflow-safe form is the closed form raised to (1-sigma)/sigma
+    sigma = 0.8
+    theta = np.linspace(0.2, np.pi - 0.2, 101)
+    expo = np.linspace(0.05, 5.0, 101)
+    a = (np.sin(sigma * theta) ** (sigma / (1.0 - sigma))
+         * np.sin((1.0 - sigma) * theta)
+         / np.sin(theta) ** (1.0 / (1.0 - sigma)))
+    closed = (a / expo) ** ((1.0 - sigma) / sigma)
+    rearranged = (np.sin(sigma * theta)
+                  * (np.sin((1.0 - sigma) * theta) / expo) ** ((1.0 - sigma) / sigma)
+                  / np.sin(theta) ** (1.0 / sigma))
+    np.testing.assert_allclose(rearranged, closed, rtol=1e-12)
+
+
+def test_increments_near_alpha_two_are_finite_with_the_right_law():
+    # sigma = 0.995: sin(theta)^200 underflows for theta within 0.03 of 0 or pi
+    p = StableParams(alpha=1.99, dim=3, seed=5)
+    batch = sample_increments(p, 1.0, 10**5)
+    assert np.all(np.isfinite(batch.values))
+    est, se = empirical_char_function(batch.values, [1.0, 0.0, 0.0])
+    assert abs(est.real - np.exp(-1.0)) <= 3.0 * se
+    assert abs(est.imag) <= 3.0 * se
+    s = sample_subordinator(0.995, 1.0, 10**5, seed=42)
+    assert np.all(np.isfinite(s)) and np.all(s > 0)
+    transformed = np.exp(-s)
+    se = transformed.std(ddof=1) / np.sqrt(len(s))
+    assert abs(transformed.mean() - np.exp(-1.0)) <= 3.0 * se
