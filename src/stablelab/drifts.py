@@ -120,12 +120,6 @@ class DriftSpec:
                            "singular_points": self.singular_points},
                           sort_keys=True)
 
-    @classmethod
-    def from_json(cls, payload: str) -> "DriftSpec":
-        doc = json.loads(payload)
-        return cls(kind=doc["kind"], parameters=doc["parameters"],
-                   singular_points=doc.get("singular_points", []))
-
 
 def hardy_drift(delta: float, alpha: float, dim: int) -> DriftSpec:
     """The critical radial drift b(x) = delta * kappa^2 * |x|^(-alpha) x.

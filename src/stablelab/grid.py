@@ -7,8 +7,6 @@ integer m in the Nyquist band.
 
 from __future__ import annotations
 
-import csv
-import io
 import struct
 from dataclasses import dataclass, field
 
@@ -128,10 +126,6 @@ class Field:
     def constant(cls, grid, value=1.0) -> "Field":
         return cls(grid, np.full(grid.shape, value))
 
-    @property
-    def is_real(self) -> bool:
-        return not np.iscomplexobj(self.data)
-
     def lp_norm(self, p: float, weight=None) -> float:
         """Discrete L^p norm with measure h^d (optionally weighted)."""
         w = 1.0 if weight is None else np.asarray(weight)
@@ -164,18 +158,6 @@ class Field:
         dtype = "<c16" if iscomplex else "<f8"
         arr = np.frombuffer(payload, dtype=dtype, offset=_HEADER.size)
         return cls(grid, arr.reshape(grid.shape).copy())
-
-    def to_csv(self) -> str:
-        """CSV export (site indices plus value), intended for small grids."""
-        if self.grid.points_per_axis ** self.grid.dim > 2**18:
-            raise CapacityError("CSV export is limited to small grids")
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow([f"i{j}" for j in range(self.grid.dim)] + ["re", "im"])
-        for idx in np.ndindex(*self.grid.shape):
-            v = complex(self.data[idx])
-            writer.writerow(list(idx) + [repr(v.real), repr(v.imag)])
-        return buf.getvalue()
 
 
 @dataclass

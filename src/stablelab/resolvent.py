@@ -23,7 +23,7 @@ import numpy as np
 
 from .drifts import MollifiedDrift
 from .errors import AdmissibilityError, DivergenceError, ParameterError
-from .grid import TorusGrid
+from .grid import TorusGrid, component_magnitude
 from .operators import (Affine, Compose, DotGradient, FourierMultiplier,
                         LatticeOperator, NeumannInverse, PointwiseMultiplier,
                         frac_laplacian, resolvent_power, symbol_abs_k_alpha)
@@ -32,15 +32,12 @@ from .report import VerificationReport, build_report
 
 def signed_root(vector_data: np.ndarray, power: float) -> np.ndarray:
     """Componentwise b |b|^(power-1) with value 0 where |b| = 0."""
-    mag = np.sqrt(np.sum(vector_data**2, axis=0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scale = np.where(mag > 0.0, mag ** (power - 1.0), 0.0)
-    return vector_data * scale
+    return vector_data * magnitude_power(vector_data, power - 1.0)
 
 
 def magnitude_power(vector_data: np.ndarray, power: float) -> np.ndarray:
     """|b|^power with value 0 where |b| = 0."""
-    mag = np.sqrt(np.sum(vector_data**2, axis=0))
+    mag = component_magnitude(vector_data, vector_data.shape[1:])
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(mag > 0.0, mag**power, 0.0)
 
@@ -64,11 +61,12 @@ def complex_resolvent_power(grid, alpha, zeta, gamma) -> FourierMultiplier:
         grid, (zeta + symbol_abs_k_alpha(grid, alpha)) ** (-gamma))
 
 
-def _norm_probe_or_raise(op, label, bound=1.0, seed=0):
-    estimate = op.norm_probe(n_probes=6, p=2.0, seed=seed, iterations=4)
-    if estimate >= bound:
+def _norm_probe_or_raise(op, label, seed=0, n_probes=6, p=2.0, iterations=4):
+    estimate = op.norm_probe(n_probes=n_probes, p=p, seed=seed,
+                             iterations=iterations)
+    if estimate >= 1.0:
         raise DivergenceError(
-            f"{label} norm probe {estimate:.4f} >= {bound}; "
+            f"{label} norm probe {estimate:.4f} >= 1 in L^{p}; "
             "Neumann series would diverge", norm_estimate=estimate)
     return estimate
 
@@ -158,10 +156,8 @@ def assemble_lp_resolvent(drift: MollifiedDrift, mu: float, p: float,
     g_op = DotGradient(
         signed_root(b, 1.0 / p),
         resolvent_power(grid, alpha, mu, 1.0 / alpha - frac / r))
-    probe = t_op.norm_probe(n_probes=10, p=p, seed=seed, iterations=6)
-    if probe >= 1.0:
-        raise DivergenceError(
-            f"T norm probe {probe:.4f} >= 1 in L^{p}", norm_estimate=probe)
+    probe = _norm_probe_or_raise(t_op, "T", seed=seed, n_probes=10, p=p,
+                                 iterations=6)
     correction = Compose([
         resolvent_power(grid, alpha, mu, 1.0 / alpha - frac / q),
         q_op,

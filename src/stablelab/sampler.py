@@ -17,10 +17,17 @@ underflow (0/0, or a spurious 0 or inf).  Where they do, S is taken from
 the algebraically equal form with powers at most 1/sigma < 2,
     S = sin(sigma theta) * (sin((1-sigma) theta) / E) ** ((1-sigma)/sigma)
         / sin(theta) ** (1/sigma).
+
+n increments in R^d read one PCG64 stream as n uniforms theta | n
+exponentials E | n x d normals (row-major).  A uniform takes one 64-bit
+word, so E starts after ``advance(n)``; the normals start where a
+throw-away pass over the n exponentials (ziggurat) ends.  With a generator
+in each part, ``increment_blocks`` replays the batch bit for bit in blocks.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,9 +72,9 @@ class IncrementBatch:
             raise ParameterError("increment values must be finite")
 
 
-def _kanter_positive_stable(sigma: float, n: int, rng) -> np.ndarray:
-    theta = rng.uniform(0.0, np.pi, size=n)
-    expo = rng.standard_exponential(size=n)
+def _kanter_positive_stable(sigma: float, n: int, uniforms, expos) -> np.ndarray:
+    theta = uniforms.uniform(0.0, np.pi, size=n)
+    expo = expos.standard_exponential(size=n)
     ratio = (1.0 - sigma) / sigma
     # (A(theta) / E) ** ratio in place, to spare n-sized temporaries; the
     # operations and their order are those of the closed form, so are the bits
@@ -102,23 +109,37 @@ def sample_subordinator(alpha_half: float, dt: float, n: int, seed) -> np.ndarra
     if n > _MAX_VALUES:
         raise CapacityError(f"{n} subordinator samples exceed capacity")
     rng = _rng_for(seed, "subordinator")
-    return dt ** (1.0 / alpha_half) * _kanter_positive_stable(alpha_half, n, rng)
+    return dt ** (1.0 / alpha_half) * _kanter_positive_stable(alpha_half, n, rng, rng)
+
+
+def increment_blocks(params: StableParams, dt: float, n: int, rows_per_block: int):
+    """Consecutive blocks of at most ``rows_per_block`` rows of
+    ``sample_increments(params, dt, n).values``, bit for bit."""
+    if dt <= 0 or n < 1 or rows_per_block < 1:
+        raise ParameterError("dt, n and rows_per_block must be positive")
+    rows_per_block = min(rows_per_block, n)
+    if rows_per_block * params.dim > _MAX_VALUES:
+        raise CapacityError(
+            f"block of {rows_per_block} x {params.dim} values exceeds capacity")
+    uniforms = _rng_for(params.seed, "increments")
+    expos = copy.deepcopy(uniforms)
+    expos.bit_generator.advance(n)
+    normals = copy.deepcopy(expos)
+    for r0 in range(0, n, rows_per_block):
+        normals.standard_exponential(size=min(rows_per_block, n - r0))
+    for r0 in range(0, n, rows_per_block):
+        rows = min(rows_per_block, n - r0)
+        clock = _kanter_positive_stable(params.alpha / 2.0, rows, uniforms, expos)
+        clock *= dt ** (2.0 / params.alpha)
+        clock *= 2.0
+        values = normals.standard_normal(size=(rows, params.dim))
+        values *= np.sqrt(clock, out=clock)[:, None]
+        yield values
 
 
 def sample_increments(params: StableParams, dt: float, n: int) -> IncrementBatch:
     """n i.i.d. samples of Z_dt - Z_0; bit-reproducible from the seed."""
-    if dt <= 0:
-        raise ParameterError("dt must be positive")
-    if n < 1:
-        raise ParameterError("n must be >= 1")
-    if n * params.dim > _MAX_VALUES:
-        raise CapacityError(f"batch of {n} x {params.dim} values exceeds capacity")
-    rng = _rng_for(params.seed, "increments")
-    clock = _kanter_positive_stable(params.alpha / 2.0, n, rng)
-    clock *= dt ** (2.0 / params.alpha)
-    clock *= 2.0
-    values = rng.standard_normal(size=(n, params.dim))
-    values *= np.sqrt(clock, out=clock)[:, None]
+    values = next(increment_blocks(params, dt, n, n))
     return IncrementBatch(params=params, dt=dt, values=values)
 
 

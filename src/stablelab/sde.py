@@ -5,6 +5,7 @@ the driving noise from paths through the accumulated drift integral.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,8 +16,10 @@ from .errors import ParameterError
 from .evolution import PropagatorConfig, propagate
 from .grid import Field, TorusGrid
 from .report import VerificationReport, build_report
-from .sampler import StableParams, empirical_char_function, sample_increments
+from .sampler import StableParams, empirical_char_function, increment_blocks
 from .weighted import WeightSpec, random_bumps
+
+_PATH_BLOCK = 2048  # paths per block: integrate holds their noise at once
 
 
 @dataclass
@@ -120,17 +123,19 @@ def integrate(drift: MollifiedDrift, x0, t_final: float, dt: float,
     increments; drift integrals are accumulated with the same b values
     that drive the steps.
 
-    The state and both drift integrals are carried as running (paths,
-    dim) and (paths,) arrays and stored only at the recorded times:
-    ``record="final"`` keeps times [0, t_final], ``record="all"`` keeps
-    every step.  The recorded rows are the same numbers either way.  A
-    non-finite state raises ``ParameterError`` at the step that made it.
+    Blocks of ``_PATH_BLOCK`` paths draw their rows of the one-shot noise
+    batch (``sampler.increment_blocks``) and keep state and drift integrals
+    at the recorded times only: [0, t_final] for ``record="final"``, every
+    step for ``"all"``.  Steps act per path, so block size and ``record``
+    leave the bits unchanged.  ``CapacityError`` bounds one block's noise,
+    not the run's; a non-finite state raises ``ParameterError`` at its
+    step, within the first block that fails.
     """
     grid = drift.grid
     if record not in ("final", "all"):
         raise ParameterError(f"record must be 'final' or 'all', got {record!r}")
-    if dt <= 0 or t_final <= 0:
-        raise ParameterError("dt and t_final must be positive")
+    if dt <= 0 or t_final <= 0 or n_paths < 1:
+        raise ParameterError("dt, t_final and n_paths must be positive")
     if dt * drift.sup_norm() > grid.half_length / 8.0:
         raise ParameterError("dt too large: a single drift step could wrap")
     n_steps = int(round(t_final / dt))
@@ -138,39 +143,40 @@ def integrate(drift: MollifiedDrift, x0, t_final: float, dt: float,
         raise ParameterError("t_final must be an integer multiple of dt")
     x0 = np.asarray(x0, dtype=float)
     params = StableParams(alpha=alpha, dim=grid.dim, seed=seed)
-    if not freeze_noise:
-        all_noise = sample_increments(params, dt, n_paths * n_steps).values
-        all_noise = all_noise.reshape(n_paths, n_steps, grid.dim)
     every_step = record == "all"
     times = dt * (np.arange(n_steps + 1) if every_step
                   else np.array([0, n_steps]))
     states = np.empty((n_paths, len(times), grid.dim))
     drift_int = np.zeros((n_paths, len(times), grid.dim))
     abs_drift = np.zeros((n_paths, len(times)))
-    x = np.broadcast_to(x0, (n_paths, grid.dim)).copy()
-    states[:, 0, :] = x
-    running_int = np.zeros((n_paths, grid.dim))
-    running_abs = np.zeros(n_paths)
+    noise = (itertools.repeat(None) if freeze_noise else increment_blocks(
+        params, dt, n_paths * n_steps, _PATH_BLOCK * n_steps))
     wrap_events = 0
-    cell = np.floor((x + grid.half_length) / (2.0 * grid.half_length))
-    for k in range(n_steps):
-        b = drift_at(x, drift)
-        step = -b * dt
-        if not freeze_noise:
-            step += all_noise[:, k, :]
-        x += step
-        if not np.all(np.isfinite(x)):
-            raise ParameterError(f"path state not finite after step {k + 1}")
-        running_int += b * dt
-        running_abs += np.linalg.norm(b, axis=1) * dt
-        new_cell = np.floor((x + grid.half_length) / (2.0 * grid.half_length))
-        wrap_events += int(np.count_nonzero(np.any(new_cell != cell, axis=1)))
-        cell = new_cell
-        if every_step or k + 1 == n_steps:
-            row = k + 1 if every_step else 1
-            states[:, row, :] = x
-            drift_int[:, row, :] = running_int
-            abs_drift[:, row] = running_abs
+    for i0, block_noise in zip(range(0, n_paths, _PATH_BLOCK), noise):
+        paths = slice(i0, min(i0 + _PATH_BLOCK, n_paths))
+        x = np.broadcast_to(x0, states[paths, 0, :].shape).copy()
+        states[paths, 0, :] = x
+        running_int = np.zeros_like(x)
+        running_abs = np.zeros(len(x))
+        cell = np.floor((x + grid.half_length) / (2.0 * grid.half_length))
+        for k in range(n_steps):
+            b = drift_at(x, drift)
+            step = -b * dt
+            if block_noise is not None:
+                step += block_noise[k::n_steps]
+            x += step
+            if not np.all(np.isfinite(x)):
+                raise ParameterError(f"path state not finite after step {k + 1}")
+            running_int += b * dt
+            running_abs += np.linalg.norm(b, axis=1) * dt
+            new_cell = np.floor((x + grid.half_length) / (2.0 * grid.half_length))
+            wrap_events += int(np.count_nonzero(np.any(new_cell != cell, axis=1)))
+            cell = new_cell
+            if every_step or k + 1 == n_steps:
+                row = k + 1 if every_step else 1
+                states[paths, row, :] = x
+                drift_int[paths, row, :] = running_int
+                abs_drift[paths, row] = running_abs
     wrap_fraction = wrap_events / float(n_paths * n_steps)
     return PathEnsemble(x0=x0, times=times, states=states,
                         drift_integral=drift_int, abs_drift_integral=abs_drift,

@@ -72,15 +72,6 @@ def test_binary_round_trip(complex_data):
     np.testing.assert_array_equal(g.data, data)
 
 
-def test_csv_export_small_grid():
-    grid = TorusGrid(1, 1.0, 4)
-    f = Field(grid, np.arange(4.0))
-    text = f.to_csv()
-    lines = text.strip().splitlines()
-    assert lines[0] == "i0,re,im"
-    assert len(lines) == 5
-
-
 def test_vector_field_magnitude():
     grid = TorusGrid(2, 2.0, 8)
     v = VectorField(grid, np.stack([np.full(grid.shape, 3.0),

@@ -150,6 +150,29 @@ def test_increments_match_closed_form_bit_for_bit(alpha, dt, seed):
     np.testing.assert_array_equal(got, expected)
 
 
+@st.composite
+def _rows_and_block(draw):
+    n = draw(st.integers(1, 400))
+    return n, draw(st.one_of(st.sampled_from([1, n]), st.integers(1, n)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(sizes=_rows_and_block(), dim=st.integers(1, 3),
+       alpha=st.floats(1.01, 1.99), seed=st.integers(0, 2**32 - 1))
+@example(sizes=(200, 1), dim=3, alpha=1.984375, seed=1)  # rearranged form
+@example(sizes=(200, 64), dim=3, alpha=1.984375, seed=1)
+@example(sizes=(200, 200), dim=2, alpha=1.984375, seed=5)
+def test_increment_blocks_replay_the_one_shot_batch(sizes, dim, alpha, seed):
+    n, rows = sizes
+    params = StableParams(alpha, dim, seed)
+    blocks = list(sampler.increment_blocks(params, 0.7, n, rows))
+    assert [len(b) for b in blocks[:-1]] == [rows] * (len(blocks) - 1)
+    assert 1 <= len(blocks[-1]) <= rows
+    got = np.concatenate(blocks)
+    want = sample_increments(params, 0.7, n).values
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_rearranged_kanter_form_matches_closed_form():
     # the underflow-safe form is the closed form raised to (1-sigma)/sigma
     sigma = 0.8

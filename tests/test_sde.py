@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -63,6 +65,10 @@ def test_integrate_guards(grid, hardy):
         sde.integrate(hardy, [0.0] * 3, 0.1, -0.01, 8, seed=0, alpha=ALPHA)
     with pytest.raises(ParameterError):
         sde.integrate(hardy, [0.0] * 3, 0.1, 0.03, 8, seed=0, alpha=ALPHA)
+    for freeze in (False, True):
+        with pytest.raises(ParameterError):
+            sde.integrate(hardy, [0.0] * 3, 0.1, 0.01, 0, seed=0, alpha=ALPHA,
+                          freeze_noise=freeze)
     strong = drifts.mollify(drifts.bounded_smooth_drift([300.0] * 3, 8.0, 3),
                             n=512, grid=grid, epsilon_n=0.05)
     with pytest.raises(ParameterError):
@@ -100,6 +106,33 @@ def test_final_record_is_first_and_last_row_of_all(hardy, seed, n_paths,
                                   full.abs_drift_integral[:, ends])
     np.testing.assert_array_equal(fin.times, full.times[ends])
     assert fin.wrap_fraction == full.wrap_fraction
+
+
+@pytest.mark.parametrize("record,freeze", [("final", False), ("all", False),
+                                           ("final", True)])
+def test_path_blocks_give_the_same_bits(hardy, monkeypatch, record, freeze):
+    args = (hardy, [0.3, -0.2, 0.0], 0.05, 0.01, 40)
+    kw = dict(seed=4, alpha=ALPHA, record=record, freeze_noise=freeze)
+    whole = sde.integrate(*args, **kw)
+    monkeypatch.setattr(sde, "_PATH_BLOCK", 7)
+    blocked = sde.integrate(*args, **kw)
+    for name in ("times", "states", "drift_integral", "abs_drift_integral"):
+        np.testing.assert_array_equal(getattr(blocked, name),
+                                      getattr(whole, name))
+    assert blocked.wrap_fraction == whole.wrap_fraction
+
+
+def test_integrate_noise_is_held_one_block_at_a_time(hardy):
+    # a whole-run draw of 50,000 x 40 increments traces ~76 MiB, blocks of
+    # _PATH_BLOCK paths ~13 MiB
+    tracemalloc.start()
+    try:
+        sde.integrate(hardy, [0.0] * 3, 0.4, 0.01, 50_000, seed=3,
+                      alpha=ALPHA)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
 
 
 def test_non_finite_state_fails_at_its_step(grid, hardy, monkeypatch):
