@@ -3,6 +3,7 @@ with singular drifts -- sampling, spectral operator calculus, drift-class
 estimation, perturbed resolvents, weighted estimates, semigroup evolution
 and Monte Carlo identification of the driving noise."""
 
+from ._blas import pin_one_thread
 from .config import ExperimentConfig, load_config, parse_config
 from .drifts import (DriftSpec, MollifiedDrift, bounded_smooth_drift,
                      hardy_constant, hardy_drift, kato_example_drift,
@@ -26,7 +27,7 @@ from .resolvent import (ResolventAssembly, assemble_l2_resolvent,
                         assemble_lp_resolvent, drifted_generator,
                         verify_lp_inequalities)
 from .sampler import (IncrementBatch, StableParams, empirical_char_function,
-                      sample_increments, sample_subordinator, split_seed)
+                      sample_increments, sample_subordinator)
 from .sde import (CharFnProbe, PathEnsemble, contraction_probe,
                   identify_driving_noise, integrate, mc_vs_semigroup)
 from .weighted import (WeightSpec, conjugated_generator,
@@ -53,9 +54,10 @@ __all__ = [
     "kato_example_drift", "kernel_profile", "load_config", "lp_radial_drift",
     "mc_vs_semigroup", "mollifier", "mollify", "parse_config", "propagate",
     "resolvent_power", "sample_increments", "sample_subordinator",
-    "split_seed", "stable_marginal_cdf", "verify_eta_b_integrability",
+    "stable_marginal_cdf", "verify_eta_b_integrability",
     "verify_lp_inequalities", "verify_weighted_estimates",
     "verify_weighted_markov",
 ]
 
 __version__ = "0.1.0"
+pin_one_thread()  # last: the imports above have mapped every OpenBLAS

@@ -115,7 +115,7 @@ def _slot_weights(displacement: np.ndarray) -> np.ndarray:
         for k in range(2, 6):
             np.multiply(powers[k - 1], d, out=powers[k])
         np.multiply(powers[5], d > 0.0, out=powers[6])
-        # einsum, not matmul: a BLAS call would wake spinning threads
+        # einsum, not matmul: BLAS would sum in another order, moving the bits
         np.einsum("ok,k...->o...", _QUINTIC, powers, out=w)
     return out
 

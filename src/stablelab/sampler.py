@@ -143,12 +143,6 @@ def sample_increments(params: StableParams, dt: float, n: int) -> IncrementBatch
     return IncrementBatch(params=params, dt=dt, values=values)
 
 
-def split_seed(seed, n_streams: int):
-    """Independent child seeds for reproducible parallel batches."""
-    return [int(s.generate_state(1, np.uint64)[0])
-            for s in np.random.SeedSequence(seed).spawn(n_streams)]
-
-
 def empirical_char_function(samples: np.ndarray, kappa) -> tuple:
     """Monte Carlo estimate of E exp(i kappa . X) and its standard error.
 

@@ -7,7 +7,7 @@ from stablelab import kernels, sampler
 from stablelab.errors import CapacityError, ParameterError
 from stablelab.sampler import (IncrementBatch, StableParams,
                                empirical_char_function, sample_increments,
-                               sample_subordinator, split_seed)
+                               sample_subordinator)
 
 
 def test_params_validation():
@@ -28,13 +28,6 @@ def test_determinism_same_seed():
     np.testing.assert_array_equal(a.values, b.values)
     c = sample_increments(StableParams(1.5, 3, 20240818), 0.5, 2048)
     assert not np.array_equal(a.values, c.values)
-
-
-def test_split_seed_streams_are_distinct():
-    seeds = split_seed(7, 4)
-    assert len(set(seeds)) == 4
-    batches = [sample_increments(StableParams(1.5, 2, s), 1.0, 64) for s in seeds]
-    assert not np.array_equal(batches[0].values, batches[1].values)
 
 
 def test_empirical_mean_near_zero():
