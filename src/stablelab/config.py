@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import configparser
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 

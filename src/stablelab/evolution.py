@@ -26,7 +26,7 @@ from .drifts import MollifiedDrift, mollify
 from .errors import ConfigurationError, ParameterError
 from .grid import Field, TorusGrid
 from .kernels import cutoff_mass
-from .operators import (FourierMultiplier, gradient_component, heat_semigroup,
+from .operators import (DotGradient, FourierMultiplier, heat_semigroup,
                         real_gradient)
 from .profiles import cutoff_profile
 from .report import VerificationReport, build_report
@@ -289,11 +289,10 @@ def propagate(config: PropagatorConfig, f):
 
 def advective_source(drift: MollifiedDrift, u: np.ndarray) -> np.ndarray:
     """b . grad u on the lattice.  Real u gives float64 through one rfftn
-    and d irfftn calls; complex u takes the complex i*k_j multipliers."""
+    and d irfftn calls; complex u takes the ``DotGradient`` handle."""
     b = drift.lattice.data
     if np.iscomplexobj(u):
-        return sum(bj * gradient_component(drift.grid, j).apply(u)
-                   for j, bj in enumerate(b))
+        return DotGradient(b, FourierMultiplier(drift.grid, 1.0)).apply(u)
     return np.sum(b * real_gradient(drift.grid, u), axis=0)
 
 

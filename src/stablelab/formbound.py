@@ -154,10 +154,17 @@ def estimate_symmetrized_formbound(b, lam: float, grid: TorusGrid,
     w = drift_magnitude(b, grid)
     if np.max(w) == 0.0:
         return 0.0
+    return top_eigenpair(symmetrized_sandwich(w, lam, grid, alpha), grid,
+                         tol=tol, seed=seed)[0]
+
+
+def symmetrized_sandwich(w, lam: float, grid: TorusGrid,
+                         alpha: float) -> LatticeOperator:
+    """sqrt(w) (lam+A)^(-(alpha-1)/alpha) sqrt(w) for a nonnegative
+    lattice function w: self-adjoint and PSD, so `top_eigenpair` applies."""
     root = PointwiseMultiplier(grid, np.sqrt(w))
-    mid = resolvent_power(grid, alpha, lam, (alpha - 1.0) / alpha)
-    return top_eigenpair(Compose([root, mid, root]), grid, tol=tol,
-                         seed=seed)[0]
+    return Compose([root, resolvent_power(grid, alpha, lam,
+                                          (alpha - 1.0) / alpha), root])
 
 
 def estimate_formbound(b, lam: float, grid: TorusGrid, alpha: float,

@@ -83,6 +83,17 @@ class TorusGrid:
         freqs = self.frequencies()
         return sum(k**2 for k in freqs)
 
+    def lp_norm(self, data, p: float, weight=None) -> float:
+        """Discrete L^p norm of ``data`` with measure h^d, times ``weight``
+        at each site when given (summed as weight * |data|^p); p = inf
+        gives max |data| and ignores the weight."""
+        if p == np.inf:
+            return float(np.max(np.abs(data)))
+        mass = np.abs(data) ** p
+        if weight is not None:
+            mass = weight * mass
+        return float((np.sum(mass) * self.cell_volume) ** (1.0 / p))
+
     def site_index(self, point) -> tuple:
         """Index of the lattice site nearest to a physical point."""
         pt = np.atleast_1d(np.asarray(point, dtype=float))
@@ -128,11 +139,7 @@ class Field:
 
     def lp_norm(self, p: float, weight=None) -> float:
         """Discrete L^p norm with measure h^d (optionally weighted)."""
-        w = 1.0 if weight is None else np.asarray(weight)
-        if p == np.inf:
-            return float(np.max(np.abs(self.data)))
-        s = np.sum(w * np.abs(self.data) ** p) * self.grid.cell_volume
-        return float(s ** (1.0 / p))
+        return self.grid.lp_norm(self.data, p, weight)
 
     def inner(self, other) -> complex:
         """<f, g> = sum f * conj(g) * h^d."""

@@ -58,13 +58,12 @@ class LatticeOperator:
         """
         rng = np.random.default_rng(seed)
         best = 0.0
-        vol = self.grid.cell_volume
         for _ in range(n_probes):
             v = rng.standard_normal(self.grid.shape)
             for _ in range(iterations):
                 fv = self.apply(v)
-                num = _lp(fv, p, vol)
-                den = _lp(v, p, vol)
+                num = self.grid.lp_norm(fv, p)
+                den = self.grid.lp_norm(v, p)
                 if den == 0.0:
                     break
                 best = max(best, num / den)
@@ -72,12 +71,6 @@ class LatticeOperator:
                     break
                 v = fv / num
         return best
-
-
-def _lp(arr, p, vol):
-    if p == np.inf:
-        return float(np.max(np.abs(arr)))
-    return float((np.sum(np.abs(arr) ** p) * vol) ** (1.0 / p))
 
 
 def _is_even(symbol):
@@ -203,10 +196,9 @@ class NeumannInverse(LatticeOperator):
         self.last_term_norms = None
 
     def apply(self, data):
-        vol = self.grid.cell_volume
         term = np.asarray(data)
         out = term.copy()
-        scale = _lp(term, self.norm_p, vol)
+        scale = self.grid.lp_norm(term, self.norm_p)
         norms = []
         if scale == 0.0:
             self.last_term_norms = norms
@@ -214,7 +206,7 @@ class NeumannInverse(LatticeOperator):
         for _ in range(self.max_terms):
             term = -self.inner.apply(term)
             out = out + term
-            tn = _lp(term, self.norm_p, vol)
+            tn = self.grid.lp_norm(term, self.norm_p)
             norms.append(tn)
             if tn < self.tol * scale:
                 break

@@ -18,6 +18,7 @@ they must agree to round-off wherever the Neumann series converge.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -119,15 +120,11 @@ def assemble_lp_resolvent(drift: MollifiedDrift, mu: float, p: float,
                           q: float, r: float, grid: TorusGrid, alpha: float,
                           p_bounds=None, series_tol=1e-12,
                           seed=0) -> ResolventAssembly:
-    """L^p factorized resolvent of (mu + A + b . grad).
-
-    Exponent layout (all fractional powers have negative exponents):
-      theta = (mu+A)^(-1)
-            - (mu+A)^(-1/alpha+(-1+1/alpha)/q) Q (1+T)^(-1) G
-              (mu+A)^((-1+1/alpha)/r')
-    with T = b^(1/p).grad (mu+A)^(-1) |b|^(1/p'),
-         Q = (mu+A)^((-1+1/alpha)/q') |b|^(1/p'),
-         G = b^(1/p).grad (mu+A)^(-1/alpha+(-1+1/alpha)/r).
+    """L^p factorized resolvent of (mu + A + b . grad) in the exponent
+    layout of ``lp_resolvent_layout`` with power(gamma) = (mu+A)^(-gamma),
+    T = b^(1/p).grad (mu+A)^(-1) |b|^(1/p'),
+    Q = (mu+A)^((-1+1/alpha)/q') |b|^(1/p'),
+    G = b^(1/p).grad (mu+A)^(-1/alpha+(-1+1/alpha)/r).
     """
     if not (1.0 < r < p < q):
         raise ParameterError("need 1 < r < p < q")
@@ -140,7 +137,6 @@ def assemble_lp_resolvent(drift: MollifiedDrift, mu: float, p: float,
                 f"p={p} outside the admissible interval ({p_minus:.4f}, {p_plus:.4f})")
     b = drift.lattice.data
     q_c = q / (q - 1.0)
-    r_c = r / (r - 1.0)
     p_c = p / (p - 1.0)
     frac = -1.0 + 1.0 / alpha  # negative
 
@@ -158,19 +154,31 @@ def assemble_lp_resolvent(drift: MollifiedDrift, mu: float, p: float,
         resolvent_power(grid, alpha, mu, 1.0 / alpha - frac / r))
     probe = _norm_probe_or_raise(t_op, "T", seed=seed, n_probes=10, p=p,
                                  iterations=6)
-    correction = Compose([
-        resolvent_power(grid, alpha, mu, 1.0 / alpha - frac / q),
-        q_op,
-        NeumannInverse(t_op, tol=series_tol, norm_p=p),
-        g_op,
-        resolvent_power(grid, alpha, mu, -frac / r_c),
-    ])
-    theta = Affine([(1.0, resolvent_power(grid, alpha, mu, 1.0)),
-                    (-1.0, correction)])
+    theta, correction = lp_resolvent_layout(
+        partial(resolvent_power, grid, alpha, mu), q_op, t_op, g_op, p, q, r,
+        alpha, series_tol)
     handles = {"T": t_op, "Q": q_op, "G": g_op, "correction": correction}
     return ResolventAssembly(mu=mu, p=p, q=q, r=r, drift=drift,
                              handles=handles, norm_probes={"T": probe},
                              theta=theta)
+
+
+def lp_resolvent_layout(power, q_op, t_op, g_op, p, q, r, alpha,
+                        series_tol=1e-12):
+    """(theta, correction) of the L^p exponent layout, all fractional
+    powers with negative exponents (f = -1 + 1/alpha < 0):
+      theta = power(1) - power(1/alpha - f/q) Q (1+T)^(-1) G power(-f/r')
+    for a family ``power(gamma)`` of (mu+A)^(-gamma) handles and the
+    Q, T, G blocks of ``assemble_lp_resolvent``."""
+    frac = -1.0 + 1.0 / alpha
+    correction = Compose([
+        power(1.0 / alpha - frac / q),
+        q_op,
+        NeumannInverse(t_op, tol=series_tol, norm_p=p),
+        g_op,
+        power(-frac / (r / (r - 1.0))),
+    ])
+    return Affine([(1.0, power(1.0)), (-1.0, correction)]), correction
 
 
 def l2_extremizer(potential: np.ndarray, mu: float, grid: TorusGrid,
@@ -178,13 +186,50 @@ def l2_extremizer(potential: np.ndarray, mu: float, grid: TorusGrid,
     """Top eigenfield phi of sqrt(V) (mu+A)^(-(a-1)/a) sqrt(V), the L^2
     extremizer that ``verify_lp_inequalities`` transports to every L^p;
     it does not depend on p."""
-    from .formbound import top_eigenpair
+    from .formbound import symmetrized_sandwich, top_eigenpair
 
-    res = resolvent_power(grid, alpha, mu, (alpha - 1.0) / alpha)
-    root = PointwiseMultiplier(grid, np.sqrt(potential))
-    _, phi, _, _ = top_eigenpair(Compose([root, res, root]), grid, tol=1e-8,
-                                 seed=seed)
+    _, phi, _, _ = top_eigenpair(
+        symmetrized_sandwich(potential, mu, grid, alpha), grid, tol=1e-8,
+        seed=seed)
     return phi
+
+
+def probe_potential_bounds(potential, res, p, probes, norm):
+    """Largest ratios norm(op f) / norm(f) over ``probes`` of the operators
+    of bounds (a) V^(1/p) R, (b) V^(1/p) R V^(1/p') and (c) R V^(1/p'),
+    R = ``res``, and the number of probes drawn.  Probes of norm 0 are
+    skipped; (b) applies V^(1/p) to the output of (c)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mul_p, mul_pc = (PointwiseMultiplier(res.grid, np.where(
+            potential > 0, potential ** (1.0 / e), 0.0))
+            for e in (p, p / (p - 1.0)))
+    op_a = Compose([mul_p, res])
+    op_c = Compose([res, mul_pc])
+    worst = {"a": 0.0, "b": 0.0, "c": 0.0}
+    count = 0
+    for count, f in enumerate(probes, 1):
+        nf = norm(f)
+        if nf == 0.0:
+            continue
+        c = op_c.apply(f)
+        worst["a"] = max(worst["a"], norm(op_a.apply(f)) / nf)
+        worst["b"] = max(worst["b"], norm(mul_p.apply(c)) / nf)
+        worst["c"] = max(worst["c"], norm(c) / nf)
+    return worst, count
+
+
+def potential_bound_checks(label, worst, delta, c_val, p, mu, gamma):
+    """Checks ``label:a`` .. ``label:c`` of worst / bound <= 1 + 1e-6 for
+    the right-hand sides of bounds (a)-(c) with constant c = ``c_val``:
+    (delta c)^(1/p) mu^(-gamma/p'), delta c, (delta c)^(1/p') mu^(-gamma/p).
+    A zero bound reads ratio 0."""
+    p_c = p / (p - 1.0)
+    bounds = {"a": (delta * c_val) ** (1.0 / p) * mu ** (-gamma / p_c),
+              "b": delta * c_val,
+              "c": (delta * c_val) ** (1.0 / p_c) * mu ** (-gamma / p)}
+    ratios = {w: worst[w] / b if b != 0.0 else 0.0 for w, b in bounds.items()}
+    return [(f"{label}:{w}", r, "<= 1 + 1e-6", r <= 1.0 + 1e-6)
+            for w, r in ratios.items()]
 
 
 def verify_lp_inequalities(potential: np.ndarray, p: float, mu: float,
@@ -233,16 +278,7 @@ def verify_lp_inequalities(potential: np.ndarray, p: float, mu: float,
         return build_report("markov_lp_resolvent_bounds",
                             {"p": p, "mu": mu, "lam": lam}, checks)
 
-    res = resolvent_power(grid, alpha, mu, gamma)
-    mul_p = PointwiseMultiplier(grid, np.where(potential > 0,
-                                               potential ** (1.0 / p), 0.0))
-    mul_pc = PointwiseMultiplier(grid, np.where(potential > 0,
-                                                potential ** (1.0 / p_c), 0.0))
-    op_a = Compose([mul_p, res])
-    op_c = Compose([res, mul_pc])
-
     rng = np.random.default_rng(seed)
-    vol = grid.cell_volume
 
     def probes():
         for _ in range(max(4, n_probes - 3)):
@@ -267,28 +303,12 @@ def verify_lp_inequalities(potential: np.ndarray, p: float, mu: float,
         yield transported
         yield np.abs(transported)
 
-    def lp(arr):
-        return float((np.sum(np.abs(arr) ** p) * vol) ** (1.0 / p))
-
-    raw_ratio = {"a": 0.0, "b": 0.0, "c": 0.0}
-    for count, f in enumerate(probes(), 1):
-        nf = lp(f)
-        if nf == 0.0:
-            continue
-        c = op_c.apply(f)
-        raw_ratio["a"] = max(raw_ratio["a"], lp(op_a.apply(f)) / nf)
-        raw_ratio["b"] = max(raw_ratio["b"], lp(mul_p.apply(c)) / nf)
-        raw_ratio["c"] = max(raw_ratio["c"], lp(c) / nf)
-
-    checks = []
-    for name, c_val in candidates.items():
-        bound_a = (delta * c_val) ** (1.0 / p) * mu ** (-gamma / p_c)
-        bound_b = delta * c_val
-        bound_c = (delta * c_val) ** (1.0 / p_c) * mu ** (-gamma / p)
-        for which, bound in (("a", bound_a), ("b", bound_b), ("c", bound_c)):
-            ratio = raw_ratio[which] / bound
-            checks.append((f"{name}:{which}", ratio, "<= 1 + 1e-6",
-                           ratio <= 1.0 + 1e-6))
+    raw_ratio, count = probe_potential_bounds(
+        potential, resolvent_power(grid, alpha, mu, gamma), p, probes(),
+        lambda f: grid.lp_norm(f, p))
+    checks = [check for name, c_val in candidates.items()
+              for check in potential_bound_checks(name, raw_ratio, delta,
+                                                  c_val, p, mu, gamma)]
     return build_report(
         "markov_lp_resolvent_bounds",
         {"p": p, "mu": mu, "lam": lam, "delta": delta,

@@ -315,11 +315,9 @@ def contraction_probe(drift: MollifiedDrift, weight: WeightSpec, p: float,
     kb = sum(kap[j] * b[j] for j in range(grid.dim))
     mag = drift.magnitude()
     weight_p = mag * weight.lattice ** (2.0 - p)
-    vol = grid.cell_volume
 
     def norm(v_path):
-        sup = np.max(np.abs(v_path), axis=0)
-        return float((np.sum(weight_p * sup**p) * vol) ** (1.0 / p))
+        return grid.lp_norm(np.max(np.abs(v_path), axis=0), p, weight_p)
 
     rng = np.random.default_rng(seed)
     ratios = {}

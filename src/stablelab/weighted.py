@@ -5,20 +5,22 @@ the weighted resolvent estimates that substitute for heat-kernel bounds.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .drifts import DriftSpec, mollify
 from .errors import AdmissibilityError, ParameterError
 from .grid import TorusGrid
-from .operators import (Affine, Compose, LatticeOperator, NeumannInverse,
-                        PointwiseMultiplier, frac_laplacian, heat_semigroup,
-                        resolvent_power)
+from .operators import (Compose, LatticeOperator, PointwiseMultiplier,
+                        frac_laplacian, heat_semigroup, resolvent_power)
 from .profiles import truncate_weight
 from .report import VerificationReport, build_report
 from .resolvent import (ResolventAssembly, assemble_lp_resolvent,
-                        magnitude_power)
+                        lp_resolvent_layout, magnitude_power,
+                        potential_bound_checks, probe_potential_bounds)
 
 
 @dataclass
@@ -47,9 +49,7 @@ class WeightSpec:
 
     def lp_norm(self, data, p: float) -> float:
         """|| f ||_(p, eta) with measure eta^2 h^d."""
-        w = self.lattice**2
-        s = np.sum(w * np.abs(data) ** p) * self.grid.cell_volume
-        return float(s ** (1.0 / p))
+        return self.grid.lp_norm(data, p, self.lattice**2)
 
     def multiply(self) -> PointwiseMultiplier:
         return PointwiseMultiplier(self.grid, self.lattice)
@@ -112,7 +112,6 @@ def verify_weighted_markov(weight: WeightSpec, alpha: float, t_list,
     ||eta_n exp(-tA) eta_n^(-1) f||_1 <= exp(omega t) ||f||_1 over probe
     fields and plateau levels; the rate must be stable across levels, and
     exp(-t(omega + A_eta)) must remain an L^inf contraction."""
-    vol = grid.cell_volume
     median = float(np.median(weight.lattice))
     rng = np.random.default_rng(seed)
     probes = []
@@ -126,7 +125,7 @@ def verify_weighted_markov(weight: WeightSpec, alpha: float, t_list,
         else:
             f = np.abs(heat_semigroup(grid, alpha, 0.3).apply(
                 rng.standard_normal(grid.shape)).real)
-        probes.append(f / (np.sum(np.abs(f)) * vol))
+        probes.append(f / grid.lp_norm(f, 1))
     omegas = {}
     positivity_floor = 0.0
     for level in levels:
@@ -137,7 +136,7 @@ def verify_weighted_markov(weight: WeightSpec, alpha: float, t_list,
             heat = heat_semigroup(grid, alpha, t)
             for f in probes:
                 out = eta_n * heat.apply(f / eta_n).real
-                ratio = np.sum(np.abs(out)) * vol / (np.sum(np.abs(f)) * vol)
+                ratio = grid.lp_norm(out, 1) / grid.lp_norm(f, 1)
                 if ratio > 1.0:
                     worst = max(worst, np.log(ratio) / t)
                 pos = eta_n * heat.apply(np.abs(f) / eta_n).real
@@ -308,41 +307,16 @@ def verify_weighted_lp_inequalities(potential: np.ndarray, p: float,
     if delta is None:
         delta = estimate_weak_formbound(potential, lam, grid, alpha,
                                         seed=seed).delta_est
-    p_c = p / (p - 1.0)
     gamma = (alpha - 1.0) / alpha
-    c_val = p * p_c / 4.0
-    res = conjugated_resolvent_power(weight, alpha, grid, mu, gamma)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        v_p = np.where(potential > 0, potential ** (1.0 / p), 0.0)
-        v_pc = np.where(potential > 0, potential ** (1.0 / p_c), 0.0)
-    mul_p = PointwiseMultiplier(grid, v_p)
-    op_a = Compose([mul_p, res])
-    op_c = Compose([res, PointwiseMultiplier(grid, v_pc)])
     rng = np.random.default_rng(seed)
-    probes = random_bumps(grid, n_probes // 2, grid.half_length / 4.0,
-                          seed=seed)
-    probes += [rng.standard_normal(grid.shape) for _ in range(n_probes // 2)]
-    worst = {"a": 0.0, "b": 0.0, "c": 0.0}
-    for f in probes:
-        nf = weight.lp_norm(f, p)
-        if nf == 0.0:
-            continue
-        # bound (b) applies V^(1/p) after the operator of bound (c)
-        c = op_c.apply(f)
-        for which, out in (("a", op_a.apply(f)), ("b", mul_p.apply(c)),
-                           ("c", c)):
-            worst[which] = max(worst[which],
-                               weight.lp_norm(np.abs(out), p) / nf)
-    bounds = {
-        "a": (delta * c_val) ** (1.0 / p) * mu ** (-gamma / p_c),
-        "b": delta * c_val,
-        "c": (delta * c_val) ** (1.0 / p_c) * mu ** (-gamma / p),
-    }
-    checks = []
-    for which, bound in bounds.items():
-        ratio = worst[which] / bound if bound > 0 else 0.0
-        checks.append((f"weighted:{which}", ratio, "<= 1 + 1e-6",
-                       ratio <= 1.0 + 1e-6))
+    probes = itertools.chain(
+        random_bumps(grid, n_probes // 2, grid.half_length / 4.0, seed=seed),
+        (rng.standard_normal(grid.shape) for _ in range(n_probes // 2)))
+    worst, _ = probe_potential_bounds(
+        potential, conjugated_resolvent_power(weight, alpha, grid, mu, gamma),
+        p, probes, lambda f: weight.lp_norm(f, p))
+    checks = potential_bound_checks("weighted", worst, delta,
+                                    p * (p / (p - 1.0)) / 4.0, p, mu, gamma)
     return build_report("weighted_markov_lp_bounds",
                         {"p": p, "mu": mu, "lam": lam, "delta": delta,
                          "nu": weight.nu},
@@ -355,19 +329,10 @@ def weighted_lp_resolvent(plain: ResolventAssembly, weight: WeightSpec,
     from the individually conjugated blocks of the plain assembly (every
     fractional power appears as (mu + A_eta)^(-gamma)); algebraically
     identical to conjugating the assembled resolvent."""
-    grid, mu = weight.grid, plain.mu
-    frac = -1.0 + 1.0 / alpha
-    r_c = plain.r / (plain.r - 1.0)
     conj = weight.conjugate
-    correction = Compose([
-        conjugated_resolvent_power(weight, alpha, grid, mu,
-                                   1.0 / alpha - frac / plain.q),
-        conj(plain.handles["Q"]),
-        NeumannInverse(conj(plain.handles["T"]), tol=1e-12, norm_p=plain.p),
-        conj(plain.handles["G"]),
-        conjugated_resolvent_power(weight, alpha, grid, mu, -frac / r_c),
-    ])
-    return Affine([
-        (1.0, conjugated_resolvent_power(weight, alpha, grid, mu, 1.0)),
-        (-1.0, correction),
-    ])
+    theta, _ = lp_resolvent_layout(
+        partial(conjugated_resolvent_power, weight, alpha, weight.grid,
+                plain.mu),
+        conj(plain.handles["Q"]), conj(plain.handles["T"]),
+        conj(plain.handles["G"]), plain.p, plain.q, plain.r, alpha)
+    return theta

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import fft as sfft
 
 from stablelab import drifts
 from stablelab.errors import ParameterError
@@ -142,26 +143,32 @@ def point_source(x0):
     return field
 
 
+CATALOG = ["hardy", "lp_radial", "kato_example", "bounded_smooth"]
+
+
+def catalog_drift(kind, dim, rng):
+    """A random catalog drift of ``kind`` and its dimension (3 for hardy)."""
+    if kind == "hardy":
+        return drifts.hardy_drift(rng.uniform(0.01, 0.5), ALPHA, 3), 3
+    if kind == "lp_radial":
+        return drifts.lp_radial_drift(rng.uniform(0.1, 2.0),
+                                      rng.uniform(0.0, dim - 0.1), dim), dim
+    if kind == "kato_example":
+        return drifts.kato_example_drift(rng.uniform(0.1, 2.0),
+                                         rng.uniform(0.0, 0.45),
+                                         rng.uniform(0.5, 2.0), dim), dim
+    return drifts.bounded_smooth_drift(rng.uniform(-1.0, 1.0, dim), 4.0,
+                                       dim), dim
+
+
 @settings(max_examples=40, deadline=None)
-@given(kind=st.sampled_from(["hardy", "lp_radial", "kato_example",
-                             "bounded_smooth", "custom_closure"]),
+@given(kind=st.sampled_from(CATALOG + ["custom_closure"]),
        n=st.sampled_from([8, 16]), dim=st.integers(1, 3),
        seed=st.integers(0, 2**31 - 1))
 def test_lattice_magnitude_is_vector_magnitude_bitwise(kind, n, dim, seed):
     rng = np.random.default_rng(seed)
-    if kind == "hardy":
-        dim = 3
-        spec = drifts.hardy_drift(rng.uniform(0.01, 0.5), ALPHA, dim)
-    elif kind == "lp_radial":
-        spec = drifts.lp_radial_drift(rng.uniform(0.1, 2.0),
-                                      rng.uniform(0.0, dim - 0.1), dim)
-    elif kind == "kato_example":
-        spec = drifts.kato_example_drift(rng.uniform(0.1, 2.0),
-                                         rng.uniform(0.0, 0.45),
-                                         rng.uniform(0.5, 2.0), dim)
-    elif kind == "bounded_smooth":
-        spec = drifts.bounded_smooth_drift(rng.uniform(-1.0, 1.0, dim), 4.0,
-                                           dim)
+    if kind in CATALOG:
+        spec, dim = catalog_drift(kind, dim, rng)
     else:
         # a listed singular point away from the origin, where the closure
         # is not finite
@@ -175,6 +182,29 @@ def test_lattice_magnitude_is_vector_magnitude_bitwise(kind, n, dim, seed):
     assert np.array_equal(got.view(np.int64), expect.view(np.int64))
     for pt in spec.singular_points:
         assert got[grid.site_index(pt)] == 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(CATALOG), n_axis=st.sampled_from([8, 16]),
+       dim=st.integers(1, 3), level=st.integers(1, 8),
+       epsilon=st.floats(0.05, 1.95), seed=st.integers(0, 2**31 - 1))
+def test_mollify_is_the_complex_fft_convolution(kind, n_axis, dim, level,
+                                                epsilon, seed):
+    spec, dim = catalog_drift(kind, dim, np.random.default_rng(seed))
+    grid = TorusGrid(dim, 4.0, n_axis)
+    # oracle: truncate, then convolve each component by complex FFTs
+    raw = spec.on_lattice(grid).data
+    keep = (grid.radius() <= level) & (np.sqrt(np.sum(raw**2, axis=0))
+                                       <= level)
+    truncated = np.where(keep, raw, 0.0)
+    bump_hat = sfft.fftn(np.fft.ifftshift(
+        drifts.mollifier(grid, epsilon).data))
+    expect = np.stack([sfft.ifftn(bump_hat * sfft.fftn(c)).real
+                       * grid.cell_volume for c in truncated])
+    got = drifts.mollify(spec, n=level, grid=grid, epsilon_n=epsilon)
+    assert got.lattice.data.dtype == np.float64
+    assert (np.max(np.abs(got.lattice.data - expect))
+            <= 1e-14 * np.max(np.abs(expect)))
 
 
 def test_lattice_evaluation_rejects_nonfinite_and_miscounted_closures():

@@ -51,6 +51,30 @@ def test_field_norms_and_inner():
     assert f.inner(g) == pytest.approx(8.0 - 8.0j)
 
 
+@settings(max_examples=60, deadline=None)
+@given(p=st.one_of(st.floats(1.0, 8.0), st.just(np.inf)),
+       complex_data=st.booleans(), weighted=st.booleans(),
+       dim=st.integers(1, 3), seed=st.integers(0, 2**31 - 1))
+def test_lp_norm_is_the_inline_formula_bitwise(p, complex_data, weighted,
+                                               dim, seed):
+    grid = TorusGrid(dim, 3.0, 8)
+    rng = np.random.default_rng(seed)
+    data = rng.standard_normal(grid.shape)
+    if complex_data:
+        data = data + 1j * rng.standard_normal(grid.shape)
+    weight = rng.uniform(0.0, 4.0, grid.shape) if weighted else None
+    if p == np.inf:
+        expect = float(np.max(np.abs(data)))
+    else:
+        w = 1.0 if weight is None else weight
+        expect = float((np.sum(w * np.abs(data) ** p) * grid.cell_volume)
+                       ** (1.0 / p))
+    for got in (grid.lp_norm(data, p, weight),
+                Field(grid, data).lp_norm(p, weight)):
+        assert np.array_equal(np.array([got]).view(np.int64),
+                              np.array([expect]).view(np.int64))
+
+
 def test_field_rejects_bad_data():
     grid = TorusGrid(1, 2.0, 8)
     with pytest.raises(ParameterError):
