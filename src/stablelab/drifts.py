@@ -12,11 +12,11 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import fft as sfft
 from scipy import special
 
 from .errors import ParameterError
 from .grid import Field, TorusGrid, VectorField, component_magnitude
+from .operators import even_convolution
 
 
 def hardy_constant(alpha: float, dim: int) -> float:
@@ -227,21 +227,16 @@ class MollifiedDrift:
 
 def mollify(base: DriftSpec, n: int, grid: TorusGrid,
             epsilon_n: float | None = None) -> MollifiedDrift:
-    """Truncate b at level n and convolve with the bump of width epsilon_n
-    (circular convolution via FFT)."""
+    """Truncate b at level n, in place on its lattice field, and convolve
+    every component with the bump of width epsilon_n in one real
+    ``even_convolution`` call (circular, half-spectrum FFTs)."""
     if n < 1:
         raise ParameterError("n must be a positive integer")
     if epsilon_n is None:
         epsilon_n = default_epsilon(n, grid)
     raw = base.on_lattice(grid).data
-    mag = np.sqrt(np.sum(raw**2, axis=0))
-    keep = (grid.radius() <= n) & (mag <= n)
-    truncated = np.where(keep, raw, 0.0)
-    # center the bump at displacement zero for the circular convolution
-    bump_hat = sfft.fftn(np.fft.ifftshift(mollifier(grid, epsilon_n).data))
-    smooth = np.empty_like(truncated)
-    for j in range(grid.dim):
-        conv = sfft.ifftn(bump_hat * sfft.fftn(truncated[j])).real
-        smooth[j] = conv * grid.cell_volume
+    far = (grid.radius() > n) | (component_magnitude(raw, grid.shape) > n)
+    raw[:, far] = 0.0
+    smooth = even_convolution(grid, mollifier(grid, epsilon_n).data).apply(raw)
     return MollifiedDrift(base=base, n=n, epsilon_n=epsilon_n,
                           lattice=VectorField(grid, smooth))

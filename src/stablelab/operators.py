@@ -333,6 +333,15 @@ class DotGradient(LatticeOperator):
         ])) for j, v in enumerate(self.values)])
 
 
+def even_convolution(grid, kernel) -> FourierMultiplier:
+    """Circular f -> h^d sum_y kernel(y) f(x - y) for a real lattice
+    kernel even about x = 0 (index N/2).  Its symbol, the real part of the
+    kernel's DFT, is exactly even (scipy fills the spectrum of real data
+    by Hermitian symmetry), so real data take the half-spectrum path."""
+    spectrum = sfft.fftn(np.fft.ifftshift(kernel))
+    return FourierMultiplier(grid, spectrum.real * grid.cell_volume)
+
+
 def balakrishnan_resolvent_power(grid, alpha, mu, tau, n_nodes=900):
     """(mu + A)^(-tau) by quadrature of the one-sided integral
     (sin(pi tau)/pi) * int_0^inf t^(-tau) (t + mu + A)^(-1) dt.

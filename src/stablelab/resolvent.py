@@ -27,7 +27,7 @@ from .errors import AdmissibilityError, DivergenceError, ParameterError
 from .grid import TorusGrid, component_magnitude
 from .operators import (Affine, Compose, DotGradient, FourierMultiplier,
                         LatticeOperator, NeumannInverse, PointwiseMultiplier,
-                        frac_laplacian, resolvent_power, symbol_abs_k_alpha)
+                        frac_laplacian, resolvent_power)
 from .report import VerificationReport, build_report
 
 
@@ -51,17 +51,6 @@ def drifted_generator(drift: MollifiedDrift, grid: TorusGrid,
                                      FourierMultiplier(grid, 1.0)))])
 
 
-def complex_resolvent_power(grid, alpha, zeta, gamma) -> FourierMultiplier:
-    """(zeta + A)^(-gamma) for complex zeta with positive real part."""
-    zeta = complex(zeta)
-    if zeta.real <= 0:
-        raise ParameterError("Re(zeta) must be positive")
-    if not (0.0 < gamma <= 1.0):
-        raise ParameterError(f"gamma must lie in (0, 1], got {gamma}")
-    return FourierMultiplier(
-        grid, (zeta + symbol_abs_k_alpha(grid, alpha)) ** (-gamma))
-
-
 def _norm_probe_or_raise(op, label, seed=0, n_probes=6, p=2.0, iterations=4):
     estimate = op.norm_probe(n_probes=n_probes, p=p, seed=seed,
                              iterations=iterations)
@@ -79,23 +68,22 @@ def assemble_l2_resolvent(drift: MollifiedDrift, zeta, grid: TorusGrid,
 
     Refuses assembly when the probe of the inner compression reaches 1.
     """
-    zeta = complex(zeta)
     b = drift.lattice.data
     minus = (alpha - 1.0) / (2.0 * alpha)
     plus = (alpha + 1.0) / (2.0 * alpha)
     # adjoint of |b|^(1/2) (conj(zeta)+A)^(-minus), times b^(1/2).grad (zeta+A)^(-plus)
     h_adj = Compose([
-        complex_resolvent_power(grid, alpha, zeta, minus),
+        resolvent_power(grid, alpha, zeta, minus),
         PointwiseMultiplier(grid, magnitude_power(b, 0.5)),
     ])
     s_op = DotGradient(signed_root(b, 0.5),
-                       complex_resolvent_power(grid, alpha, zeta, plus))
+                       resolvent_power(grid, alpha, zeta, plus))
     compression = Compose([h_adj, s_op])
     _norm_probe_or_raise(compression, "H* S compression")
     return Compose([
-        complex_resolvent_power(grid, alpha, zeta, plus),
+        resolvent_power(grid, alpha, zeta, plus),
         NeumannInverse(compression, tol=series_tol, max_terms=max_terms),
-        complex_resolvent_power(grid, alpha, zeta, minus),
+        resolvent_power(grid, alpha, zeta, minus),
     ])
 
 
@@ -165,11 +153,10 @@ def assemble_lp_resolvent(drift: MollifiedDrift, mu: float, p: float,
 
 def lp_resolvent_layout(power, q_op, t_op, g_op, p, q, r, alpha,
                         series_tol=1e-12):
-    """(theta, correction) of the L^p exponent layout, all fractional
-    powers with negative exponents (f = -1 + 1/alpha < 0):
+    """(theta, correction) of the L^p layout, f = -1 + 1/alpha < 0:
       theta = power(1) - power(1/alpha - f/q) Q (1+T)^(-1) G power(-f/r')
-    for a family ``power(gamma)`` of (mu+A)^(-gamma) handles and the
-    Q, T, G blocks of ``assemble_lp_resolvent``."""
+    for a family ``power(gamma)`` of (mu+A)^(-gamma) handles (negative
+    exponents throughout) and the Q, T, G blocks of assemble_lp_resolvent."""
     frac = -1.0 + 1.0 / alpha
     correction = Compose([
         power(1.0 / alpha - frac / q),
@@ -188,10 +175,8 @@ def l2_extremizer(potential: np.ndarray, mu: float, grid: TorusGrid,
     it does not depend on p."""
     from .formbound import symmetrized_sandwich, top_eigenpair
 
-    _, phi, _, _ = top_eigenpair(
-        symmetrized_sandwich(potential, mu, grid, alpha), grid, tol=1e-8,
-        seed=seed)
-    return phi
+    return top_eigenpair(symmetrized_sandwich(potential, mu, grid, alpha),
+                         grid, tol=1e-8, seed=seed)[1]
 
 
 def probe_potential_bounds(potential, res, p, probes, norm):
@@ -203,26 +188,23 @@ def probe_potential_bounds(potential, res, p, probes, norm):
         mul_p, mul_pc = (PointwiseMultiplier(res.grid, np.where(
             potential > 0, potential ** (1.0 / e), 0.0))
             for e in (p, p / (p - 1.0)))
-    op_a = Compose([mul_p, res])
-    op_c = Compose([res, mul_pc])
     worst = {"a": 0.0, "b": 0.0, "c": 0.0}
     count = 0
     for count, f in enumerate(probes, 1):
         nf = norm(f)
         if nf == 0.0:
             continue
-        c = op_c.apply(f)
-        worst["a"] = max(worst["a"], norm(op_a.apply(f)) / nf)
+        c = res.apply(mul_pc.apply(f))
+        worst["a"] = max(worst["a"], norm(mul_p.apply(res.apply(f))) / nf)
         worst["b"] = max(worst["b"], norm(mul_p.apply(c)) / nf)
         worst["c"] = max(worst["c"], norm(c) / nf)
     return worst, count
 
 
 def potential_bound_checks(label, worst, delta, c_val, p, mu, gamma):
-    """Checks ``label:a`` .. ``label:c`` of worst / bound <= 1 + 1e-6 for
-    the right-hand sides of bounds (a)-(c) with constant c = ``c_val``:
-    (delta c)^(1/p) mu^(-gamma/p'), delta c, (delta c)^(1/p') mu^(-gamma/p).
-    A zero bound reads ratio 0."""
+    """Checks ``label:a``..``label:c`` that worst / bound <= 1 + 1e-6 for
+    the right-hand sides (delta c)^(1/p) mu^(-gamma/p'), delta c and
+    (delta c)^(1/p') mu^(-gamma/p) of bounds (a)-(c); a zero bound reads 0."""
     p_c = p / (p - 1.0)
     bounds = {"a": (delta * c_val) ** (1.0 / p) * mu ** (-gamma / p_c),
               "b": delta * c_val,
