@@ -23,7 +23,7 @@ from functools import partial
 import numpy as np
 
 from .drifts import MollifiedDrift
-from .errors import AdmissibilityError, DivergenceError, ParameterError
+from .errors import ParameterError
 from .grid import TorusGrid, component_magnitude
 from .operators import (Affine, Compose, DotGradient, FourierMultiplier,
                         LatticeOperator, NeumannInverse, PointwiseMultiplier,
@@ -51,22 +51,12 @@ def drifted_generator(drift: MollifiedDrift, grid: TorusGrid,
                                      FourierMultiplier(grid, 1.0)))])
 
 
-def _norm_probe_or_raise(op, label, seed=0, n_probes=6, p=2.0, iterations=4):
-    estimate = op.norm_probe(n_probes=n_probes, p=p, seed=seed,
-                             iterations=iterations)
-    if estimate >= 1.0:
-        raise DivergenceError(
-            f"{label} norm probe {estimate:.4f} >= 1 in L^{p}; "
-            "Neumann series would diverge", norm_estimate=estimate)
-    return estimate
-
-
 def assemble_l2_resolvent(drift: MollifiedDrift, zeta, grid: TorusGrid,
-                          alpha: float, series_tol=1e-12,
-                          max_terms=4000) -> LatticeOperator:
+                          alpha: float) -> LatticeOperator:
     """L^2 factorized resolvent of (zeta + A + b . grad).
 
-    Refuses assembly when the probe of the inner compression reaches 1.
+    Where the Neumann series of the inner compression H* S diverges, the
+    first ``apply`` raises ``DivergenceError``.
     """
     b = drift.lattice.data
     minus = (alpha - 1.0) / (2.0 * alpha)
@@ -78,11 +68,9 @@ def assemble_l2_resolvent(drift: MollifiedDrift, zeta, grid: TorusGrid,
     ])
     s_op = DotGradient(signed_root(b, 0.5),
                        resolvent_power(grid, alpha, zeta, plus))
-    compression = Compose([h_adj, s_op])
-    _norm_probe_or_raise(compression, "H* S compression")
     return Compose([
         resolvent_power(grid, alpha, zeta, plus),
-        NeumannInverse(compression, tol=series_tol, max_terms=max_terms),
+        NeumannInverse(Compose([h_adj, s_op])),
         resolvent_power(grid, alpha, zeta, minus),
     ])
 
@@ -97,7 +85,6 @@ class ResolventAssembly:
     r: float
     drift: MollifiedDrift
     handles: dict
-    norm_probes: dict
     theta: LatticeOperator = field(repr=False, default=None)
 
     def apply(self, data):
@@ -105,9 +92,8 @@ class ResolventAssembly:
 
 
 def assemble_lp_resolvent(drift: MollifiedDrift, mu: float, p: float,
-                          q: float, r: float, grid: TorusGrid, alpha: float,
-                          p_bounds=None, series_tol=1e-12,
-                          seed=0) -> ResolventAssembly:
+                          q: float, r: float, grid: TorusGrid,
+                          alpha: float) -> ResolventAssembly:
     """L^p factorized resolvent of (mu + A + b . grad) in the exponent
     layout of ``lp_resolvent_layout`` with power(gamma) = (mu+A)^(-gamma),
     T = b^(1/p).grad (mu+A)^(-1) |b|^(1/p'),
@@ -118,41 +104,30 @@ def assemble_lp_resolvent(drift: MollifiedDrift, mu: float, p: float,
         raise ParameterError("need 1 < r < p < q")
     if mu <= 0:
         raise ParameterError("mu must be positive")
-    if p_bounds is not None:
-        p_minus, p_plus = p_bounds
-        if not (p_minus < p < p_plus):
-            raise AdmissibilityError(
-                f"p={p} outside the admissible interval ({p_minus:.4f}, {p_plus:.4f})")
     b = drift.lattice.data
     q_c = q / (q - 1.0)
     p_c = p / (p - 1.0)
     frac = -1.0 + 1.0 / alpha  # negative
 
+    b_pc = PointwiseMultiplier(grid, magnitude_power(b, 1.0 / p_c))
     t_op = Compose([
         DotGradient(signed_root(b, 1.0 / p),
                     resolvent_power(grid, alpha, mu, 1.0)),
-        PointwiseMultiplier(grid, magnitude_power(b, 1.0 / p_c)),
+        b_pc,
     ])
-    q_op = Compose([
-        resolvent_power(grid, alpha, mu, -frac / q_c),
-        PointwiseMultiplier(grid, magnitude_power(b, 1.0 / p_c)),
-    ])
+    q_op = Compose([resolvent_power(grid, alpha, mu, -frac / q_c), b_pc])
     g_op = DotGradient(
         signed_root(b, 1.0 / p),
         resolvent_power(grid, alpha, mu, 1.0 / alpha - frac / r))
-    probe = _norm_probe_or_raise(t_op, "T", seed=seed, n_probes=10, p=p,
-                                 iterations=6)
     theta, correction = lp_resolvent_layout(
         partial(resolvent_power, grid, alpha, mu), q_op, t_op, g_op, p, q, r,
-        alpha, series_tol)
+        alpha)
     handles = {"T": t_op, "Q": q_op, "G": g_op, "correction": correction}
     return ResolventAssembly(mu=mu, p=p, q=q, r=r, drift=drift,
-                             handles=handles, norm_probes={"T": probe},
-                             theta=theta)
+                             handles=handles, theta=theta)
 
 
-def lp_resolvent_layout(power, q_op, t_op, g_op, p, q, r, alpha,
-                        series_tol=1e-12):
+def lp_resolvent_layout(power, q_op, t_op, g_op, p, q, r, alpha):
     """(theta, correction) of the L^p layout, f = -1 + 1/alpha < 0:
       theta = power(1) - power(1/alpha - f/q) Q (1+T)^(-1) G power(-f/r')
     for a family ``power(gamma)`` of (mu+A)^(-gamma) handles (negative
@@ -161,7 +136,7 @@ def lp_resolvent_layout(power, q_op, t_op, g_op, p, q, r, alpha,
     correction = Compose([
         power(1.0 / alpha - frac / q),
         q_op,
-        NeumannInverse(t_op, tol=series_tol, norm_p=p),
+        NeumannInverse(t_op, norm_p=p),
         g_op,
         power(-frac / (r / (r - 1.0))),
     ])

@@ -319,9 +319,9 @@ def contraction_probe(drift: MollifiedDrift, weight: WeightSpec, p: float,
     def norm(v_path):
         return grid.lp_norm(np.max(np.abs(v_path), axis=0), p, weight_p)
 
-    rng = np.random.default_rng(seed)
     ratios = {}
     for horizon in horizons:
+        rng = np.random.default_rng(seed)  # common probes at every horizon
         dt = horizon / steps
         stepper_cfg = PropagatorConfig(drift, alpha, dt, 1)
         worst = 0.0

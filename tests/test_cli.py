@@ -69,6 +69,9 @@ def test_validation_thresholds():
     cfg2 = config.ExperimentConfig(p=4.0)  # below the weighted floor
     with pytest.raises(AdmissibilityError):
         cfg2.validate(m_constant=3.0)
+    cfg3 = config.ExperimentConfig(p=50.0, q=60.0)  # above the exponent interval
+    with pytest.raises(AdmissibilityError, match="admissible exponent interval"):
+        cfg3.validate(m_constant=3.0)
     ok = config.ExperimentConfig()
     ok.validate(m_constant=3.0)
     assert ok.m_constant == 3.0

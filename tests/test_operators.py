@@ -171,20 +171,31 @@ def test_neumann_inverse_matches_direct():
     assert np.all(norms[1:] <= norms[:-1] * 0.45)
 
 
-def test_neumann_inverse_fails_fast_on_divergence():
+@settings(max_examples=60, deadline=None)
+@given(c=st.one_of(st.floats(-0.9, 0.9), st.floats(1.0, 8.0),
+                   st.floats(-8.0, -1.0)),
+       p=st.sampled_from([2.0, 4.5]), seed=st.integers(0, 2**31 - 1))
+def test_neumann_inverse_fails_fast_on_divergence(c, p, seed):
+    # (1 + c I)^(-1) converges to f/(1+c) for |c| < 1 and is refused after
+    # _STALL + 1 applies, with growth ratio |c|, for |c| >= 1
     grid = TorusGrid(2, 4.0, 16)
     applies = []
 
-    class Doubling(ops.LatticeOperator):
+    class Counted(ops.PointwiseMultiplier):
         def apply(self, data):
             applies.append(1)
-            return 2.0 * np.asarray(data)
+            return super().apply(data)
 
-    inv = ops.NeumannInverse(Doubling(grid))
+    inv = ops.NeumannInverse(Counted(grid, c), norm_p=p)
+    f = rand_field(grid, seed)
+    if abs(c) <= 0.9:
+        want = f / (1.0 + c)
+        assert np.linalg.norm(inv.apply(f) - want) <= 1e-10 * np.linalg.norm(want)
+        return
     with pytest.raises(DivergenceError) as err:
-        inv.apply(rand_field(grid, 14))
-    assert len(applies) <= 10
-    assert err.value.norm_estimate == pytest.approx(2.0)
+        inv.apply(f)
+    assert len(applies) <= ops.NeumannInverse._STALL + 1
+    assert err.value.norm_estimate == pytest.approx(abs(c), rel=1e-12)
 
 
 def test_norm_probe_is_lower_bound(grid3):
