@@ -1,8 +1,8 @@
 """Numerical drift-class estimation.
 
 The weak form-bound of a drift b is the squared operator norm of
-|b|^(1/2) (lam + A)^(-(alpha-1)/(2 alpha)) on L^2; the Kato-class norm is
-the sup norm of (lam + A)^(-(alpha-1)/alpha) |b|.  Both are computed on
+S = |b|^(1/2) (lam + A)^(-(alpha-1)/(2 alpha)) on L^2; the Kato-class norm
+is the sup norm of (lam + A)^(-(alpha-1)/alpha) |b|.  Both are computed on
 the torus lattice, where the zero Fourier mode makes lam -> 0 ill-posed,
 so vanishing spectral shifts are approached along a ladder of small lam
 values and the best (smallest) certified bound is reported.
@@ -10,6 +10,9 @@ values and the best (smallest) certified bound is reported.
 Every operator norm here is the top eigenvalue of a self-adjoint PSD
 lattice operator, found by one eigensolver, `top_eigenpair`: implicitly
 restarted Lanczos (ARPACK through `eigsh`) with a residual certificate.
+The weak form-bound is the top eigenvalue of SS* (`symmetrized_sandwich`,
+one transform pair per apply), and each rung of a shift ladder starts
+its Lanczos from the eigenfield of the rung before it.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ LANCZOS_NCV = 8
 @dataclass
 class FormBoundEstimate:
     """Result of a drift-class norm estimation, with the eigensolver's
-    operator applies and the residual of its eigenpair."""
+    operator applies, the residual and the eigenfield of its eigenpair."""
 
     class_tag: str
     delta_est: float
@@ -44,6 +47,8 @@ class FormBoundEstimate:
     residual: float = 0.0
     variant: str = "frac"
     per_lambda: dict = field(default_factory=dict)
+    per_lambda_matvecs: dict = field(default_factory=dict)
+    eigenfield: np.ndarray | None = field(default=None, repr=False)
 
 
 def drift_magnitude(b, grid: TorusGrid) -> np.ndarray:
@@ -62,19 +67,29 @@ def drift_magnitude(b, grid: TorusGrid) -> np.ndarray:
     return arr
 
 
-def top_eigenpair(op: LatticeOperator, grid: TorusGrid, tol=1e-6, seed=0):
+def top_eigenpair(op: LatticeOperator, grid: TorusGrid, tol=1e-6, seed=0,
+                  start=None):
     """Largest eigenvalue of a self-adjoint PSD lattice operator by
-    implicitly restarted Lanczos (``eigsh``, which="LA") from the start
-    vector ``default_rng(seed).standard_normal``.
+    implicitly restarted Lanczos (``eigsh``, which="LA") from the field
+    ``start`` or, without one, from ``default_rng(seed).standard_normal``.
 
     Returns ``(value, vector, matvecs, residual)``: the Ritz value, its
     unit eigenfield, the number of operator applies (the residual's one
     included) and ``||op v - value v||``, which ARPACK's stop keeps near
-    or below ``tol * value``.  Raises ConvergenceError carrying the last
-    Lanczos vector when ARPACK does not converge.
+    or below ``tol * value``.  A start field that is zero, non-finite or
+    off the lattice raises ParameterError before any apply; ARPACK's
+    non-convergence raises ConvergenceError with the last Lanczos vector.
     """
     n = int(np.prod(grid.shape))
-    v0 = np.random.default_rng(seed).standard_normal(n)
+    if start is None:
+        v0 = np.random.default_rng(seed).standard_normal(n)
+    else:
+        v0 = np.asarray(start, dtype=float)
+        if (v0.shape != grid.shape or not np.all(np.isfinite(v0))
+                or not np.any(v0)):
+            raise ParameterError("start field must be finite and nonzero "
+                                 f"on the lattice shape {grid.shape}")
+        v0 = v0.ravel()
     state = {"last": v0, "applies": 0}
 
     def matvec(x):
@@ -95,38 +110,28 @@ def top_eigenpair(op: LatticeOperator, grid: TorusGrid, tol=1e-6, seed=0):
     return value, vec.reshape(grid.shape), state["applies"], residual
 
 
-def fractional_shift_root(grid, alpha, lam, variant="frac") -> FourierMultiplier:
-    """(lam + A)^(-(alpha-1)/(2 alpha)) or the equivalent Laplacian form
-    (lam - Lap)^(-(alpha-1)/4)."""
-    if variant == "frac":
-        return resolvent_power(grid, alpha, lam, (alpha - 1.0) / (2.0 * alpha))
-    if variant == "gauss":
-        sym = (lam + grid.frequency_radius_sq()) ** (-(alpha - 1.0) / 4.0)
-        return FourierMultiplier(grid, sym)
-    raise ParameterError(f"unknown variant {variant!r}")
-
-
 def estimate_weak_formbound(b, lam: float, grid: TorusGrid, alpha: float,
-                            variant="frac", tol=1e-6,
-                            seed=0) -> FormBoundEstimate:
+                            variant="frac", tol=1e-6, seed=0,
+                            start=None) -> FormBoundEstimate:
     """Weak form-bound estimate: squared top singular value of
-    M_(|b|^(1/2)) o (lam + A)^(-(alpha-1)/(2 alpha)).
+    S = M_(|b|^(1/2)) o (lam + A)^(-(alpha-1)/(2 alpha)), or of the
+    Laplacian form (lam - Lap)^(-(alpha-1)/4) for ``variant="gauss"``.
 
-    It is the top eigenvalue of the self-adjoint square R M_|b| R, found
-    by `top_eigenpair`; the estimate carries its matvec count and its
-    eigenpair residual.
+    It is the top eigenvalue of SS* = `symmetrized_sandwich`, found by
+    `top_eigenpair` from ``start`` (an eigenfield of a nearby sandwich)
+    or from the seeded draw; the estimate carries its matvec count, the
+    residual ``||SS* v - delta v||`` of that eigenpair and v itself.
     """
     if lam <= 0:
         raise ParameterError("lam must be positive")
     w = drift_magnitude(b, grid)
     if np.max(w) == 0.0:
         return FormBoundEstimate("weak_formbound", 0.0, lam, variant=variant)
-    root = fractional_shift_root(grid, alpha, lam, variant)
-    square = Compose([root, PointwiseMultiplier(grid, w), root])
-    value, _, matvecs, residual = top_eigenpair(square, grid, tol=tol,
-                                                seed=seed)
+    value, vec, matvecs, residual = top_eigenpair(
+        symmetrized_sandwich(w, lam, grid, alpha, variant), grid, tol=tol,
+        seed=seed, start=start)
     return FormBoundEstimate("weak_formbound", value, lam, matvecs, residual,
-                             variant)
+                             variant, eigenfield=vec)
 
 
 def estimate_weak_formbound_ladder(b, lambdas, grid: TorusGrid, alpha: float,
@@ -135,36 +140,35 @@ def estimate_weak_formbound_ladder(b, lambdas, grid: TorusGrid, alpha: float,
 
     Membership in the drift class requires the bound for a single shift,
     so the smallest per-shift estimate certifies the class constant; no
-    claim is made that the infimum over all shifts is attained.
+    claim is made that the infimum over all shifts is attained.  Rungs
+    after the first start from the eigenfield of the rung before; each
+    rung's matvecs are kept in ``per_lambda_matvecs``.
     """
-    per = {}
+    per, start = {}, None
     for lam in lambdas:
-        per[float(lam)] = estimate_weak_formbound(b, lam, grid, alpha, **kw)
+        est = estimate_weak_formbound(b, lam, grid, alpha, start=start, **kw)
+        per[float(lam)], start = est, est.eigenfield
     best_lam = min(per, key=lambda s: per[s].delta_est)
     best = per[best_lam]
     best.per_lambda = {s: per[s].delta_est for s in per}
+    best.per_lambda_matvecs = {s: per[s].matvecs for s in per}
     return best
 
 
-def estimate_symmetrized_formbound(b, lam: float, grid: TorusGrid,
-                                   alpha: float, tol=1e-6, seed=0) -> float:
-    """Norm of |b|^(1/2) (lam+A)^(-(alpha-1)/alpha) |b|^(1/2) on L^2;
-    equals the weak form-bound in exact arithmetic and is dominated by
-    the Kato-style sup norm by interpolation."""
-    w = drift_magnitude(b, grid)
-    if np.max(w) == 0.0:
-        return 0.0
-    return top_eigenpair(symmetrized_sandwich(w, lam, grid, alpha), grid,
-                         tol=tol, seed=seed)[0]
-
-
-def symmetrized_sandwich(w, lam: float, grid: TorusGrid,
-                         alpha: float) -> LatticeOperator:
+def symmetrized_sandwich(w, lam: float, grid: TorusGrid, alpha: float,
+                         variant="frac") -> LatticeOperator:
     """sqrt(w) (lam+A)^(-(alpha-1)/alpha) sqrt(w) for a nonnegative
-    lattice function w: self-adjoint and PSD, so `top_eigenpair` applies."""
+    lattice function w, or sqrt(w) (lam - Lap)^(-(alpha-1)/2) sqrt(w) for
+    ``variant="gauss"``: self-adjoint and PSD, so `top_eigenpair` applies."""
+    if variant == "frac":
+        power = resolvent_power(grid, alpha, lam, (alpha - 1.0) / alpha)
+    elif variant == "gauss":
+        power = FourierMultiplier(grid, (lam + grid.frequency_radius_sq())
+                                  ** (-(alpha - 1.0) / 2.0))
+    else:
+        raise ParameterError(f"unknown variant {variant!r}")
     root = PointwiseMultiplier(grid, np.sqrt(w))
-    return Compose([root, resolvent_power(grid, alpha, lam,
-                                          (alpha - 1.0) / alpha), root])
+    return Compose([root, power, root])
 
 
 def estimate_formbound(b, lam: float, grid: TorusGrid, alpha: float,

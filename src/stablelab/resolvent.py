@@ -144,14 +144,15 @@ def lp_resolvent_layout(power, q_op, t_op, g_op, p, q, r, alpha):
 
 
 def l2_extremizer(potential: np.ndarray, mu: float, grid: TorusGrid,
-                  alpha: float, seed: int = 0) -> np.ndarray:
+                  alpha: float, seed: int = 0, start=None) -> np.ndarray:
     """Top eigenfield phi of sqrt(V) (mu+A)^(-(a-1)/a) sqrt(V), the L^2
     extremizer that ``verify_lp_inequalities`` transports to every L^p;
-    it does not depend on p."""
+    it does not depend on p.  Solved to tol 1e-8 from ``start`` (such as
+    a weak form-bound eigenfield of V) or from the ``seed`` draw."""
     from .formbound import symmetrized_sandwich, top_eigenpair
 
     return top_eigenpair(symmetrized_sandwich(potential, mu, grid, alpha),
-                         grid, tol=1e-8, seed=seed)[1]
+                         grid, tol=1e-8, seed=seed, start=start)[1]
 
 
 def probe_potential_bounds(potential, res, p, probes, norm):

@@ -102,6 +102,10 @@ def run_formbound_audit(cfg: ExperimentConfig) -> ScenarioResult:
     """drift classes: weak form-bound and Kato-norm estimates"""
     out = ScenarioResult("formbound_audit")
     target = cfg.delta
+    # Kato rungs first: no eigenfield or mollified drift lives at 2 grid_n
+    kato_vals = [formbound.estimate_kato_norm(
+        cfg.drift, min(cfg.lambda_ladder) * 10, _grid(cfg, n_axis), cfg.alpha)
+        for n_axis in (cfg.grid_n // 2, cfg.grid_n, cfg.grid_n * 2)]
     estimates = {}
     for n_axis in (cfg.grid_n // 2, cfg.grid_n):
         grid = _grid(cfg, n_axis)
@@ -127,15 +131,16 @@ def run_formbound_audit(cfg: ExperimentConfig) -> ScenarioResult:
                                           for k, v in estimates.items()},
                              "eigensolver": {
                                  str(k): {"lam": v.lam, "matvecs": v.matvecs,
-                                          "residual": v.residual}
+                                          "residual": v.residual,
+                                          "per_lambda_matvecs":
+                                              v.per_lambda_matvecs}
                                  for k, v in estimates.items()}}))
 
-    kato_vals = [formbound.estimate_kato_norm(
-        cfg.drift, min(cfg.lambda_ladder) * 10, _grid(cfg, n_axis), cfg.alpha)
-        for n_axis in (cfg.grid_n // 2, cfg.grid_n, cfg.grid_n * 2)]
     increasing = kato_vals[0] < kato_vals[1] < kato_vals[2]
     # mol and grid are still the ladder's last, at grid_n
-    sym = formbound.estimate_symmetrized_formbound(mol, 0.05, grid, cfg.alpha)
+    sym = formbound.estimate_weak_formbound(
+        mol, 0.05, grid, cfg.alpha,
+        start=estimates[cfg.grid_n].eigenfield).delta_est
     kato_mol = formbound.estimate_kato_norm(mol, 0.05, grid, cfg.alpha)
     ref = formbound.weak_lorentz_reference_delta(
         cfg.drift.parameters["prefactor"], cfg.alpha, cfg.dim) \
@@ -207,14 +212,14 @@ def run_resolvent_verify(cfg: ExperimentConfig) -> ScenarioResult:
     mol = drifts.mollify(cfg.drift, n=int(cfg.half_length / 2), grid=grid_big,
                          epsilon_n=max(0.25, grid_big.spacing))
     potential = mol.magnitude()
-    delta = formbound.estimate_weak_formbound(potential, 0.01, grid_big,
-                                              cfg.alpha, seed=cfg.seed).delta_est
+    est = formbound.estimate_weak_formbound(potential, 0.01, grid_big,
+                                            cfg.alpha, seed=cfg.seed)
     phi = resolvent.l2_extremizer(potential, 1.0, grid_big, cfg.alpha,
-                                  seed=cfg.seed)
+                                  seed=cfg.seed, start=est.eigenfield)
     for p_exp in (2.0, 4.5):
         rep = resolvent.verify_lp_inequalities(
             potential, p_exp, mu=1.0, lam=0.01, grid=grid_big,
-            alpha=cfg.alpha, n_probes=50, seed=cfg.seed, delta=delta,
+            alpha=cfg.alpha, n_probes=50, seed=cfg.seed, delta=est.delta_est,
             extremizer=phi)
         product_ok = all(rep.metrics[f"product_quarter:{w}"] <= 1.0 + 1e-6
                          for w in ("a", "b", "c"))

@@ -5,7 +5,8 @@ from scipy.sparse.linalg import ArpackNoConvergence
 from stablelab import drifts, formbound
 from stablelab.errors import ConvergenceError, ParameterError
 from stablelab.grid import TorusGrid
-from stablelab.operators import Compose, PointwiseMultiplier, resolvent_power
+from stablelab.operators import (Compose, FourierMultiplier,
+                                 PointwiseMultiplier, resolvent_power)
 
 ALPHA = 1.5
 
@@ -62,11 +63,18 @@ def test_gauss_variant_reported(grid, hardy_mol):
 
 
 def test_symmetrized_equals_weak_bound(grid, hardy_mol):
-    # ||T*T|| = ||TT*||: the symmetrized sandwich has the same norm
+    # ||S*S|| = ||SS*||: the estimate solves the sandwich SS*; the square
+    # S*S = R M_|b| R built from the half power R is the oracle
     lam = 0.05
-    weak = formbound.estimate_weak_formbound(hardy_mol, lam, grid, ALPHA)
-    sym = formbound.estimate_symmetrized_formbound(hardy_mol, lam, grid, ALPHA)
-    assert sym == pytest.approx(weak.delta_est, rel=1e-4)
+    roots = {"frac": resolvent_power(grid, ALPHA, lam, (ALPHA - 1.0) / (2 * ALPHA)),
+             "gauss": FourierMultiplier(grid, (lam + grid.frequency_radius_sq())
+                                        ** (-(ALPHA - 1.0) / 4.0))}
+    mul = PointwiseMultiplier(grid, hardy_mol.magnitude())
+    for variant, root in roots.items():
+        weak = formbound.estimate_weak_formbound(hardy_mol, lam, grid, ALPHA,
+                                                 variant=variant)
+        square = formbound.top_eigenpair(Compose([root, mul, root]), grid)[0]
+        assert weak.delta_est == pytest.approx(square, rel=1e-10), variant
 
 
 def test_duality_interpolation_ordering(grid):
@@ -77,10 +85,9 @@ def test_duality_interpolation_ordering(grid):
                     (drifts.kato_example_drift(0.8, 0.25, 2.0, 3), 4),
                     (drifts.bounded_smooth_drift([0.5, 0.4, 0.3], 8.0, 3), 2)):
         mol = drifts.mollify(spec, n=n, grid=grid, epsilon_n=0.5)
-        sym = formbound.estimate_symmetrized_formbound(mol, lam, grid, ALPHA)
-        kato = formbound.estimate_kato_norm(mol, lam, grid, ALPHA)
-        assert sym <= kato * (1.0 + 1e-6)
         weak = formbound.estimate_weak_formbound(mol, lam, grid, ALPHA)
+        kato = formbound.estimate_kato_norm(mol, lam, grid, ALPHA)
+        assert weak.delta_est <= kato * (1.0 + 1e-6)
         full = formbound.estimate_formbound(mol, lam, grid, ALPHA)
         assert weak.delta_est <= full.delta_est * (1.0 + 1e-6)
 
@@ -100,12 +107,43 @@ def test_top_eigenpair_resolvent_power_oracle(dim, n):
 
 
 def test_top_eigenpair_seed_reproducible(grid, hardy_mol):
-    root = formbound.fractional_shift_root(grid, ALPHA, 0.01)
-    op = Compose([root, PointwiseMultiplier(grid, hardy_mol.magnitude()),
-                  root])
+    op = formbound.symmetrized_sandwich(hardy_mol.magnitude(), 0.01, grid,
+                                        ALPHA)
     one = formbound.top_eigenpair(op, grid, seed=7)
     two = formbound.top_eigenpair(op, grid, seed=7)
     assert one[0] == two[0] and one[2] == two[2]
+
+
+def test_ladder_warm_starts_save_matvecs(grid, hardy_mol):
+    # each rung after the first starts from the eigenfield of the rung
+    # before it: fewer applies, the cold-start value, and the same counts
+    # and values on a rerun
+    ladder = (0.1, 0.01, 0.001)
+    est = formbound.estimate_weak_formbound_ladder(hardy_mol, ladder, grid,
+                                                   ALPHA)
+    counts = est.per_lambda_matvecs
+    assert list(counts) == list(ladder)
+    assert counts[0.01] < counts[0.1] and counts[0.001] < counts[0.1]
+    for lam in ladder[1:]:
+        cold = formbound.estimate_weak_formbound(hardy_mol, lam, grid, ALPHA)
+        assert est.per_lambda[lam] == pytest.approx(cold.delta_est, rel=1e-12)
+    again = formbound.estimate_weak_formbound_ladder(hardy_mol, ladder, grid,
+                                                     ALPHA)
+    assert again.per_lambda == est.per_lambda
+    assert again.per_lambda_matvecs == counts
+
+
+@pytest.mark.parametrize("start", ["zero", "shape"])
+def test_top_eigenpair_rejects_bad_start(grid, monkeypatch, start):
+    def never(*args, **kw):
+        raise AssertionError("eigsh reached")
+
+    monkeypatch.setattr(formbound, "eigsh", never)
+    field = (np.zeros(grid.shape) if start == "zero"
+             else np.ones((grid.points_per_axis,) * 2))
+    op = resolvent_power(grid, ALPHA, 0.3, 0.6)
+    with pytest.raises(ParameterError, match="start field"):
+        formbound.top_eigenpair(op, grid, start=field)
 
 
 def test_hardy_ladder_convergence_toward_target():
