@@ -142,7 +142,8 @@ def _config_from_mapping(doc: dict) -> ExperimentConfig:
         if key not in known:
             raise ConfigurationError(f"unknown config key {key!r}")
         if key == "drift":
-            kwargs[key] = _drift_from_doc(value) if value else None
+            dim = _coerce("dim", doc.get("dim", ExperimentConfig.dim))
+            kwargs[key] = _drift_from_doc(value, dim) if value else None
         elif key == "m_constant":
             kwargs[key] = None if value is None else float(value)
         else:
@@ -153,7 +154,9 @@ def _config_from_mapping(doc: dict) -> ExperimentConfig:
         raise ConfigurationError(str(exc)) from exc
 
 
-def _drift_from_doc(doc) -> DriftSpec:
+def _drift_from_doc(doc, dim: int) -> DriftSpec:
+    """A drift from its document; a hardy drift is rebuilt from its
+    parameters, in the config's ``dim`` unless they name one."""
     if isinstance(doc, DriftSpec):
         return doc
     kind = doc.get("kind", "hardy")
@@ -161,7 +164,7 @@ def _drift_from_doc(doc) -> DriftSpec:
     if kind == "hardy":
         return hardy_drift(params.get("delta", 0.05),
                            params.get("alpha", 1.5),
-                           int(params.get("dim", 3)))
+                           int(params.get("dim", dim)))
     return DriftSpec(kind=kind, parameters=params,
                      singular_points=doc.get("singular_points", []))
 

@@ -103,16 +103,43 @@ def _lattice_coords(points: np.ndarray, grid: TorusGrid) -> np.ndarray:
     return np.ascontiguousarray(((points + grid.half_length) / grid.spacing).T)
 
 
-def _lattice_eval(data: np.ndarray, coords: np.ndarray, order=1) -> np.ndarray:
+def _lattice_eval(data: np.ndarray, coords: np.ndarray, order) -> np.ndarray:
     return ndimage.map_coordinates(data, coords, order=order, mode="grid-wrap")
 
 
 def drift_at(points: np.ndarray, drift: MollifiedDrift) -> np.ndarray:
-    """Mollified drift interpolated at arbitrary (wrapped) points."""
+    """Mollified drift at arbitrary points, shape (points, dim): periodic
+    trilinear (multilinear in ``dim``) interpolation of the lattice.
+
+    Bit for bit the order-1 ``map_coordinates(..., mode="grid-wrap")`` of
+    each component, with one set of corners and weights for all of them.
+    Per axis, from the lattice coordinate c of the wrapped point:
+    lo = floor(c) % N, hi = (lo + 1) % N, w0 = 1 - (c - floor(c)) and
+    w1 = 1 - w0.  Each of the 2**dim corners, last axis fastest, gathers
+    its values, multiplies them by its axis-0, axis-1, ... weights in turn
+    and adds them to the sum, which starts at zero.
+    """
     grid = drift.grid
+    n = grid.points_per_axis
     coords = _lattice_coords(_wrap(points, grid.half_length), grid)
-    return np.stack([_lattice_eval(drift.lattice.data[j], coords)
-                     for j in range(grid.dim)], axis=-1)
+    base = np.floor(coords)
+    w0 = 1.0 - (coords - base)
+    weights = (w0, 1.0 - w0)
+    lo = base.astype(np.intp) % n
+    hi = (lo + 1) % n
+    flats = [0]  # flat lattice index of each corner, last axis fastest
+    for axis in range(grid.dim):
+        stride = n ** (grid.dim - 1 - axis)
+        ends = (lo[axis] * stride, hi[axis] * stride)
+        flats = [f + e for f in flats for e in ends]
+    table = drift.lattice.data.reshape(grid.dim, -1)
+    out = np.zeros((grid.dim, coords.shape[1]))
+    for flat, corner in zip(flats, itertools.product((0, 1), repeat=grid.dim)):
+        vals = np.take(table, flat, axis=1)
+        for axis, c in enumerate(corner):
+            vals *= weights[c][axis]
+        out += vals
+    return np.ascontiguousarray(out.T)
 
 
 def integrate(drift: MollifiedDrift, x0, t_final: float, dt: float,
@@ -142,6 +169,9 @@ def integrate(drift: MollifiedDrift, x0, t_final: float, dt: float,
     if abs(n_steps * dt - t_final) > 1e-9 * t_final:
         raise ParameterError("t_final must be an integer multiple of dt")
     x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (grid.dim,) or not np.all(np.isfinite(x0)):
+        raise ParameterError(
+            f"x0 must be a finite vector of shape ({grid.dim},), got {x0!r}")
     params = StableParams(alpha=alpha, dim=grid.dim, seed=seed)
     every_step = record == "all"
     times = dt * (np.arange(n_steps + 1) if every_step

@@ -7,8 +7,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from stablelab import cli, config
+from stablelab import cli, config, drifts
 from stablelab.errors import AdmissibilityError, ConfigurationError
 from stablelab.report import VerificationReport, build_report
 
@@ -49,6 +50,34 @@ def test_parse_json_config():
     assert cfg.scenario == "formbound_audit"
     assert cfg.n_paths == 500
     assert cfg.mu_ladder == (10.0, 100.0)
+
+
+_REAL = st.floats(allow_nan=False, allow_infinity=False)
+_POSITIVE = st.floats(1e-6, 1e6)
+_DIM = st.shared(st.integers(3, 5), key="dim")
+_DRIFTS = st.one_of(
+    st.none(),
+    st.builds(drifts.hardy_drift, _POSITIVE, st.floats(1.05, 1.95), _DIM),
+    st.builds(drifts.lp_radial_drift, _REAL, st.floats(-2.0, 2.9), _DIM),
+    st.builds(drifts.bounded_smooth_drift, st.lists(_REAL, min_size=1,
+                                                    max_size=1), _POSITIVE,
+              _DIM))
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=st.builds(
+    config.ExperimentConfig,
+    scenario=st.sampled_from(sorted(config.SCENARIO_RUNNERS) + ["full_suite"]),
+    dim=_DIM, alpha=st.floats(1.05, 1.95), delta=_POSITIVE, nu=_REAL,
+    p=_REAL, q=_REAL, r=_REAL, grid_n=st.integers(4, 512),
+    half_length=_POSITIVE,
+    lambda_ladder=st.lists(_REAL, max_size=4).map(tuple),
+    mu_ladder=st.lists(_REAL, max_size=4).map(tuple),
+    t_list=st.lists(_REAL, max_size=4).map(tuple),
+    n_paths=st.integers(1, 10**7), dt=_POSITIVE, seed=st.integers(0, 2**63 - 1),
+    drift=_DRIFTS, m_constant=st.one_of(st.none(), _REAL)))
+def test_config_as_dict_round_trip(cfg):
+    assert config.parse_config(json.dumps(cfg.as_dict())) == cfg
 
 
 def test_parse_errors():

@@ -84,16 +84,22 @@ def test_field_rejects_bad_data():
 
 
 @pytest.mark.parametrize("complex_data", [False, True])
-def test_binary_round_trip(complex_data):
-    grid = TorusGrid(2, 4.0, 8)
-    rng = np.random.default_rng(3)
-    data = rng.standard_normal(grid.shape)
+@settings(max_examples=30, deadline=None)
+@given(dim=st.integers(1, 3), n=st.sampled_from([4, 6, 8, 10, 16]),
+       half_length=st.floats(1e-300, 1e300), seed=st.integers(0, 2**31 - 1))
+def test_binary_round_trip(complex_data, dim, n, half_length, seed):
+    grid = TorusGrid(dim, half_length, n)
+    rng = np.random.default_rng(seed)
+    # spread of magnitudes, subnormals and negative zeros included
+    data = rng.standard_normal(grid.shape) * 10.0 ** rng.integers(
+        -320, 300, grid.shape)
+    data.flat[0] = -0.0
     if complex_data:
         data = data + 1j * rng.standard_normal(grid.shape)
-    f = Field(grid, data)
-    g = Field.from_bytes(f.to_bytes())
+    g = Field.from_bytes(Field(grid, data).to_bytes())
     assert g.grid == grid
-    np.testing.assert_array_equal(g.data, data)
+    assert g.data.dtype == data.dtype
+    assert np.array_equal(g.data.view(np.int64), data.view(np.int64))
 
 
 def test_vector_field_magnitude():

@@ -1,13 +1,14 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import stats
+from scipy import ndimage, stats
 
 from stablelab import drifts, sde, weighted
 from stablelab.errors import ParameterError
-from stablelab.grid import TorusGrid
+from stablelab.grid import TorusGrid, VectorField
 from stablelab.operators import heat_semigroup
 from stablelab.sampler import StableParams, sample_increments
 
@@ -45,6 +46,105 @@ def test_wrap_matches_remainder_bit_for_bit(xs):
     expect = (x + _L) % (2.0 * _L) - _L
     got = sde._wrap(x, _L)
     assert np.array_equal(got.view(np.int64), expect.view(np.int64))
+
+
+def _map_coordinates_drift(points, drift):
+    """The reference read of the drift: one order-1 periodic
+    ``map_coordinates`` call per component."""
+    grid = drift.grid
+    coords = np.ascontiguousarray(
+        ((sde._wrap(points, grid.half_length) + grid.half_length)
+         / grid.spacing).T)
+    return np.stack([ndimage.map_coordinates(drift.lattice.data[j], coords,
+                                             order=1, mode="grid-wrap")
+                     for j in range(grid.dim)], axis=-1)
+
+
+def _random_drift(n, half_length, seed):
+    grid = TorusGrid(3, half_length, n)
+    data = np.random.default_rng(seed).standard_normal((3,) + grid.shape)
+    return drifts.MollifiedDrift(drifts.hardy_drift(0.05, ALPHA, 3), 1, 1.0,
+                                 VectorField(grid, data))
+
+
+# lattice spacings 2L/N that are and are not powers of two
+_LATTICES = [(16, 3.3), (24, 8.0), (26, 7.3), (32, 8.0), (34, 5.1)]
+
+
+def _just_below(half_length, count=64):
+    """The ``count`` floats just below ``half_length``, and their negatives
+    one period up; some lattice coordinates of these round to exactly N."""
+    x = half_length - np.spacing(half_length) * np.arange(1, count + 1)
+    return np.concatenate([x, x - 2.0 * half_length])
+
+
+@st.composite
+def _lattice_and_points(draw):
+    n, half = draw(st.sampled_from(_LATTICES))
+    h = 2.0 * half / n
+    edges = [half, -half, np.nextafter(half, -np.inf),
+             np.nextafter(-half, -np.inf)]
+    coordinate = st.one_of(
+        st.floats(-7.0 * half, 7.0 * half),
+        st.integers(-3 * n, 3 * n).map(lambda k: k * h - half),
+        st.sampled_from(edges),
+        st.sampled_from(list(_just_below(half))))
+    points = draw(st.lists(st.tuples(coordinate, coordinate, coordinate),
+                           min_size=1, max_size=50))
+    return n, half, np.array(points, dtype=float).reshape(-1, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_lattice_and_points(), seed=st.integers(0, 2**31 - 1))
+def test_drift_at_matches_map_coordinates_bit_for_bit(case, seed):
+    n, half, points = case
+    drift = _random_drift(n, half, seed)
+    # plus uniform points: at N = 26, L = 7.3 about 3% of them read a
+    # different bit if the upper weight is taken as t instead of 1 - (1 - t)
+    uniform = np.random.default_rng(seed + 1).uniform(-7.0 * half, 7.0 * half,
+                                                      (500, 3))
+    points = np.concatenate([points, uniform])
+    got = sde.drift_at(points, drift)
+    expect = _map_coordinates_drift(points, drift)
+    assert got.shape == expect.shape and got.flags.c_contiguous
+    assert np.array_equal(got, expect)
+    assert np.array_equal(got.view(np.int64), expect.view(np.int64))
+
+
+@pytest.mark.parametrize("n,half", [(16, 3.3), (24, 8.0), (34, 5.1)])
+def test_drift_at_where_a_coordinate_rounds_to_n(n, half):
+    drift = _random_drift(n, half, seed=n)
+    below = _just_below(half)
+    points = np.stack([below, np.roll(below, 5), np.zeros_like(below)],
+                      axis=-1)
+    coords = sde._lattice_coords(sde._wrap(points, half), drift.grid)
+    assert np.any(coords == n)
+    assert np.array_equal(sde.drift_at(points, drift),
+                          _map_coordinates_drift(points, drift))
+
+
+def test_integrate_never_calls_map_coordinates(hardy, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy.ndimage called")
+
+    monkeypatch.setattr(ndimage, "map_coordinates", refuse)
+    ens = sde.integrate(hardy, [0.3, -0.2, 0.0], 0.05, 0.01, 40, seed=4,
+                        alpha=ALPHA, record="all")
+    assert np.all(np.isfinite(ens.states))
+
+
+@pytest.mark.parametrize("x0", [[0.0, 0.0], [np.nan, 0.0, 0.0],
+                                [0.0, np.inf, 0.0], [[0.0, 0.0, 0.0]], 0.0])
+def test_integrate_refuses_a_bad_start_before_any_noise(hardy, monkeypatch,
+                                                        x0):
+    def refuse(*args, **kwargs):
+        raise AssertionError("noise drawn")
+
+    monkeypatch.setattr(sde, "increment_blocks", refuse)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match="x0"):
+            sde.integrate(hardy, x0, 0.1, 0.01, 8, seed=0, alpha=ALPHA)
 
 
 def test_integrate_shapes_and_determinism(grid, hardy):
