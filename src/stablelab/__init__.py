@@ -30,9 +30,8 @@ from .sampler import (IncrementBatch, StableParams, empirical_char_function,
                       sample_increments, sample_subordinator)
 from .sde import (CharFnProbe, PathEnsemble, contraction_probe,
                   identify_driving_noise, integrate, mc_vs_semigroup)
-from .weighted import (WeightSpec, conjugated_generator,
-                       verify_eta_b_integrability, verify_weighted_estimates,
-                       verify_weighted_markov)
+from .weighted import (WeightSpec, verify_eta_b_integrability,
+                       verify_weighted_estimates, verify_weighted_markov)
 
 __all__ = [
     "AdmissibilityError", "CapacityError", "CharFnProbe",
@@ -43,7 +42,7 @@ __all__ = [
     "TorusGrid", "VectorField", "VerificationReport", "WeightSpec",
     "admissible_delta_threshold", "assemble_l2_resolvent",
     "assemble_lp_resolvent", "balakrishnan_resolvent_power", "ball_mass",
-    "bounded_smooth_drift", "conjugated_generator", "conservativeness_check",
+    "bounded_smooth_drift", "conservativeness_check",
     "contraction_probe", "drifted_generator", "duhamel_residual",
     "empirical_char_function", "estimate_gradient_constant",
     "estimate_kato_norm", "estimate_weak_formbound",

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import configparser
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -46,7 +46,11 @@ class ExperimentConfig:
 
     def validate(self, m_constant: float) -> None:
         """Cross-field admissibility; raises AdmissibilityError citing the
-        violated hypothesis."""
+        violated hypothesis, and ConfigurationError for a seed outside
+        [0, 2^64)."""
+        if not 0 <= self.seed < 2**64:
+            raise ConfigurationError(
+                f"seed = {self.seed} must lie in [0, 2^64)")
         self.m_constant = m_constant
         adm = admissible_delta_threshold(self.dim, self.alpha, m_constant)
         if self.delta >= adm.threshold:
@@ -70,11 +74,8 @@ class ExperimentConfig:
 
     def quick(self) -> "ExperimentConfig":
         """Halved grids and path counts."""
-        clone = ExperimentConfig(**{f.name: getattr(self, f.name)
-                                    for f in fields(self)})
-        clone.grid_n = max(16, self.grid_n // 2)
-        clone.n_paths = max(1000, self.n_paths // 2)
-        return clone
+        return replace(self, grid_n=max(16, self.grid_n // 2),
+                       n_paths=max(1000, self.n_paths // 2))
 
     def as_dict(self) -> dict:
         doc = {}
@@ -89,21 +90,33 @@ class ExperimentConfig:
         return doc
 
 
-_FLOAT_FIELDS = {"alpha", "delta", "nu", "p", "q", "r", "half_length", "dt"}
-_INT_FIELDS = {"dim", "grid_n", "n_paths", "seed"}
-_LIST_FIELDS = {"lambda_ladder", "mu_ladder", "t_list"}
-
-
-def _coerce(name: str, value):
-    if name in _FLOAT_FIELDS:
-        return float(value)
-    if name in _INT_FIELDS:
-        return int(value)
-    if name in _LIST_FIELDS:
+def _coerce(name: str, value, dim: int):
+    """``value`` as the kind of the field's default in ExperimentConfig:
+    an int, a float, or a tuple of floats (from a list or a comma or
+    space separated string).  A drift is built from its document in
+    ``dim``; ``m_constant`` is a float or None."""
+    if name == "drift":
+        return _drift_from_doc(value, dim) if value else None
+    if name == "m_constant":
+        return None if value is None else float(value)
+    default = getattr(ExperimentConfig, name)
+    if isinstance(default, tuple):
         if isinstance(value, str):
             value = [v for v in value.replace(",", " ").split() if v]
         return tuple(float(v) for v in value)
+    if isinstance(default, (int, float)):
+        return type(default)(value)
     return value
+
+
+def _checked(key: str, convert, *args):
+    """``convert(*args)``; a TypeError or ValueError (ParameterError
+    included) becomes a ConfigurationError that names ``key``."""
+    try:
+        return convert(*args)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(
+            f"bad value for config key {key!r}: {exc}") from exc
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -130,7 +143,8 @@ def parse_config(text: str) -> ExperimentConfig:
     if parser.has_section("drift"):
         drift_doc = dict(parser.items("drift"))
         kind = drift_doc.pop("kind", "hardy")
-        params = {k: float(v) for k, v in drift_doc.items()}
+        params = {k: _checked(f"drift.{k}", float, v)
+                  for k, v in drift_doc.items()}
         doc["drift"] = {"kind": kind, "parameters": params}
     return _config_from_mapping(doc)
 
@@ -138,20 +152,16 @@ def parse_config(text: str) -> ExperimentConfig:
 def _config_from_mapping(doc: dict) -> ExperimentConfig:
     known = {f.name for f in fields(ExperimentConfig)}
     kwargs = {}
-    for key, value in doc.items():
+    # the drift last: it is rebuilt in the already coerced dim
+    for key in sorted(doc, key=lambda k: k == "drift"):
         if key not in known:
             raise ConfigurationError(f"unknown config key {key!r}")
-        if key == "drift":
-            dim = _coerce("dim", doc.get("dim", ExperimentConfig.dim))
-            kwargs[key] = _drift_from_doc(value, dim) if value else None
-        elif key == "m_constant":
-            kwargs[key] = None if value is None else float(value)
-        else:
-            kwargs[key] = _coerce(key, value)
+        kwargs[key] = _checked(key, _coerce, key, doc[key],
+                               kwargs.get("dim", ExperimentConfig.dim))
     try:
         return ExperimentConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigurationError(str(exc)) from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"invalid config: {exc}") from exc
 
 
 def _drift_from_doc(doc, dim: int) -> DriftSpec:
@@ -159,6 +169,8 @@ def _drift_from_doc(doc, dim: int) -> DriftSpec:
     parameters, in the config's ``dim`` unless they name one."""
     if isinstance(doc, DriftSpec):
         return doc
+    if not isinstance(doc, dict):
+        raise TypeError(f"a drift is a mapping with a kind, not {doc!r}")
     kind = doc.get("kind", "hardy")
     params = dict(doc.get("parameters", {}))
     if kind == "hardy":

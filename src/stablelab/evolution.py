@@ -1,6 +1,6 @@
 """Time evolution exp(-t (A + b . grad)) on the torus.
 
-Default scheme: Strang splitting with an exact spectral half-step for the
+The scheme: Strang splitting with an exact spectral half-step for the
 nonlocal part and semi-Lagrangian backtracking (RK2 departure points,
 periodic quintic interpolation) for the advection.  The interpolation is
 matrix-free: the Courant check keeps every departure within one cell, so
@@ -9,7 +9,8 @@ advection is a weighted sum of shifted views of the coefficient array.
 The spline prefilter is a Fourier multiplier folded into the leading
 half-step, and the slot weights are built from the stored displacements
 once per propagation, not at each step.  An Arnoldi matrix-exponential
-path cross-validates the splitting.  Real fields stay real along the
+stepper, used by the tests as a reference and not as a scheme,
+cross-validates the splitting.  Real fields stay real along the
 splitting, and each config builds its stepper once.
 """
 
@@ -24,7 +25,7 @@ from scipy import linalg as sla
 
 from .drifts import MollifiedDrift, mollify
 from .errors import ConfigurationError, ParameterError
-from .grid import Field, TorusGrid
+from .grid import TorusGrid
 from .kernels import cutoff_mass
 from .operators import (DotGradient, FourierMultiplier, heat_semigroup,
                         real_gradient)
@@ -32,12 +33,9 @@ from .profiles import cutoff_profile
 from .report import VerificationReport, build_report
 from .resolvent import drifted_generator
 
-SCHEMES = ("splitstep_spectral", "expm_krylov")
-
-
 @dataclass(frozen=True)
 class PropagatorConfig:
-    """One evolution run: drift, horizon, step count, scheme.
+    """One evolution run: drift, horizon and step count.
 
     Frozen, so that the stepper cached on it stays valid for its lifetime.
     """
@@ -46,20 +44,17 @@ class PropagatorConfig:
     alpha: float
     t_final: float
     steps: int
-    scheme: str = "splitstep_spectral"
 
     def __post_init__(self):
         if self.steps < 1:
             raise ConfigurationError("steps must be >= 1")
         if self.t_final <= 0:
             raise ConfigurationError("t_final must be positive")
-        if self.scheme not in SCHEMES:
-            raise ConfigurationError(f"unknown scheme {self.scheme!r}")
         grid = self.drift.grid
         dt = self.t_final / self.steps
         courant = dt * self.drift.sup_norm() * (np.pi * grid.points_per_axis
                                                 / (2.0 * grid.half_length))
-        if self.scheme == "splitstep_spectral" and courant > 1.0:
+        if courant > 1.0:
             raise ConfigurationError(
                 f"advection Courant number {courant:.3f} > 1; increase steps")
 
@@ -73,10 +68,8 @@ class PropagatorConfig:
 
     @cached_property
     def stepper(self):
-        """The one-step propagator, built on first use and kept."""
-        if self.scheme == "splitstep_spectral":
-            return SplitStepPropagator(self.drift, self.alpha, self.dt)
-        return ArnoldiPropagator(self.drift, self.alpha, self.dt)
+        """The split-step propagator, built on first use and kept."""
+        return SplitStepPropagator(self.drift, self.alpha, self.dt)
 
 
 # Periodic quintic B-spline interpolation at sub-cell displacements.  With
@@ -229,26 +222,23 @@ class SplitStepPropagator:
 
 class ArnoldiPropagator:
     """Matrix-exponential stepper via an Arnoldi subspace of the full
-    generator; cross-validation path for the splitting."""
+    generator: the reference the tests check the splitting against.
+    ``step`` maps a field to its complex image after one ``dt``."""
 
-    def __init__(self, drift: MollifiedDrift, alpha: float, dt: float,
-                 subspace=36):
+    SUBSPACE = 36
+
+    def __init__(self, drift: MollifiedDrift, alpha: float, dt: float):
         self.generator = drifted_generator(drift, drift.grid, alpha)
         self.grid = drift.grid
         self.dt = dt
-        self.subspace = subspace
 
-    def slot_weights(self):
-        """None: the Arnoldi step needs no slot weights."""
-        return None
-
-    def step(self, u: np.ndarray, weights=None) -> np.ndarray:
+    def step(self, u: np.ndarray) -> np.ndarray:
         shape = self.grid.shape
         v0 = np.asarray(u, dtype=complex).ravel()
         beta = np.linalg.norm(v0)
         if beta == 0.0:
             return np.asarray(u)
-        m = self.subspace
+        m = self.SUBSPACE
         basis = [v0 / beta]
         hess = np.zeros((m + 1, m), dtype=complex)
         used = m
@@ -271,20 +261,16 @@ class ArnoldiPropagator:
 
 
 def propagate(config: PropagatorConfig, f):
-    """exp(-t_final (A + b . grad)) applied to a field; real input gives
-    float64 output."""
-    data = f.data if isinstance(f, Field) else np.asarray(f)
+    """exp(-t_final (A + b . grad)) applied to a lattice array; real
+    input gives float64 output."""
+    data = np.asarray(f)
     was_real = not np.iscomplexobj(data)
     stepper = config.stepper
     weights = stepper.slot_weights()
     u = np.array(data, dtype=float if was_real else complex)
     for _ in range(config.steps):
         u = stepper.step(u, weights)
-    if was_real:
-        u = u.real
-    if isinstance(f, Field):
-        return Field(config.grid, u)
-    return u
+    return u.real if was_real else u
 
 
 def advective_source(drift: MollifiedDrift, u: np.ndarray) -> np.ndarray:
@@ -305,7 +291,7 @@ def duhamel_residual(config: PropagatorConfig, f) -> float:
     The sign of the correction follows from integrating
     d/ds [exp(-(t-s)L) exp(-sA)] = exp(-(t-s)L) (b . grad) exp(-sA)."""
     grid = config.grid
-    data = f.data if isinstance(f, Field) else np.asarray(f)
+    data = np.asarray(f)
     real = not np.iscomplexobj(data)
     data = np.asarray(data, dtype=float if real else complex)
     cfg = (config if config.steps % 2 == 0
@@ -394,7 +380,7 @@ def feller_convergence_check(drift_base, n_list, t: float, f, grid: TorusGrid,
     resolvents along a mu ladder."""
     from .resolvent import assemble_lp_resolvent
 
-    data = np.asarray(f.data if isinstance(f, Field) else f)
+    data = np.asarray(f)
     outs = []
     rule = epsilon_rule or (lambda n: None)
     mols = []

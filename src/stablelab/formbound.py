@@ -26,10 +26,10 @@ from scipy.sparse.linalg import LinearOperator as ScipyLinOp
 
 from .drifts import DriftSpec, MollifiedDrift
 from .errors import ConvergenceError, ParameterError
-from .grid import TorusGrid, VectorField
+from .grid import TorusGrid
 from .kernels import ball_volume
-from .operators import (Compose, FourierMultiplier, LatticeOperator,
-                        PointwiseMultiplier, resolvent_power)
+from .operators import (Compose, LatticeOperator, PointwiseMultiplier,
+                        resolvent_power)
 
 # Lanczos basis size kept between implicit restarts
 LANCZOS_NCV = 8
@@ -45,7 +45,6 @@ class FormBoundEstimate:
     lam: float
     matvecs: int = 0
     residual: float = 0.0
-    variant: str = "frac"
     per_lambda: dict = field(default_factory=dict)
     per_lambda_matvecs: dict = field(default_factory=dict)
     eigenfield: np.ndarray | None = field(default=None, repr=False)
@@ -59,8 +58,6 @@ def drift_magnitude(b, grid: TorusGrid) -> np.ndarray:
         return b.magnitude()
     if isinstance(b, DriftSpec):
         return b.lattice_magnitude(grid)
-    if isinstance(b, VectorField):
-        return b.magnitude()
     arr = np.asarray(b, dtype=float)
     if arr.shape != grid.shape:
         raise ParameterError("drift magnitude has wrong shape")
@@ -111,11 +108,9 @@ def top_eigenpair(op: LatticeOperator, grid: TorusGrid, tol=1e-6, seed=0,
 
 
 def estimate_weak_formbound(b, lam: float, grid: TorusGrid, alpha: float,
-                            variant="frac", tol=1e-6, seed=0,
-                            start=None) -> FormBoundEstimate:
+                            tol=1e-6, seed=0, start=None) -> FormBoundEstimate:
     """Weak form-bound estimate: squared top singular value of
-    S = M_(|b|^(1/2)) o (lam + A)^(-(alpha-1)/(2 alpha)), or of the
-    Laplacian form (lam - Lap)^(-(alpha-1)/4) for ``variant="gauss"``.
+    S = M_(|b|^(1/2)) o (lam + A)^(-(alpha-1)/(2 alpha)).
 
     It is the top eigenvalue of SS* = `symmetrized_sandwich`, found by
     `top_eigenpair` from ``start`` (an eigenfield of a nearby sandwich)
@@ -126,12 +121,12 @@ def estimate_weak_formbound(b, lam: float, grid: TorusGrid, alpha: float,
         raise ParameterError("lam must be positive")
     w = drift_magnitude(b, grid)
     if np.max(w) == 0.0:
-        return FormBoundEstimate("weak_formbound", 0.0, lam, variant=variant)
+        return FormBoundEstimate("weak_formbound", 0.0, lam)
     value, vec, matvecs, residual = top_eigenpair(
-        symmetrized_sandwich(w, lam, grid, alpha, variant), grid, tol=tol,
-        seed=seed, start=start)
+        symmetrized_sandwich(w, lam, grid, alpha), grid, tol=tol, seed=seed,
+        start=start)
     return FormBoundEstimate("weak_formbound", value, lam, matvecs, residual,
-                             variant, eigenfield=vec)
+                             eigenfield=vec)
 
 
 def estimate_weak_formbound_ladder(b, lambdas, grid: TorusGrid, alpha: float,
@@ -155,31 +150,25 @@ def estimate_weak_formbound_ladder(b, lambdas, grid: TorusGrid, alpha: float,
     return best
 
 
-def symmetrized_sandwich(w, lam: float, grid: TorusGrid, alpha: float,
-                         variant="frac") -> LatticeOperator:
+def symmetrized_sandwich(w, lam: float, grid: TorusGrid,
+                         alpha: float) -> LatticeOperator:
     """sqrt(w) (lam+A)^(-(alpha-1)/alpha) sqrt(w) for a nonnegative
-    lattice function w, or sqrt(w) (lam - Lap)^(-(alpha-1)/2) sqrt(w) for
-    ``variant="gauss"``: self-adjoint and PSD, so `top_eigenpair` applies."""
-    if variant == "frac":
-        power = resolvent_power(grid, alpha, lam, (alpha - 1.0) / alpha)
-    elif variant == "gauss":
-        power = FourierMultiplier(grid, (lam + grid.frequency_radius_sq())
-                                  ** (-(alpha - 1.0) / 2.0))
-    else:
-        raise ParameterError(f"unknown variant {variant!r}")
+    lattice function w: self-adjoint and PSD, so `top_eigenpair` applies."""
+    power = resolvent_power(grid, alpha, lam, (alpha - 1.0) / alpha)
     root = PointwiseMultiplier(grid, np.sqrt(w))
     return Compose([root, power, root])
 
 
-def estimate_formbound(b, lam: float, grid: TorusGrid, alpha: float,
-                       tol=1e-6, seed=0) -> FormBoundEstimate:
+def estimate_formbound(b, lam: float, grid: TorusGrid,
+                       alpha: float) -> FormBoundEstimate:
     """Full form-bound class: top singular value of
     M_|b| (lam + A)^(-(alpha-1)/alpha).
 
     Oracle for the class inclusion form-bounded => weakly form-bounded:
     by the Heinz inequality ||M^(1/2) R^(1/2)||^2 <= ||M R||, so the weak
     form-bound at the same shift never exceeds this estimate.  The
-    residual refers to the square R M_|b|^2 R.
+    residual refers to the square R M_|b|^2 R, solved from the seed-0 draw
+    to the default tolerance of `top_eigenpair`.
     """
     w = drift_magnitude(b, grid)
     if np.max(w) == 0.0:
@@ -187,7 +176,7 @@ def estimate_formbound(b, lam: float, grid: TorusGrid, alpha: float,
     res = resolvent_power(grid, alpha, lam, (alpha - 1.0) / alpha)
     mul = PointwiseMultiplier(grid, w)
     value, _, matvecs, residual = top_eigenpair(
-        Compose([res, mul, mul, res]), grid, tol=tol, seed=seed)
+        Compose([res, mul, mul, res]), grid)
     return FormBoundEstimate("formbound", float(np.sqrt(value)), lam,
                              matvecs, residual)
 

@@ -9,6 +9,7 @@ the pointwise gradient-resolvent comparison constant.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from scipy import integrate, interpolate, special
@@ -17,6 +18,18 @@ from .errors import ParameterError, QuadratureError
 
 _QUAD_LIMIT = 400
 _QUAD_LIMLST = 600
+# Ogata nodes (Bessel zeros) and step of the Hankel-type quadrature
+_OGATA_TERMS = 220
+_OGATA_STEP = 0.02
+# Gauss-Legendre nodes of the 1D marginal mass on [0, R]
+_HALFLINE_NODES = 64
+# marginal CDF: density spline knots, and where the power tail takes over
+_CDF_POINTS = 500
+_CDF_X_MAX = 400.0
+# log-time trapezoid nodes of the resolvent kernels
+_LAPLACE_NODES = 1400
+# kappa ladder of the gradient comparison constant
+_KAPPAS = (0.5, 1.0, 2.0, 4.0)
 
 
 def sphere_area(dim: int) -> float:
@@ -43,7 +56,7 @@ def heat_kernel_peak(alpha: float, dim: int, t: float) -> float:
             / (alpha * (2.0 * np.pi) ** dim) * t ** (-dim / alpha))
 
 
-def _fourier_quad(f, w, kind, rho_scale=15.0):
+def _fourier_quad(f, w, kind, rho_scale):
     """int_0^inf f(u) * {sin,cos}(w u) du for decaying smooth f.
 
     QAWF handles the genuinely oscillatory regime; when fewer than a few
@@ -64,9 +77,10 @@ def _fourier_quad(f, w, kind, rho_scale=15.0):
     return val
 
 
-def _ogata_bessel(f, nu, n_terms=220, h=0.02):
+def _ogata_bessel(f, nu):
     """Ogata-type quadrature for int_0^inf f(x) J_nu(x) dx."""
-    zeros = special.jn_zeros(nu, n_terms) / np.pi
+    h = _OGATA_STEP
+    zeros = special.jn_zeros(nu, _OGATA_TERMS) / np.pi
     weights = special.yv(nu, np.pi * zeros) / special.jv(nu + 1, np.pi * zeros)
     ht = h * zeros
     phi = ht * np.tanh(0.5 * np.pi * np.sinh(ht))
@@ -113,9 +127,9 @@ def heat_kernel_radial_derivative(alpha: float, dim: int, t: float, r: float) ->
     raise ParameterError(f"radial quadrature supports dim in (1, 2, 3), got {dim}")
 
 
-def _marginal_mass_halfline(alpha, t, radius, n_nodes=64):
+def _marginal_mass_halfline(alpha, t, radius):
     """int_0^R p1(v) dv for the 1D marginal density p1."""
-    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
+    nodes, weights = np.polynomial.legendre.leggauss(_HALFLINE_NODES)
     v = 0.5 * radius * (nodes + 1.0)
     w = 0.5 * radius * weights
     vals = np.array([heat_kernel_value(alpha, 1, t, vi) for vi in v])
@@ -155,13 +169,13 @@ def cutoff_mass(alpha: float, dim: int, t: float, k: float, profile) -> float:
     return inner + shell
 
 
-def stable_marginal_cdf(alpha: float, t: float = 1.0, x_max: float = 400.0,
-                        n_points: int = 500):
+def stable_marginal_cdf(alpha: float, t: float = 1.0):
     """CDF of a 1D coordinate of the d-dim increment (itself 1D symmetric
     stable with exponent exp(-t|k|^alpha)).  Returns a vectorized callable:
-    a density spline integrated exactly on [0, x_max], asymptotic power
-    tail beyond."""
+    a density spline integrated exactly on [0, _CDF_X_MAX], asymptotic
+    power tail beyond."""
     _check(alpha, 1, t)
+    x_max, n_points = _CDF_X_MAX, _CDF_POINTS
     xs = np.concatenate([
         np.linspace(0.0, 2.0, n_points // 3, endpoint=False),
         np.geomspace(2.0, x_max, n_points - n_points // 3),
@@ -199,9 +213,9 @@ class KernelProfile:
 
     alpha: float
     dim: int
-    x_min: float = 1e-3
-    x_max: float = 60.0
-    points_per_decade: int = 48
+    x_min: ClassVar[float] = 1e-3
+    x_max: ClassVar[float] = 60.0
+    points_per_decade: ClassVar[int] = 48
 
     def __post_init__(self):
         _check(self.alpha, self.dim)
@@ -270,34 +284,34 @@ def kernel_profile(alpha: float, dim: int) -> KernelProfile:
     return _PROFILE_CACHE[key]
 
 
-def _laplace_time_nodes(mu, gamma, left_rate, n_nodes):
+def _laplace_time_nodes(mu, left_rate):
     """Log-time trapezoid nodes for int_0^inf exp(-mu t) t^(gamma-1) (...) dt."""
     s_hi = np.log(40.0 / mu) + 2.0
     s_lo = min(np.log(1.0 / mu), 0.0) - 40.0 / left_rate
-    s = np.linspace(s_lo, s_hi, n_nodes)
+    s = np.linspace(s_lo, s_hi, _LAPLACE_NODES)
     return s, s[1] - s[0]
 
 
-def resolvent_kernel_value(alpha, dim, mu, r, gamma=1.0, profile=None,
-                           n_nodes=1400) -> float:
+def resolvent_kernel_value(alpha, dim, mu, r, gamma=1.0,
+                           profile=None) -> float:
     """Radial kernel of (mu + A)^(-gamma) via the Laplace-time integral of
     the scaled heat kernel profile."""
     if mu <= 0:
         raise ParameterError("mu must be positive")
     prof = profile or kernel_profile(alpha, dim)
-    s, ds = _laplace_time_nodes(mu, gamma, gamma + 1.0, n_nodes)
+    s, ds = _laplace_time_nodes(mu, gamma + 1.0)
     t = np.exp(s)
     vals = np.exp(-mu * t) * t**gamma * prof.density_at(t, r)
     return float(np.sum(vals) * ds / special.gamma(gamma))
 
 
-def resolvent_kernel_gradient(alpha, dim, mu, r, gamma=1.0, profile=None,
-                              n_nodes=1400) -> float:
-    """|d/dr| of the radial kernel of (mu + A)^(-gamma)."""
+def resolvent_kernel_gradient(alpha, dim, mu, r, profile=None) -> float:
+    """|d/dr| of the radial kernel of the whole resolvent (mu + A)^(-1)."""
     if mu <= 0:
         raise ParameterError("mu must be positive")
     prof = profile or kernel_profile(alpha, dim)
-    s, ds = _laplace_time_nodes(mu, gamma, gamma + 1.0, n_nodes)
+    gamma = 1.0
+    s, ds = _laplace_time_nodes(mu, gamma + 1.0)
     t = np.exp(s)
     vals = np.exp(-mu * t) * t**gamma * prof.gradient_at(t, r)
     return float(np.sum(vals) * ds / special.gamma(gamma))
@@ -318,8 +332,8 @@ class GradientConstantEstimate:
     samples: list
 
 
-def estimate_gradient_constant(alpha, dim, sample_spec,
-                               kappas=(0.5, 1.0, 2.0, 4.0)) -> GradientConstantEstimate:
+def estimate_gradient_constant(alpha, dim,
+                               sample_spec) -> GradientConstantEstimate:
     """Numerical version of the pointwise gradient-resolvent comparison.
 
     ``sample_spec`` is an iterable of (mu, r) pairs covering several
@@ -337,7 +351,7 @@ def estimate_gradient_constant(alpha, dim, sample_spec,
     lhs = {s: resolvent_kernel_gradient(alpha, dim, s[0], s[1], profile=prof)
            for s in samples}
     per_kappa = {}
-    for kappa in kappas:
+    for kappa in _KAPPAS:
         ratios = []
         for mu, r in samples:
             rhs = resolvent_kernel_value(alpha, dim, mu / kappa, r,

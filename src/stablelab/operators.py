@@ -21,7 +21,7 @@ import numpy as np
 from scipy import fft as sfft
 
 from .errors import ConvergenceError, DivergenceError, ParameterError
-from .grid import Field, TorusGrid, VectorField
+from .grid import TorusGrid
 
 
 class LatticeOperator:
@@ -35,20 +35,6 @@ class LatticeOperator:
 
     def adjoint(self) -> "LatticeOperator":
         raise NotImplementedError
-
-    def __call__(self, data):
-        if isinstance(data, Field):
-            return Field(self.grid, self.apply(data.data))
-        return self.apply(np.asarray(data))
-
-    def __matmul__(self, other):
-        return Compose([self, other])
-
-    def __add__(self, other):
-        return Affine([(1.0, self), (1.0, other)])
-
-    def __rmul__(self, scalar):
-        return Affine([(scalar, self)])
 
     def norm_probe(self, n_probes=8, p=2.0, seed=0, iterations=2):
         """Lower bound on the L^p -> L^p norm from random probes.
@@ -126,8 +112,6 @@ class PointwiseMultiplier(LatticeOperator):
 
     def __init__(self, grid, values):
         super().__init__(grid)
-        if isinstance(values, Field):
-            values = values.data
         self.values = np.broadcast_to(np.asarray(values), grid.shape)
 
     def apply(self, data):
@@ -182,16 +166,18 @@ class NeumannInverse(LatticeOperator):
     ``tol`` relative to the input, measured in L^norm_p.  A series whose
     latest term norm is no smaller than the one ``_STALL`` terms earlier
     is taken to diverge: ``DivergenceError`` is raised at once, with the
-    mean growth ratio over those terms as ``norm_estimate``.
+    mean growth ratio over those terms as ``norm_estimate``.  A series
+    still short of ``tol`` after ``_MAX_TERMS`` terms raises
+    ``ConvergenceError``.
     """
 
     _STALL = 8
+    _MAX_TERMS = 4000
 
-    def __init__(self, inner: LatticeOperator, tol=1e-12, max_terms=4000, norm_p=2.0):
+    def __init__(self, inner: LatticeOperator, tol=1e-12, norm_p=2.0):
         super().__init__(inner.grid)
         self.inner = inner
         self.tol = tol
-        self.max_terms = max_terms
         self.norm_p = norm_p
         self.last_term_norms = None
 
@@ -203,7 +189,7 @@ class NeumannInverse(LatticeOperator):
         if scale == 0.0:
             self.last_term_norms = norms
             return out
-        for _ in range(self.max_terms):
+        for _ in range(self._MAX_TERMS):
             term = -self.inner.apply(term)
             out = out + term
             tn = self.grid.lp_norm(term, self.norm_p)
@@ -220,15 +206,14 @@ class NeumannInverse(LatticeOperator):
         else:
             raise ConvergenceError(
                 f"Neumann series did not reach tol={self.tol} "
-                f"within {self.max_terms} terms",
+                f"within {self._MAX_TERMS} terms",
                 last_value=norms[-1] / scale if norms else None,
             )
         self.last_term_norms = norms
         return out
 
     def adjoint(self):
-        return NeumannInverse(self.inner.adjoint(), self.tol, self.max_terms,
-                              self.norm_p)
+        return NeumannInverse(self.inner.adjoint(), self.tol, self.norm_p)
 
 
 # ---------------------------------------------------------------------------
@@ -306,15 +291,13 @@ class DotGradient(LatticeOperator):
     i*k_j times that spectrum per axis, weighted by v_j.  The complex
     symbol i*k_j keeps its Nyquist plane, so the output is complex and
     equals the sum over j of v_j * gradient_component(j)(inner(f)).
-    ``vector_values`` is a (dim, N, ..., N) array or VectorField.  The
+    ``vector_values`` is a (dim, N, ..., N) array.  The
     transforms run over the last ``grid.dim`` axes, so a stack of fields
     of shape (..., N, ..., N) takes one call.
     """
 
     def __init__(self, vector_values, inner: FourierMultiplier):
         super().__init__(inner.grid)
-        if isinstance(vector_values, VectorField):
-            vector_values = vector_values.data
         self.values = np.asarray(vector_values)
         self.inner = inner
 
@@ -342,7 +325,11 @@ def even_convolution(grid, kernel) -> FourierMultiplier:
     return FourierMultiplier(grid, spectrum.real * grid.cell_volume)
 
 
-def balakrishnan_resolvent_power(grid, alpha, mu, tau, n_nodes=900):
+# log-time nodes of the Balakrishnan quadrature
+_BALAKRISHNAN_NODES = 900
+
+
+def balakrishnan_resolvent_power(grid, alpha, mu, tau):
     """(mu + A)^(-tau) by quadrature of the one-sided integral
     (sin(pi tau)/pi) * int_0^inf t^(-tau) (t + mu + A)^(-1) dt.
 
@@ -360,7 +347,7 @@ def balakrishnan_resolvent_power(grid, alpha, mu, tau, n_nodes=900):
     # e^(-s tau) on the right; bounds chosen for ~1e-12 truncated tails.
     s_lo = np.log(mu) - 30.0 / (1.0 - tau) - 5.0
     s_hi = np.log(top) + 30.0 / tau + 5.0
-    nodes = np.linspace(s_lo, s_hi, n_nodes)
+    nodes = np.linspace(s_lo, s_hi, _BALAKRISHNAN_NODES)
     ds = nodes[1] - nodes[0]
     acc = np.zeros(grid.shape)
     for s in nodes:

@@ -194,7 +194,6 @@ def verify_lp_inequalities(potential: np.ndarray, p: float, mu: float,
                            lam: float, grid: TorusGrid, alpha: float,
                            n_probes: int = 50, seed: int = 0,
                            delta: float | None = None,
-                           candidates=None,
                            extremizer: np.ndarray | None = None
                            ) -> VerificationReport:
     """Probe the three resolvent-weighted bounds for a nonnegative
@@ -224,9 +223,8 @@ def verify_lp_inequalities(potential: np.ndarray, p: float, mu: float,
         raise ParameterError("mu must dominate the form-bound shift lam")
     p_c = p / (p - 1.0)
     gamma = (alpha - 1.0) / alpha
-    if candidates is None:
-        candidates = {"product_quarter": p * p_c / 4.0,
-                      "reciprocal": 4.0 / (p * p_c)}
+    candidates = {"product_quarter": p * p_c / 4.0,
+                  "reciprocal": 4.0 / (p * p_c)}
     if delta is None:
         delta = estimate_weak_formbound(potential, lam, grid, alpha,
                                         seed=seed).delta_est

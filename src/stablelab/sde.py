@@ -213,9 +213,9 @@ def integrate(drift: MollifiedDrift, x0, t_final: float, dt: float,
                         wrap_fraction=wrap_fraction, seed=seed, alpha=alpha)
 
 
-def wrapped_states(ensemble: PathEnsemble, grid: TorusGrid,
-                   time_index: int = -1) -> np.ndarray:
-    return _wrap(ensemble.states[:, time_index, :], grid.half_length)
+def wrapped_states(ensemble: PathEnsemble, grid: TorusGrid) -> np.ndarray:
+    """Torus representatives of the final recorded states."""
+    return _wrap(ensemble.states[:, -1, :], grid.half_length)
 
 
 def mc_vs_semigroup(drift: MollifiedDrift, x0, t: float, f, n_paths: int,
@@ -228,7 +228,7 @@ def mc_vs_semigroup(drift: MollifiedDrift, x0, t: float, f, n_paths: int,
     (finiteness proxy), checked for stability across mollification levels.
     """
     grid = drift.grid
-    fdata = np.asarray(f.data if isinstance(f, Field) else f, dtype=float)
+    fdata = np.asarray(f, dtype=float)
     site = grid.site_index(x0)
 
     def mc_mean(d, lev_drift, sd):
@@ -316,11 +316,11 @@ def probes_to_csv(probes) -> str:
     return "\n".join(lines) + "\n"
 
 
-def ensemble_density(ensemble: PathEnsemble, grid: TorusGrid,
-                     time_index: int = -1) -> Field:
-    """Empirical density of the wrapped states on the lattice (histogram
-    normalized to unit mass); exports through the binary field layout."""
-    pts = wrapped_states(ensemble, grid, time_index)
+def ensemble_density(ensemble: PathEnsemble, grid: TorusGrid) -> Field:
+    """Empirical density of the wrapped final states on the lattice
+    (histogram normalized to unit mass); exports through the binary field
+    layout."""
+    pts = wrapped_states(ensemble, grid)
     idx = np.rint((pts + grid.half_length) / grid.spacing).astype(int)
     idx %= grid.points_per_axis
     hist = np.zeros(grid.shape)

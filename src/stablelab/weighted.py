@@ -1,13 +1,14 @@
 """Weighted-space machinery: polynomial weights eta = (1+|x|^2)^nu,
-plateau-truncated weights, the conjugated generator eta^(-1) A eta, and
-the weighted resolvent estimates that substitute for heat-kernel bounds.
+plateau-truncated weights, conjugation T -> eta^(-1) T eta
+(``WeightSpec.conjugate``; A_eta = eta^(-1) A eta is the conjugated
+generator), and the weighted resolvent estimates that substitute for
+heat-kernel bounds.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -15,7 +16,7 @@ from .drifts import DriftSpec, mollify
 from .errors import AdmissibilityError, ParameterError
 from .grid import TorusGrid
 from .operators import (Compose, LatticeOperator, PointwiseMultiplier,
-                        frac_laplacian, heat_semigroup, resolvent_power)
+                        heat_semigroup, resolvent_power)
 from .profiles import truncate_weight
 from .report import VerificationReport, build_report
 from .resolvent import (ResolventAssembly, assemble_lp_resolvent,
@@ -58,26 +59,10 @@ class WeightSpec:
         return PointwiseMultiplier(self.grid, 1.0 / self.lattice)
 
     def conjugate(self, op: LatticeOperator) -> LatticeOperator:
-        """eta^(-1) T eta."""
+        """eta^(-1) T eta.  Applied to A it gives the conjugated generator
+        A_eta, whose semigroup is eta^(-1) exp(-tA) eta and whose resolvent
+        powers are (mu + A_eta)^(-gamma) = eta^(-1) (mu + A)^(-gamma) eta."""
         return Compose([self.divide(), op, self.multiply()])
-
-
-def conjugated_generator(weight: WeightSpec, alpha: float,
-                         grid: TorusGrid) -> LatticeOperator:
-    """A_eta = eta^(-1) A eta; its semigroup is eta^(-1) exp(-tA) eta."""
-    return weight.conjugate(frac_laplacian(grid, alpha))
-
-
-def conjugated_heat(weight: WeightSpec, alpha: float, grid: TorusGrid,
-                    t: float) -> LatticeOperator:
-    return weight.conjugate(heat_semigroup(grid, alpha, t))
-
-
-def conjugated_resolvent_power(weight: WeightSpec, alpha: float,
-                               grid: TorusGrid, mu: float,
-                               gamma: float) -> LatticeOperator:
-    """(mu + A_eta)^(-gamma) = eta^(-1) (mu + A)^(-gamma) eta."""
-    return weight.conjugate(resolvent_power(grid, alpha, mu, gamma))
 
 
 def smooth_bump(grid: TorusGrid, center, radius: float) -> np.ndarray:
@@ -105,17 +90,26 @@ def random_bumps(grid: TorusGrid, n: int, radius: float, seed=0,
     return out
 
 
+# plateau levels of the Markov check, in units of the median weight
+_MARKOV_LEVELS = (1.0, 2.0, 4.0)
+# probe fields per check; the weighted L^p check draws half of them as
+# bumps and half as Gaussian fields
+_MARKOV_PROBES = 6
+_ESTIMATE_PROBES = 12
+_LP_PROBES = 24
+
+
 def verify_weighted_markov(weight: WeightSpec, alpha: float, t_list,
-                           grid: TorusGrid, levels=(1.0, 2.0, 4.0),
-                           n_probes=6, seed=0) -> VerificationReport:
+                           grid: TorusGrid, seed=0) -> VerificationReport:
     """Estimate the smallest growth rate omega with
     ||eta_n exp(-tA) eta_n^(-1) f||_1 <= exp(omega t) ||f||_1 over probe
     fields and plateau levels; the rate must be stable across levels, and
     exp(-t(omega + A_eta)) must remain an L^inf contraction."""
+    levels = _MARKOV_LEVELS
     median = float(np.median(weight.lattice))
     rng = np.random.default_rng(seed)
     probes = []
-    for i in range(n_probes):
+    for i in range(_MARKOV_PROBES):
         if i % 2 == 0:
             # mass near the weight minimum is the worst case for the
             # conjugated L^1 growth
@@ -148,7 +142,7 @@ def verify_weighted_markov(weight: WeightSpec, alpha: float, t_list,
     # L^inf contraction of the shifted conjugated semigroup
     contraction_excess = 0.0
     for t in t_list:
-        ch = conjugated_heat(weight, alpha, grid, t)
+        ch = weight.conjugate(heat_semigroup(grid, alpha, t))
         for f in probes:
             g = np.clip(f / np.max(np.abs(f)), -1.0, 1.0)
             val = np.exp(-fitted * t) * np.max(np.abs(ch.apply(g)))
@@ -183,8 +177,8 @@ def _weighted_estimate_parameters(dim, alpha, nu, p):
 
 def verify_weighted_estimates(drift: DriftSpec, weight: WeightSpec, p: float,
                               mu_list, grid: TorusGrid, alpha: float,
-                              m_levels=(8, 16), q=None, r=None, n_probes=12,
-                              bump_radius=None, seed=0) -> VerificationReport:
+                              m_levels=(8, 16), q=None, r=None,
+                              seed=0) -> VerificationReport:
     """Probe the three weighted resolvent estimates for the drifted
     generator at each mollification level m and each mu:
 
@@ -196,14 +190,14 @@ def verify_weighted_estimates(drift: DriftSpec, weight: WeightSpec, p: float,
                         <= K3 || |b_m|^(1/p) h ||_(p, eta)
 
     The third family of ratios must decrease along the mu ladder, and all
-    ratios stay uniformly bounded across m.
+    ratios stay uniformly bounded across m.  The probes are random bumps
+    of radius L/4 centred within L/3 of the origin.
     """
     _weighted_estimate_parameters(grid.dim, alpha, weight.nu, p)
     q = q if q is not None else p + 1.0
     r = r if r is not None else (1.0 + p) / 2.0
-    radius = bump_radius if bump_radius is not None else grid.half_length / 4.0
-    probes = random_bumps(grid, n_probes, radius, seed=seed,
-                          center_radius=grid.half_length / 3.0)
+    probes = random_bumps(grid, _ESTIMATE_PROBES, grid.half_length / 4.0,
+                          seed=seed, center_radius=grid.half_length / 3.0)
     eta = weight.lattice
     sup_ratio = {}
     drift_sup_ratio = {}
@@ -296,24 +290,24 @@ def verify_eta_b_integrability(drift: DriftSpec, nu: float, p: float,
 def verify_weighted_lp_inequalities(potential: np.ndarray, p: float,
                                     mu: float, lam: float, grid: TorusGrid,
                                     alpha: float, weight: WeightSpec,
-                                    n_probes=24, seed=0,
-                                    delta: float | None = None) -> VerificationReport:
+                                    seed=0) -> VerificationReport:
     """Re-run of the three resolvent-weighted potential bounds with the
     conjugated generator A_eta and the weighted norms.  The pointwise
     comparison behind them does not involve the weight, so the same
-    constant c = p p'/4 and the same delta must work."""
+    constant c = p p'/4 and the same delta, the weak form-bound of the
+    potential at shift lam, must work."""
     from .formbound import estimate_weak_formbound
 
-    if delta is None:
-        delta = estimate_weak_formbound(potential, lam, grid, alpha,
-                                        seed=seed).delta_est
+    delta = estimate_weak_formbound(potential, lam, grid, alpha,
+                                    seed=seed).delta_est
     gamma = (alpha - 1.0) / alpha
     rng = np.random.default_rng(seed)
+    half = _LP_PROBES // 2
     probes = itertools.chain(
-        random_bumps(grid, n_probes // 2, grid.half_length / 4.0, seed=seed),
-        (rng.standard_normal(grid.shape) for _ in range(n_probes // 2)))
+        random_bumps(grid, half, grid.half_length / 4.0, seed=seed),
+        (rng.standard_normal(grid.shape) for _ in range(half)))
     worst, _ = probe_potential_bounds(
-        potential, conjugated_resolvent_power(weight, alpha, grid, mu, gamma),
+        potential, weight.conjugate(resolvent_power(grid, alpha, mu, gamma)),
         p, probes, lambda f: weight.lp_norm(f, p))
     checks = potential_bound_checks("weighted", worst, delta,
                                     p * (p / (p - 1.0)) / 4.0, p, mu, gamma)
@@ -331,8 +325,8 @@ def weighted_lp_resolvent(plain: ResolventAssembly, weight: WeightSpec,
     identical to conjugating the assembled resolvent."""
     conj = weight.conjugate
     theta, _ = lp_resolvent_layout(
-        partial(conjugated_resolvent_power, weight, alpha, weight.grid,
-                plain.mu),
+        lambda gamma: conj(resolvent_power(weight.grid, alpha, plain.mu,
+                                           gamma)),
         conj(plain.handles["Q"]), conj(plain.handles["T"]),
         conj(plain.handles["G"]), plain.p, plain.q, plain.r, alpha)
     return theta

@@ -80,7 +80,23 @@ def test_config_as_dict_round_trip(cfg):
     assert config.parse_config(json.dumps(cfg.as_dict())) == cfg
 
 
+# malformed or out-of-range values, with the key each message must name
+_BAD_VALUES = [
+    ("[parameters]\ngrid_n = abc\n", "grid_n"),
+    ('{"dim": [3]}', "dim"),
+    ("[drift]\ndelta = zz\n", "drift.delta"),
+    ('{"lambda_ladder": "0.1, x"}', "lambda_ladder"),
+    ('{"drift": {"kind": "nope"}}', "drift"),
+    ('{"drift": 5}', "drift"),
+    ("[parameters]\nalpha = 2.5\n", "alpha"),
+    ("[parameters]\ndim = 2\n", "dim"),
+]
+
+
 def test_parse_errors():
+    for text, key in _BAD_VALUES:
+        with pytest.raises(ConfigurationError, match=key):
+            config.parse_config(text)
     with pytest.raises(ConfigurationError):
         config.parse_config("")
     with pytest.raises(ConfigurationError):
@@ -124,6 +140,13 @@ def test_exit_code_2_on_parse_error(tmp_path):
     assert cli.run(bad, stream=out) == 2
     missing = str(tmp_path / "missing.cfg")
     assert cli.run(missing, stream=out) == 2
+    malformed = write(tmp_path, "malformed.cfg", "[parameters]\ngrid_n = abc\n")
+    assert cli.run(malformed, stream=out) == 2
+    good = write(tmp_path, "good.cfg", "[experiment]\nscenario = sampler_check\n")
+    for seed in (-1, 2**64):
+        assert cli.run(good, seed=seed, stream=out) == 2
+    assert "Traceback" not in out.getvalue()
+    assert "seed = -1 must lie in [0, 2^64)" in out.getvalue()
 
 
 def test_exit_code_3_on_admissibility(tmp_path):

@@ -7,7 +7,7 @@ from scipy import ndimage
 
 from stablelab import drifts, evolution
 from stablelab.errors import ConfigurationError, ParameterError
-from stablelab.grid import Field, TorusGrid
+from stablelab.grid import TorusGrid
 from stablelab.operators import gradient_component, heat_semigroup
 
 ALPHA = 1.5
@@ -38,8 +38,6 @@ def smooth_field(grid, seed=0, t=0.3):
 def test_config_validation(grid, smooth_drift):
     with pytest.raises(ConfigurationError):
         evolution.PropagatorConfig(smooth_drift, ALPHA, t_final=0.5, steps=0)
-    with pytest.raises(ConfigurationError):
-        evolution.PropagatorConfig(smooth_drift, ALPHA, 0.5, 10, scheme="magic")
     # Courant guard: one huge step with a strong drift
     strong = drifts.mollify(drifts.bounded_smooth_drift([30.0] * 3, 8.0, 3),
                             n=64, grid=grid, epsilon_n=0.05)
@@ -62,14 +60,6 @@ def test_tiny_horizon_is_near_identity(grid, smooth_drift):
     cfg = evolution.PropagatorConfig(smooth_drift, ALPHA, 1e-8, 1)
     out = evolution.propagate(cfg, f)
     assert np.max(np.abs(out - f)) <= 1e-6 * np.max(np.abs(f))
-
-
-def test_field_round_trip(grid, smooth_drift):
-    f = Field(grid, smooth_field(grid, 2))
-    cfg = evolution.PropagatorConfig(smooth_drift, ALPHA, 0.25, 10)
-    out = evolution.propagate(cfg, f)
-    assert isinstance(out, Field)
-    assert not np.iscomplexobj(out.data)
 
 
 def test_sup_norm_contraction_and_positivity(grid, smooth_drift):
@@ -111,10 +101,11 @@ def test_arnoldi_cross_validation(grid, smooth_drift):
     f = smooth_field(grid, 6)
     split = evolution.propagate(
         evolution.PropagatorConfig(smooth_drift, ALPHA, 0.25, 10), f)
-    arnoldi = evolution.propagate(
-        evolution.PropagatorConfig(smooth_drift, ALPHA, 0.25, 10,
-                                   scheme="expm_krylov"), f)
-    rel = np.linalg.norm(arnoldi - split) / np.linalg.norm(split)
+    stepper = evolution.ArnoldiPropagator(smooth_drift, ALPHA, 0.025)
+    arnoldi = f
+    for _ in range(10):
+        arnoldi = stepper.step(arnoldi)
+    rel = np.linalg.norm(arnoldi.real - split) / np.linalg.norm(split)
     assert rel < 5e-3
 
 
@@ -229,10 +220,10 @@ def test_laplace_transform_matches_resolvent():
     f = smooth_field(grid, 13)
     mu, horizon, steps = 10.0, 2.0, 200
     dt = horizon / steps
-    cfg = evolution.PropagatorConfig(mol, ALPHA, dt, 1, scheme="expm_krylov")
+    stepper = evolution.ArnoldiPropagator(mol, ALPHA, dt)
     samples = [f.astype(complex)]
     for _ in range(steps):
-        samples.append(evolution.propagate(cfg, samples[-1]))
+        samples.append(stepper.step(samples[-1]))
     weights = np.full(steps + 1, 2.0)
     weights[1::2] = 4.0
     weights[0] = weights[-1] = 1.0
@@ -271,11 +262,11 @@ def test_kernel_slice_mass(grid, smooth_drift):
     cfg = evolution.PropagatorConfig(smooth_drift, ALPHA, 0.3, 12)
     spike = np.zeros(grid.shape)
     spike[grid.site_index([0.0] * 3)] = 1.0 / grid.cell_volume
-    row = evolution.propagate(cfg, Field(grid, spike))
-    assert row.integral().real == pytest.approx(1.0, abs=1e-4)
+    row = evolution.propagate(cfg, spike)
+    assert np.sum(row) * grid.cell_volume == pytest.approx(1.0, abs=1e-4)
     # the initial spike is unresolved for a few steps; small transient
     # ringing survives in the far field
-    assert row.data.min() >= -1e-3 * np.max(row.data)
+    assert row.min() >= -1e-3 * np.max(row)
 
 
 @pytest.fixture(scope="module")

@@ -5,8 +5,8 @@ from scipy.sparse.linalg import ArpackNoConvergence
 from stablelab import drifts, formbound
 from stablelab.errors import ConvergenceError, ParameterError
 from stablelab.grid import TorusGrid
-from stablelab.operators import (Compose, FourierMultiplier,
-                                 PointwiseMultiplier, resolvent_power)
+from stablelab.operators import (Compose, PointwiseMultiplier,
+                                 resolvent_power)
 
 ALPHA = 1.5
 
@@ -52,29 +52,15 @@ def test_scaling_linearity(grid, hardy_mol):
     assert scaled.delta_est == pytest.approx(3.0 * one.delta_est, rel=1e-10)
 
 
-def test_gauss_variant_reported(grid, hardy_mol):
-    frac = formbound.estimate_weak_formbound(hardy_mol, 0.05, grid, ALPHA,
-                                             variant="frac")
-    gauss = formbound.estimate_weak_formbound(hardy_mol, 0.05, grid, ALPHA,
-                                              variant="gauss")
-    assert gauss.variant == "gauss"
-    # same class, different norm normalization; both finite and same scale
-    assert 0.2 < gauss.delta_est / frac.delta_est < 5.0
-
-
 def test_symmetrized_equals_weak_bound(grid, hardy_mol):
     # ||S*S|| = ||SS*||: the estimate solves the sandwich SS*; the square
     # S*S = R M_|b| R built from the half power R is the oracle
     lam = 0.05
-    roots = {"frac": resolvent_power(grid, ALPHA, lam, (ALPHA - 1.0) / (2 * ALPHA)),
-             "gauss": FourierMultiplier(grid, (lam + grid.frequency_radius_sq())
-                                        ** (-(ALPHA - 1.0) / 4.0))}
+    root = resolvent_power(grid, ALPHA, lam, (ALPHA - 1.0) / (2 * ALPHA))
     mul = PointwiseMultiplier(grid, hardy_mol.magnitude())
-    for variant, root in roots.items():
-        weak = formbound.estimate_weak_formbound(hardy_mol, lam, grid, ALPHA,
-                                                 variant=variant)
-        square = formbound.top_eigenpair(Compose([root, mul, root]), grid)[0]
-        assert weak.delta_est == pytest.approx(square, rel=1e-10), variant
+    weak = formbound.estimate_weak_formbound(hardy_mol, lam, grid, ALPHA)
+    square = formbound.top_eigenpair(Compose([root, mul, root]), grid)[0]
+    assert weak.delta_est == pytest.approx(square, rel=1e-10)
 
 
 def test_duality_interpolation_ordering(grid):

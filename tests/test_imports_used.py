@@ -2,7 +2,9 @@
 
 A stdlib-``ast`` stand-in for a linter's unused-import rule: an import
 whose bound name never appears as an ``ast.Name`` is dead code.  The
-package ``__init__`` re-exports by name and is left out.
+package ``__init__`` re-exports by name, so it has a rule of its own:
+each name it imports is used there or listed in ``__all__``, and each
+``__all__`` entry is imported, so that no export goes stale.
 """
 
 import ast
@@ -16,19 +18,44 @@ MODULES = sorted(p for p in Path(stablelab.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
 
 
-def unused_imports(source: str) -> list:
-    tree = ast.parse(source)
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    unused = []
+def _imports(tree):
+    """(line, bound name) of every import but those from __future__."""
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
-                bound = alias.asname or alias.name.split(".")[0]
-                if bound not in used:
-                    unused.append(f"line {node.lineno}: {bound}")
-    return unused
+                yield node.lineno, alias.asname or alias.name.split(".")[0]
+
+
+def _used(tree) -> set:
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def unused_imports(source: str) -> list:
+    tree = ast.parse(source)
+    used = _used(tree)
+    return [f"line {line}: {bound}" for line, bound in _imports(tree)
+            if bound not in used]
+
+
+def stale_exports(source: str) -> list:
+    """Imports neither used nor in ``__all__``, and ``__all__`` entries
+    that nothing imports."""
+    tree = ast.parse(source)
+    exported = []
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            exported = list(ast.literal_eval(node.value))
+    used = _used(tree)
+    imported = {bound: line for line, bound in _imports(tree)}
+    return ([f"line {line}: {bound} not used or exported"
+             for bound, line in imported.items()
+             if bound not in used and bound not in exported]
+            + [f"__all__: {name} not imported" for name in exported
+               if name not in imported])
 
 
 def test_unused_import_is_caught():
@@ -39,3 +66,15 @@ def test_unused_import_is_caught():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_imports_are_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_stale_export_is_caught():
+    source = ("from .a import kept, used, dropped\nused()\n"
+              "__all__ = ['kept', 'gone']\n")
+    assert stale_exports(source) == ["line 1: dropped not used or exported",
+                                     "__all__: gone not imported"]
+
+
+def test_init_exports_match_imports():
+    init = Path(stablelab.__file__)
+    assert stale_exports(init.read_text(encoding="utf-8")) == []

@@ -5,7 +5,7 @@ from scipy import fft as sfft
 
 from stablelab import operators as ops
 from stablelab.drifts import MollifiedDrift
-from stablelab.errors import DivergenceError, ParameterError
+from stablelab.errors import ConvergenceError, DivergenceError, ParameterError
 from stablelab.evolution import advective_source
 from stablelab.grid import TorusGrid, VectorField
 
@@ -173,11 +173,13 @@ def test_neumann_inverse_matches_direct():
 
 @settings(max_examples=60, deadline=None)
 @given(c=st.one_of(st.floats(-0.9, 0.9), st.floats(1.0, 8.0),
-                   st.floats(-8.0, -1.0)),
+                   st.floats(-8.0, -1.0), st.floats(0.995, 0.999)),
        p=st.sampled_from([2.0, 4.5]), seed=st.integers(0, 2**31 - 1))
 def test_neumann_inverse_fails_fast_on_divergence(c, p, seed):
-    # (1 + c I)^(-1) converges to f/(1+c) for |c| < 1 and is refused after
-    # _STALL + 1 applies, with growth ratio |c|, for |c| >= 1
+    # (1 + c I)^(-1) converges to f/(1+c) for |c| <= 0.9 and is refused
+    # after _STALL + 1 applies, with growth ratio |c|, for |c| >= 1; for
+    # c in [0.995, 0.999] it converges too slowly and runs out of terms,
+    # its last term norm relative to f being c**_MAX_TERMS
     grid = TorusGrid(2, 4.0, 16)
     applies = []
 
@@ -191,6 +193,13 @@ def test_neumann_inverse_fails_fast_on_divergence(c, p, seed):
     if abs(c) <= 0.9:
         want = f / (1.0 + c)
         assert np.linalg.norm(inv.apply(f) - want) <= 1e-10 * np.linalg.norm(want)
+        return
+    if abs(c) < 1.0:
+        with pytest.raises(ConvergenceError) as slow:
+            inv.apply(f)
+        assert len(applies) == ops.NeumannInverse._MAX_TERMS
+        assert slow.value.last_value == pytest.approx(
+            abs(c) ** ops.NeumannInverse._MAX_TERMS, rel=1e-9)
         return
     with pytest.raises(DivergenceError) as err:
         inv.apply(f)

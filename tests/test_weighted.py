@@ -40,7 +40,7 @@ def test_truncated_weight_plateau(grid, weight):
 def test_identity_weight_limit(grid):
     w0 = weighted.WeightSpec(grid, nu=1e-8, alpha=ALPHA)
     f = np.random.default_rng(0).standard_normal(grid.shape)
-    a_eta = weighted.conjugated_generator(w0, ALPHA, grid).apply(f)
+    a_eta = w0.conjugate(frac_laplacian(grid, ALPHA)).apply(f)
     a_plain = frac_laplacian(grid, ALPHA).apply(f)
     assert (np.linalg.norm(a_eta - a_plain)
             <= 1e-6 * np.linalg.norm(a_plain))
@@ -48,7 +48,7 @@ def test_identity_weight_limit(grid):
 
 def test_conjugated_heat_definition(grid, weight):
     f = np.random.default_rng(1).standard_normal(grid.shape)
-    via_handle = weighted.conjugated_heat(weight, ALPHA, grid, 0.5).apply(f)
+    via_handle = weight.conjugate(heat_semigroup(grid, ALPHA, 0.5)).apply(f)
     direct = heat_semigroup(grid, ALPHA, 0.5).apply(weight.lattice * f) / weight.lattice
     np.testing.assert_allclose(via_handle, direct, atol=1e-14)
 
@@ -57,7 +57,7 @@ def test_weighted_symmetry(grid, weight):
     rng = np.random.default_rng(2)
     f = rng.standard_normal(grid.shape)
     g = rng.standard_normal(grid.shape)
-    a_eta = weighted.conjugated_generator(weight, ALPHA, grid)
+    a_eta = weight.conjugate(frac_laplacian(grid, ALPHA))
     eta2 = weight.lattice**2
     lhs = np.sum(a_eta.apply(f).real * g * eta2)
     rhs = np.sum(f * a_eta.apply(g).real * eta2)
@@ -77,7 +77,7 @@ def test_weighted_markov_report(grid):
 def test_weighted_markov_t_zero_contraction(grid, weight):
     # at t = 0 the conjugated semigroup is the identity: exact contraction
     f = np.clip(np.random.default_rng(3).standard_normal(grid.shape), -1, 1)
-    out = weighted.conjugated_heat(weight, ALPHA, grid, 0.0).apply(f)
+    out = weight.conjugate(heat_semigroup(grid, ALPHA, 0.0)).apply(f)
     assert np.max(np.abs(out)) <= 1.0 + 1e-12
 
 
