@@ -2,7 +2,7 @@
 available scenarios.
 
 Exit codes: 0 all checks passed (or trend-only), 1 check failure,
-2 configuration parse error, 3 admissibility violation.
+2 configuration error (parse or validation), 3 admissibility violation.
 """
 
 from __future__ import annotations

@@ -46,11 +46,19 @@ class ExperimentConfig:
 
     def validate(self, m_constant: float) -> None:
         """Cross-field admissibility; raises AdmissibilityError citing the
-        violated hypothesis, and ConfigurationError for a seed outside
-        [0, 2^64)."""
+        violated hypothesis, and ConfigurationError naming the key for a
+        seed outside [0, 2^64), a non-positive dt or half_length, or an
+        empty t_list, lambda_ladder or mu_ladder."""
         if not 0 <= self.seed < 2**64:
             raise ConfigurationError(
                 f"seed = {self.seed} must lie in [0, 2^64)")
+        for key in ("dt", "half_length"):
+            if not getattr(self, key) > 0:
+                raise ConfigurationError(
+                    f"{key} = {getattr(self, key)} must be positive")
+        for key in ("t_list", "lambda_ladder", "mu_ladder"):
+            if not len(getattr(self, key)):
+                raise ConfigurationError(f"{key} must not be empty")
         self.m_constant = m_constant
         adm = admissible_delta_threshold(self.dim, self.alpha, m_constant)
         if self.delta >= adm.threshold:

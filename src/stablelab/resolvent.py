@@ -155,26 +155,39 @@ def l2_extremizer(potential: np.ndarray, mu: float, grid: TorusGrid,
                          grid, tol=1e-8, seed=seed, start=start)[1]
 
 
-def probe_potential_bounds(potential, res, p, probes, norm):
-    """Largest ratios norm(op f) / norm(f) over ``probes`` of the operators
-    of bounds (a) V^(1/p) R, (b) V^(1/p) R V^(1/p') and (c) R V^(1/p'),
-    R = ``res``, and the number of probes drawn.  Probes of norm 0 are
-    skipped; (b) applies V^(1/p) to the output of (c)."""
+def probe_potential_bounds(potential, res, exponents, norm, shared, own=None):
+    """For each p of ``exponents``, in order, the largest ratios
+    norm(op f, p) / norm(f, p) of the operators of bounds (a) V^(1/p) R,
+    (b) V^(1/p) R V^(1/p') and (c) R V^(1/p'), R = ``res``, over the
+    ``shared`` probes and the probes ``own(p)``, with the number of probes.
+    R f of a shared probe is applied once for every exponent; probes of
+    norm 0 are skipped; (b) applies V^(1/p) to the output of (c)."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        mul_p, mul_pc = (PointwiseMultiplier(res.grid, np.where(
+        mults = [[PointwiseMultiplier(res.grid, np.where(
             potential > 0, potential ** (1.0 / e), 0.0))
-            for e in (p, p / (p - 1.0)))
-    worst = {"a": 0.0, "b": 0.0, "c": 0.0}
-    count = 0
-    for count, f in enumerate(probes, 1):
-        nf = norm(f)
+            for e in (p, p / (p - 1.0))] for p in exponents]
+    worst = [{"a": 0.0, "b": 0.0, "c": 0.0} for _ in exponents]
+    counts = [0] * len(exponents)
+
+    def take(i, f, rf):
+        counts[i] += 1
+        p, (mul_p, mul_pc), w = exponents[i], mults[i], worst[i]
+        nf = norm(f, p)
         if nf == 0.0:
-            continue
+            return
         c = res.apply(mul_pc.apply(f))
-        worst["a"] = max(worst["a"], norm(mul_p.apply(res.apply(f))) / nf)
-        worst["b"] = max(worst["b"], norm(mul_p.apply(c)) / nf)
-        worst["c"] = max(worst["c"], norm(c) / nf)
-    return worst, count
+        w["a"] = max(w["a"], norm(mul_p.apply(rf), p) / nf)
+        w["b"] = max(w["b"], norm(mul_p.apply(c), p) / nf)
+        w["c"] = max(w["c"], norm(c, p) / nf)
+
+    for f in shared:
+        rf = res.apply(f)
+        for i in range(len(exponents)):
+            take(i, f, rf)
+    for i, p in enumerate(exponents):
+        for f in own(p) if own else ():
+            take(i, f, res.apply(f))
+    return list(zip(worst, counts))
 
 
 def potential_bound_checks(label, worst, delta, c_val, p, mu, gamma):
@@ -190,14 +203,15 @@ def potential_bound_checks(label, worst, delta, c_val, p, mu, gamma):
             for w, r in ratios.items()]
 
 
-def verify_lp_inequalities(potential: np.ndarray, p: float, mu: float,
+def verify_lp_inequalities(potential: np.ndarray, exponents, mu: float,
                            lam: float, grid: TorusGrid, alpha: float,
                            n_probes: int = 50, seed: int = 0,
                            delta: float | None = None,
                            extremizer: np.ndarray | None = None
-                           ) -> VerificationReport:
-    """Probe the three resolvent-weighted bounds for a nonnegative
-    potential V whose weak form-bound at shift lam is delta:
+                           ) -> list[VerificationReport]:
+    """Probe, for each p of ``exponents``, the three resolvent-weighted
+    bounds for a nonnegative potential V whose weak form-bound at shift
+    lam is delta; one report per exponent, in order:
 
       (a) ||V^(1/p) (mu+A)^(-(a-1)/a) f||_p <= (delta c)^(1/p)
           mu^(-(a-1)/(a p')) ||f||_p
@@ -207,13 +221,14 @@ def verify_lp_inequalities(potential: np.ndarray, p: float, mu: float,
 
     Both candidate constants c in {p p'/4, 4/(p p')} are tested; the two
     coincide at p = 2 and the numerics single out the product form for
-    p != 2.  Probes include random fields, sign fields, concentrated
-    bumps, and the transported L^2 extremizer, which attains ratio
-    delta/(delta c) for candidate c = 1 in every L^p.  ``extremizer`` is
-    ``l2_extremizer(potential, mu, grid, alpha, seed)``, solved here when
-    not given.  Each probe is evaluated as soon as it is drawn, so a
-    bounded number of fields is alive whatever ``n_probes`` is; the
-    ratios are maxima, which do not depend on the order.
+    p != 2.  Random fields, sign fields and a concentrated bump are drawn
+    once for all exponents; the transported L^2 extremizer, which attains
+    ratio delta/(delta c) for candidate c = 1 in every L^p, is a probe of
+    each exponent.  ``delta`` and ``extremizer`` (``l2_extremizer(potential,
+    mu, grid, alpha, seed)``) are solved once when not given.  Each probe
+    is evaluated as soon as it is drawn, so a bounded number of fields is
+    alive whatever ``n_probes`` is; the ratios are maxima, which do not
+    depend on the order.
     """
     from .formbound import estimate_weak_formbound
 
@@ -221,53 +236,53 @@ def verify_lp_inequalities(potential: np.ndarray, p: float, mu: float,
         raise ParameterError("potential must be nonnegative")
     if mu < lam:
         raise ParameterError("mu must dominate the form-bound shift lam")
-    p_c = p / (p - 1.0)
     gamma = (alpha - 1.0) / alpha
-    candidates = {"product_quarter": p * p_c / 4.0,
-                  "reciprocal": 4.0 / (p * p_c)}
+    candidates = [{"product_quarter": p * p_c / 4.0,
+                   "reciprocal": 4.0 / (p * p_c)}
+                  for p in exponents for p_c in (p / (p - 1.0),)]
     if delta is None:
         delta = estimate_weak_formbound(potential, lam, grid, alpha,
                                         seed=seed).delta_est
     if delta == 0.0:
-        checks = [(f"{name}:{which}", 0.0, "<= 1 + 1e-6", True)
-                  for which in ("a", "b", "c") for name in candidates]
-        return build_report("markov_lp_resolvent_bounds",
-                            {"p": p, "mu": mu, "lam": lam}, checks)
+        return [build_report("markov_lp_resolvent_bounds",
+                             {"p": p, "mu": mu, "lam": lam},
+                             [(f"{name}:{which}", 0.0, "<= 1 + 1e-6", True)
+                              for which in ("a", "b", "c") for name in cand])
+                for p, cand in zip(exponents, candidates)]
 
     rng = np.random.default_rng(seed)
 
-    def probes():
+    def shared():
         for _ in range(max(4, n_probes - 3)):
             kind = rng.integers(0, 2)
             f = rng.standard_normal(grid.shape)
-            if kind == 1:
-                f = np.sign(f)
-            yield f
+            yield np.sign(f) if kind == 1 else f
         # concentrated bump at the potential maximum
-        peak = np.unravel_index(np.argmax(potential), grid.shape)
         bump = np.zeros(grid.shape)
-        bump[peak] = 1.0
+        bump[np.unravel_index(np.argmax(potential), grid.shape)] = 1.0
         yield bump
-        # transported L^2 extremizer: f = V^(1/p - 1/2) phi with phi the top
-        # eigenfield of sqrt(V) R sqrt(V); the operator of bound (b),
-        # V^(1/p) R V^(1/p'), maps f to delta V^(1/p-1/2) phi
-        phi = (extremizer if extremizer is not None
-               else l2_extremizer(potential, mu, grid, alpha, seed))
-        mask = potential > 1e-9 * np.max(potential)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            transported = np.where(mask, potential ** (1.0 / p - 0.5), 0.0) * phi
-        yield transported
-        yield np.abs(transported)
 
-    raw_ratio, count = probe_potential_bounds(
-        potential, resolvent_power(grid, alpha, mu, gamma), p, probes(),
-        lambda f: grid.lp_norm(f, p))
-    checks = [check for name, c_val in candidates.items()
-              for check in potential_bound_checks(name, raw_ratio, delta,
-                                                  c_val, p, mu, gamma)]
-    return build_report(
+    # transported L^2 extremizer: f = V^(1/p - 1/2) phi with phi the top
+    # eigenfield of sqrt(V) R sqrt(V); the operator of bound (b),
+    # V^(1/p) R V^(1/p'), maps f to delta V^(1/p-1/2) phi
+    phi = (extremizer if extremizer is not None
+           else l2_extremizer(potential, mu, grid, alpha, seed))
+    mask = potential > 1e-9 * np.max(potential)
+
+    def transported(p):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            f = np.where(mask, potential ** (1.0 / p - 0.5), 0.0) * phi
+        return f, np.abs(f)
+
+    found = probe_potential_bounds(
+        potential, resolvent_power(grid, alpha, mu, gamma), exponents,
+        grid.lp_norm, shared(), transported)
+    return [build_report(
         "markov_lp_resolvent_bounds",
-        {"p": p, "mu": mu, "lam": lam, "delta": delta,
-         "candidates": {k: v for k, v in candidates.items()}},
-        checks, provenance={"seed": seed, "n_probes": count,
-                            "grid_n": grid.points_per_axis})
+        {"p": p, "mu": mu, "lam": lam, "delta": delta, "candidates": cand},
+        [check for name, c_val in cand.items()
+         for check in potential_bound_checks(name, worst, delta, c_val, p,
+                                             mu, gamma)],
+        provenance={"seed": seed, "n_probes": count,
+                    "grid_n": grid.points_per_axis})
+        for p, cand, (worst, count) in zip(exponents, candidates, found)]

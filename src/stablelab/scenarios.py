@@ -56,9 +56,8 @@ def run_sampler_check(cfg: ExperimentConfig) -> ScenarioResult:
     checks = []
     probes = []
     for knorm in (0.5, 1.0, 2.0, 3.0):
-        kappa = np.zeros(cfg.dim)
-        kappa[0] = knorm
-        est, se = empirical_char_function(batch.values, kappa)
+        est, se = empirical_char_function(batch.values,
+                                          knorm * np.eye(cfg.dim)[0])
         target = np.exp(-knorm**cfg.alpha)
         dev = abs(est - target)
         checks.append((f"char_fn_|k|={knorm}", dev, f"<= {3 * se:.3e}",
@@ -216,21 +215,20 @@ def run_resolvent_verify(cfg: ExperimentConfig) -> ScenarioResult:
                                             cfg.alpha, seed=cfg.seed)
     phi = resolvent.l2_extremizer(potential, 1.0, grid_big, cfg.alpha,
                                   seed=cfg.seed, start=est.eigenfield)
-    for p_exp in (2.0, 4.5):
-        rep = resolvent.verify_lp_inequalities(
-            potential, p_exp, mu=1.0, lam=0.01, grid=grid_big,
+    for rep in resolvent.verify_lp_inequalities(
+            potential, (2.0, 4.5), mu=1.0, lam=0.01, grid=grid_big,
             alpha=cfg.alpha, n_probes=50, seed=cfg.seed, delta=est.delta_est,
-            extremizer=phi)
+            extremizer=phi):
         product_ok = all(rep.metrics[f"product_quarter:{w}"] <= 1.0 + 1e-6
                          for w in ("a", "b", "c"))
         checks = [("product_constant_all_pass", float(product_ok),
                    "ratios <= 1 + 1e-6", product_ok)]
-        if p_exp != 2.0:
+        if rep.inputs["p"] != 2.0:
             worst = max(rep.metrics[f"reciprocal:{w}"] for w in ("a", "b", "c"))
             checks.append(("reciprocal_constant_fails", worst, "> 1 + 1e-6",
                            worst > 1.0 + 1e-6))
         out.add(build_report("potential_bound_constant_discrimination",
-                             {"p": p_exp, "mu": 1.0, "lam": 0.01,
+                             {"p": rep.inputs["p"], "mu": 1.0, "lam": 0.01,
                               "delta_est": rep.inputs["delta"]},
                              checks, provenance=rep.as_dict()["metrics"]))
     return out
@@ -331,11 +329,7 @@ def run_sde_identify(cfg: ExperimentConfig) -> ScenarioResult:
     ens_fine = sde.integrate(mol, [0.0] * cfg.dim, t_final, cfg.dt / 2.0,
                              max(cfg.n_paths // 2, 1000), cfg.seed + 1,
                              cfg.alpha)
-    kappas = []
-    for knorm in (0.5, 1.0, 2.0):
-        kap = np.zeros(cfg.dim)
-        kap[0] = knorm
-        kappas.append(kap)
+    kappas = [knorm * np.eye(cfg.dim)[0] for knorm in (0.5, 1.0, 2.0)]
     coarse = sde.identify_driving_noise(ens, kappas)
     fine = sde.identify_driving_noise(ens_fine, kappas)
     allowance = 2.0 * max(abs(c.w_hat - f.w_hat)

@@ -199,9 +199,7 @@ def verify_weighted_estimates(drift: DriftSpec, weight: WeightSpec, p: float,
     probes = random_bumps(grid, _ESTIMATE_PROBES, grid.half_length / 4.0,
                           seed=seed, center_radius=grid.half_length / 3.0)
     eta = weight.lattice
-    sup_ratio = {}
-    drift_sup_ratio = {}
-    drift_lp_ratio = {}
+    ratios = {"sup": {}, "drift_sup": {}, "drift_lp": {}}
     for m in m_levels:
         mol = mollify(drift, n=m, grid=grid)
         bm = mol.magnitude()
@@ -221,18 +219,17 @@ def verify_weighted_estimates(drift: DriftSpec, weight: WeightSpec, p: float,
                     lhs3 = weight.lp_norm(bm_p * core / eta, p)
                     s2 = max(s2, lhs2 / denom2)
                     s3 = max(s3, lhs3 / denom2)
-            sup_ratio[(m, mu)] = s1
-            drift_sup_ratio[(m, mu)] = s2
-            drift_lp_ratio[(m, mu)] = s3
+            for tag, val in zip(ratios, (s1, s2, s3)):
+                ratios[tag][(m, mu)] = val
     checks = []
+    lp_ratio = ratios["drift_lp"]
     for m in m_levels:
         decreasing = all(
-            drift_lp_ratio[(m, mu_list[i + 1])] < drift_lp_ratio[(m, mu_list[i])]
+            lp_ratio[(m, mu_list[i + 1])] < lp_ratio[(m, mu_list[i])]
             for i in range(len(mu_list) - 1))
         checks.append((f"drift_lp_decreasing_m{m}", float(decreasing),
                        "strictly decreasing along mu ladder", decreasing))
-    for tag, table in (("sup", sup_ratio), ("drift_sup", drift_sup_ratio),
-                       ("drift_lp", drift_lp_ratio)):
+    for tag, table in ratios.items():
         vals = [table[(m, mu)] for m in m_levels for mu in mu_list]
         finite = all(np.isfinite(v) for v in vals)
         checks.append((f"{tag}_ratios_finite", float(finite), "finite", finite))
@@ -240,21 +237,15 @@ def verify_weighted_estimates(drift: DriftSpec, weight: WeightSpec, p: float,
         uniform = max(by_m) <= 2.0 * max(min(by_m), 1e-300)
         checks.append((f"{tag}_uniform_in_m", max(by_m) / max(min(by_m), 1e-300),
                        "<= 2x across m levels", uniform))
-    metrics_tables = {
-        "sup_ratio": {f"m{m}_mu{mu}": sup_ratio[(m, mu)]
-                      for m in m_levels for mu in mu_list},
-        "drift_sup_ratio": {f"m{m}_mu{mu}": drift_sup_ratio[(m, mu)]
-                            for m in m_levels for mu in mu_list},
-        "drift_lp_ratio": {f"m{m}_mu{mu}": drift_lp_ratio[(m, mu)]
-                           for m in m_levels for mu in mu_list},
-    }
-    report = build_report("weighted_resolvent_estimates",
-                          {"p": p, "q": q, "r": r, "nu": weight.nu,
-                           "mu_list": list(mu_list), "m_levels": list(m_levels)},
-                          checks,
-                          provenance={"seed": seed, "tables": metrics_tables,
-                                      "grid_n": grid.points_per_axis})
-    return report
+    metrics_tables = {f"{tag}_ratio": {f"m{m}_mu{mu}": table[(m, mu)]
+                                       for m in m_levels for mu in mu_list}
+                      for tag, table in ratios.items()}
+    return build_report("weighted_resolvent_estimates",
+                        {"p": p, "q": q, "r": r, "nu": weight.nu,
+                         "mu_list": list(mu_list), "m_levels": list(m_levels)},
+                        checks,
+                        provenance={"seed": seed, "tables": metrics_tables,
+                                    "grid_n": grid.points_per_axis})
 
 
 def verify_eta_b_integrability(drift: DriftSpec, nu: float, p: float,
@@ -306,9 +297,9 @@ def verify_weighted_lp_inequalities(potential: np.ndarray, p: float,
     probes = itertools.chain(
         random_bumps(grid, half, grid.half_length / 4.0, seed=seed),
         (rng.standard_normal(grid.shape) for _ in range(half)))
-    worst, _ = probe_potential_bounds(
+    [(worst, _)] = probe_potential_bounds(
         potential, weight.conjugate(resolvent_power(grid, alpha, mu, gamma)),
-        p, probes, lambda f: weight.lp_norm(f, p))
+        (p,), weight.lp_norm, probes)
     checks = potential_bound_checks("weighted", worst, delta,
                                     p * (p / (p - 1.0)) / 4.0, p, mu, gamma)
     return build_report("weighted_markov_lp_bounds",

@@ -130,10 +130,10 @@ def test_criterion_06_potential_bound_constants(hardy, grid32):
     potential = mol.magnitude()
     ok_product = True
     reciprocal_fails = False
-    for p_exp in (2.0, 4.5):
-        rep = resolvent.verify_lp_inequalities(
-            potential, p_exp, mu=1.0, lam=0.01, grid=grid32, alpha=ALPHA,
-            n_probes=50, seed=SEED)
+    reports = resolvent.verify_lp_inequalities(
+        potential, (2.0, 4.5), mu=1.0, lam=0.01, grid=grid32, alpha=ALPHA,
+        n_probes=50, seed=SEED)
+    for p_exp, rep in zip((2.0, 4.5), reports, strict=True):
         ok_product = ok_product and all(
             rep.metrics[f"product_quarter:{w}"] <= 1.0 + 1e-6
             for w in ("a", "b", "c"))

@@ -149,6 +149,41 @@ def test_exit_code_2_on_parse_error(tmp_path):
     assert "seed = -1 must lie in [0, 2^64)" in out.getvalue()
 
 
+# values that parse but cannot run, each with the key its refusal names
+_UNRUNNABLE = [('{"scenario": "sde_identify", "dt": 0}', "dt"),
+               ('{"dt": -0.0125}', "dt"),
+               ('{"scenario": "formbound_audit", "half_length": -1}',
+                "half_length"),
+               ('{"half_length": 0}', "half_length"),
+               ('{"t_list": []}', "t_list"),
+               ('{"lambda_ladder": []}', "lambda_ladder"),
+               ('{"mu_ladder": []}', "mu_ladder"),
+               ("[parameters]\nmu_ladder =\n", "mu_ladder")]
+
+
+def test_exit_code_2_on_unrunnable_values(tmp_path):
+    for i, (text, key) in enumerate(_UNRUNNABLE):
+        out = io.StringIO()
+        assert cli.run(write(tmp_path, f"bad{i}.cfg", text), stream=out) == 2
+        assert out.getvalue().startswith(f"config error: {key} ")
+        assert "Traceback" not in out.getvalue()
+
+
+def test_benchmark_default_and_quick_configs_validate():
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        from workloads import DEFAULT_SEED, WORKLOADS, make_configs
+    finally:
+        sys.path.pop(0)
+    docs = [{}] + [doc for name in WORKLOADS
+                   for doc in make_configs(name, DEFAULT_SEED)]
+    m = config.reference_m_constant(1.5, 3)
+    for doc in docs:
+        cfg = config.parse_config(json.dumps(doc))
+        cfg.validate(m)
+        cfg.quick().validate(m)
+
+
 def test_exit_code_3_on_admissibility(tmp_path):
     out = io.StringIO()
     bad = write(tmp_path, "inadm.cfg",

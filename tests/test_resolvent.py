@@ -3,11 +3,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stablelab import drifts, resolvent
 from stablelab.errors import DivergenceError, ParameterError
 from stablelab.grid import TorusGrid
-from stablelab.operators import resolvent_power
+from stablelab.operators import FourierMultiplier, resolvent_power
 
 ALPHA = 1.5
 
@@ -199,8 +200,9 @@ def test_t_norm_probe_respects_theory_bound():
 
 
 def test_lp_inequalities_zero_potential(grid):
-    rep = resolvent.verify_lp_inequalities(np.zeros(grid.shape), 4.5, 1.0,
-                                           0.01, grid, ALPHA, n_probes=5)
+    [rep] = resolvent.verify_lp_inequalities(np.zeros(grid.shape), (4.5,),
+                                             1.0, 0.01, grid, ALPHA,
+                                             n_probes=5)
     assert rep.verdict == "pass"
     assert all(v == 0.0 for v in rep.metrics.values())
 
@@ -209,8 +211,9 @@ def test_lp_inequalities_candidates_at_p2():
     grid = TorusGrid(3, 8.0, 32)
     mol = drifts.mollify(drifts.hardy_drift(0.05, ALPHA, 3), n=4, grid=grid,
                          epsilon_n=0.25)
-    rep = resolvent.verify_lp_inequalities(mol.magnitude(), 2.0, 1.0, 0.01,
-                                           grid, ALPHA, n_probes=20, seed=3)
+    [rep] = resolvent.verify_lp_inequalities(mol.magnitude(), (2.0,), 1.0,
+                                             0.01, grid, ALPHA, n_probes=20,
+                                             seed=3)
     # c = 1 for both candidates at p = 2: identical ratios, all pass
     assert rep.verdict == "pass"
     assert rep.metrics["product_quarter:b"] == pytest.approx(
@@ -221,8 +224,9 @@ def test_lp_inequalities_separate_candidates_at_p45():
     grid = TorusGrid(3, 8.0, 32)
     mol = drifts.mollify(drifts.hardy_drift(0.05, ALPHA, 3), n=4, grid=grid,
                          epsilon_n=0.25)
-    rep = resolvent.verify_lp_inequalities(mol.magnitude(), 4.5, 1.0, 0.01,
-                                           grid, ALPHA, n_probes=50, seed=3)
+    [rep] = resolvent.verify_lp_inequalities(mol.magnitude(), (4.5,), 1.0,
+                                             0.01, grid, ALPHA, n_probes=50,
+                                             seed=3)
     assert all(rep.metrics[f"product_quarter:{w}"] <= 1.0 + 1e-6
                for w in ("a", "b", "c"))
     assert any(rep.metrics[f"reciprocal:{w}"] > 1.0 + 1e-6
@@ -236,18 +240,19 @@ def test_given_extremizer_gives_the_same_report(grid):
                          epsilon_n=0.5)
     potential = mol.magnitude()
     phi = resolvent.l2_extremizer(potential, 1.0, grid, ALPHA, seed=3)
-    for p in (2.0, 4.5):
-        solved = resolvent.verify_lp_inequalities(
-            potential, p, 1.0, 0.01, grid, ALPHA, n_probes=8, seed=3)
-        given = resolvent.verify_lp_inequalities(
-            potential, p, 1.0, 0.01, grid, ALPHA, n_probes=8, seed=3,
-            extremizer=phi)
-        assert given.metrics == solved.metrics
+    solved = resolvent.verify_lp_inequalities(
+        potential, (2.0, 4.5), 1.0, 0.01, grid, ALPHA, n_probes=8, seed=3)
+    given = resolvent.verify_lp_inequalities(
+        potential, (2.0, 4.5), 1.0, 0.01, grid, ALPHA, n_probes=8, seed=3,
+        extremizer=phi)
+    assert len(given) == len(solved) == 2
+    for g, s in zip(given, solved):
+        assert g.metrics == s.metrics
 
 
 def test_lp_probes_are_streamed():
     # the traced peak may not grow with the probe count: each probe is
-    # evaluated as soon as it is drawn
+    # evaluated, for both exponents, as soon as it is drawn
     grid = TorusGrid(3, 8.0, 32)
     mol = drifts.mollify(drifts.hardy_drift(0.05, ALPHA, 3), n=4, grid=grid,
                          epsilon_n=0.25)
@@ -257,15 +262,97 @@ def test_lp_probes_are_streamed():
     def traced_peak(n_probes):
         tracemalloc.start()
         try:
-            rep = resolvent.verify_lp_inequalities(
-                potential, 4.5, 1.0, 0.01, grid, ALPHA, n_probes=n_probes,
-                seed=3, delta=0.05, extremizer=phi)
+            reps = resolvent.verify_lp_inequalities(
+                potential, (2.0, 4.5), 1.0, 0.01, grid, ALPHA,
+                n_probes=n_probes, seed=3, delta=0.05, extremizer=phi)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert rep.provenance["n_probes"] == n_probes
+        assert [r.provenance["n_probes"] for r in reps] == [n_probes] * 2
         return peak
 
     traced_peak(10)  # warm caches outside the comparison
     growth = traced_peak(50) - traced_peak(10)
     assert growth < potential.nbytes
+
+
+def smooth_potential(n, amplitude, seed):
+    grid = TorusGrid(3, 4.0, n)
+    amp = np.asarray(amplitude) * np.random.default_rng(seed).uniform(
+        0.5, 1.0, 3)
+    return grid, drifts.bounded_smooth_drift(amp, 4.0, 3).lattice_magnitude(
+        grid)
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.sampled_from([8, 16]), amplitude=st.floats(0.0, 2.0),
+       seed=st.integers(0, 2**31 - 1), n_probes=st.integers(1, 8),
+       exponents=st.lists(st.floats(1.0, 8.0, exclude_min=True,
+                                    exclude_max=True),
+                          min_size=1, max_size=3, unique=True),
+       solve_extremizer=st.booleans())
+def test_one_call_equals_one_exponent_calls_bitwise(
+        n, amplitude, seed, n_probes, exponents, solve_extremizer):
+    grid, potential = smooth_potential(n, amplitude, seed)
+    # a zero extremizer gives zero transported probes, which are skipped,
+    # so that the shared probes alone set the ratios
+    kwargs = dict(n_probes=n_probes, seed=seed, extremizer=(
+        None if solve_extremizer else np.zeros(grid.shape)))
+    args = (1.0, 0.01, grid, ALPHA)
+    joint = resolvent.verify_lp_inequalities(
+        potential, tuple(exponents), *args, **kwargs)
+    alone = [rep for p in exponents
+             for rep in resolvent.verify_lp_inequalities(
+                 potential, (p,), *args, **kwargs)]
+    assert [r.inputs["p"] for r in joint] == exponents
+    assert [r.to_json() for r in joint] == [r.to_json() for r in alone]
+
+
+@settings(max_examples=12, deadline=None)
+@given(n=st.sampled_from([8, 16]), amplitude=st.floats(0.1, 2.0),
+       seed=st.integers(0, 2**31 - 1), scale=st.floats(1e-3, 1e3),
+       exponents=st.lists(st.floats(1.1, 8.0), min_size=1, max_size=3))
+def test_probe_ratios_are_homogeneous_of_degree_0(n, amplitude, seed, scale,
+                                                  exponents):
+    grid, potential = smooth_potential(n, amplitude, seed)
+    res = resolvent_power(grid, ALPHA, 1.0, (ALPHA - 1.0) / ALPHA)
+    probes = [rand(grid, seed + k) for k in range(3)]
+    plain = resolvent.probe_potential_bounds(
+        potential, res, exponents, grid.lp_norm, probes)
+    scaled = resolvent.probe_potential_bounds(
+        potential, res, exponents, grid.lp_norm, (scale * f for f in probes))
+    # and, over probes that each set a ratio, shared equals one at a time
+    assert plain == [found for p in exponents
+                     for found in resolvent.probe_potential_bounds(
+                         potential, res, [p], grid.lp_norm, iter(probes))]
+    for (w_plain, count_plain), (w_scaled, count_scaled) in zip(
+            plain, scaled, strict=True):
+        assert count_plain == count_scaled == 3
+        for w in "abc":
+            assert w_scaled[w] == pytest.approx(w_plain[w], rel=1e-12)
+
+
+@pytest.mark.parametrize("n_probes", [3, 8])
+def test_shared_probes_save_one_transform_each(grid, monkeypatch, n_probes):
+    mol = drifts.mollify(drifts.hardy_drift(0.05, ALPHA, 3), n=4, grid=grid,
+                         epsilon_n=0.5)
+    potential = mol.magnitude()
+    phi = resolvent.l2_extremizer(potential, 1.0, grid, ALPHA, seed=3)
+    calls = [0]
+    apply = FourierMultiplier.apply
+
+    def counted(self, data):
+        calls[0] += 1
+        return apply(self, data)
+
+    monkeypatch.setattr(FourierMultiplier, "apply", counted)
+
+    def transforms(exponents):
+        calls[0] = 0
+        resolvent.verify_lp_inequalities(
+            potential, exponents, 1.0, 0.01, grid, ALPHA, n_probes=n_probes,
+            seed=3, delta=0.05, extremizer=phi)
+        return calls[0]
+
+    separate = transforms((2.0,)) + transforms((4.5,))
+    assert separate - transforms((2.0, 4.5)) == max(4, n_probes - 3) + 1
