@@ -16,7 +16,7 @@ from .evolution import (PropagatorConfig, conservativeness_check,
 from .formbound import (FormBoundEstimate, admissible_delta_threshold,
                         estimate_kato_norm, estimate_weak_formbound,
                         estimate_weak_formbound_ladder)
-from .grid import Field, TorusGrid, VectorField
+from .grid import Field, TorusGrid
 from .kernels import (ball_mass, estimate_gradient_constant,
                       heat_kernel_peak, heat_kernel_radial_derivative,
                       heat_kernel_value, kernel_profile, stable_marginal_cdf)
@@ -39,7 +39,7 @@ __all__ = [
     "ExperimentConfig", "Field", "FormBoundEstimate", "IncrementBatch",
     "MollifiedDrift", "ParameterError", "PathEnsemble", "PropagatorConfig",
     "QuadratureError", "ResolventAssembly", "StableLabError", "StableParams",
-    "TorusGrid", "VectorField", "VerificationReport", "WeightSpec",
+    "TorusGrid", "VerificationReport", "WeightSpec",
     "admissible_delta_threshold", "assemble_l2_resolvent",
     "assemble_lp_resolvent", "balakrishnan_resolvent_power", "ball_mass",
     "bounded_smooth_drift", "conservativeness_check",

@@ -15,7 +15,7 @@ import numpy as np
 from scipy import special
 
 from .errors import ParameterError
-from .grid import Field, TorusGrid, VectorField, component_magnitude
+from .grid import TorusGrid, _check_data, component_magnitude
 from .operators import even_convolution
 
 
@@ -94,24 +94,26 @@ class DriftSpec:
         comps = self.components(coords)
         return np.sqrt(sum(np.abs(c) ** 2 for c in comps))
 
-    def on_lattice(self, grid: TorusGrid) -> VectorField:
-        """The (d, N, ..., N) float64 field of b, allocated once and
-        filled one component at a time; listed singular points are 0."""
+    def on_lattice(self, grid: TorusGrid) -> np.ndarray:
+        """The (d, N, ..., N) float64 array of b, allocated once, filled
+        one component at a time and checked finite; listed singular
+        points are 0."""
         data = np.empty((grid.dim,) + grid.shape)
         for j, c in enumerate(self.components(grid.coordinates())):
             data[j] = c
         for pt in self.singular_points:
             data[(slice(None),) + grid.site_index(pt)] = 0.0
-        return VectorField(grid, data)
+        return _check_data(grid, data, components=grid.dim)
 
     def lattice_magnitude(self, grid: TorusGrid) -> np.ndarray:
-        """``on_lattice(grid).magnitude()`` bit for bit, summed one
-        component at a time without the vector field (same checks)."""
+        """``component_magnitude`` of ``on_lattice(grid)`` bit for bit,
+        summed one component at a time without the (d, N, ..., N) array
+        (same checks)."""
         mag = component_magnitude(self.components(grid.coordinates()),
                                   grid.shape)
         for pt in self.singular_points:
             mag[grid.site_index(pt)] = 0.0
-        return Field(grid, mag).data
+        return _check_data(grid, mag)
 
     def to_json(self) -> str:
         if self.kind == "custom_closure":
@@ -180,7 +182,7 @@ def custom_drift(fn, dim: int, singular_points=None) -> DriftSpec:
 # Mollification
 
 
-def mollifier(grid: TorusGrid, epsilon: float) -> Field:
+def mollifier(grid: TorusGrid, epsilon: float) -> np.ndarray:
     """Bump mollifier sampled on the lattice, renormalized so that the
     lattice sum times h^d equals one.
 
@@ -196,7 +198,7 @@ def mollifier(grid: TorusGrid, epsilon: float) -> Field:
     inside = r < 1.0
     vals[inside] = np.exp(-1.0 / (1.0 - r[inside] ** 2))
     total = vals.sum() * grid.cell_volume
-    return Field(grid, vals / total)
+    return vals / total
 
 
 def default_epsilon(n: int, grid: TorusGrid) -> float:
@@ -207,22 +209,25 @@ def default_epsilon(n: int, grid: TorusGrid) -> float:
 @dataclass
 class MollifiedDrift:
     """Smooth bounded lattice approximant of a drift: truncation at level n
-    (both |x| <= n and |b| <= n) followed by mollification."""
+    (both |x| <= n and |b| <= n) followed by mollification; ``lattice``
+    is its finite (d, N, ..., N) array on ``grid``."""
 
     base: DriftSpec
     n: int
     epsilon_n: float
-    lattice: VectorField
+    grid: TorusGrid
+    lattice: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        self.lattice = _check_data(self.grid, self.lattice,
+                                   components=self.grid.dim)
 
     def magnitude(self) -> np.ndarray:
-        return self.lattice.magnitude()
+        """|b| at every site, streamed by ``component_magnitude``."""
+        return component_magnitude(self.lattice, self.grid.shape)
 
     def sup_norm(self) -> float:
-        return self.lattice.sup_norm()
-
-    @property
-    def grid(self) -> TorusGrid:
-        return self.lattice.grid
+        return float(np.max(self.magnitude()))
 
 
 def mollify(base: DriftSpec, n: int, grid: TorusGrid,
@@ -234,9 +239,9 @@ def mollify(base: DriftSpec, n: int, grid: TorusGrid,
         raise ParameterError("n must be a positive integer")
     if epsilon_n is None:
         epsilon_n = default_epsilon(n, grid)
-    raw = base.on_lattice(grid).data
+    raw = base.on_lattice(grid)
     far = (grid.radius() > n) | (component_magnitude(raw, grid.shape) > n)
     raw[:, far] = 0.0
-    smooth = even_convolution(grid, mollifier(grid, epsilon_n).data).apply(raw)
-    return MollifiedDrift(base=base, n=n, epsilon_n=epsilon_n,
-                          lattice=VectorField(grid, smooth))
+    smooth = even_convolution(grid, mollifier(grid, epsilon_n)).apply(raw)
+    return MollifiedDrift(base=base, n=n, epsilon_n=epsilon_n, grid=grid,
+                          lattice=smooth)

@@ -197,7 +197,7 @@ class SplitStepPropagator:
         prefilter = quintic_prefilter(self.grid)
         self.prefiltered_half_heat = FourierMultiplier(
             self.grid, self.half_heat.symbol * prefilter.symbol)
-        b = drift.lattice.data
+        b = drift.lattice
         cells = dt / self.grid.spacing
         # RK2 departure points: midpoint velocity, then full backtrack
         mid = -0.5 * cells * b
@@ -276,7 +276,7 @@ def propagate(config: PropagatorConfig, f):
 def advective_source(drift: MollifiedDrift, u: np.ndarray) -> np.ndarray:
     """b . grad u on the lattice.  Real u gives float64 through one rfftn
     and d irfftn calls; complex u takes the ``DotGradient`` handle."""
-    b = drift.lattice.data
+    b = drift.lattice
     if np.iscomplexobj(u):
         return DotGradient(b, FourierMultiplier(drift.grid, 1.0)).apply(u)
     return np.sum(b * real_gradient(drift.grid, u), axis=0)

@@ -1,4 +1,4 @@
-"""Periodic lattice on [-L, L)^d and scalar/vector fields living on it.
+"""Periodic lattice on [-L, L)^d and the export container of its fields.
 
 All spectral operators in this package act on fields sampled on a
 ``TorusGrid``.  Frequencies are the discrete duals k = (pi/L) * m with
@@ -38,10 +38,6 @@ class TorusGrid:
             raise ParameterError(f"points_per_axis must be even and >= 4, got {n}")
         if n**self.dim > _MAX_POINTS:
             raise CapacityError(f"grid with {n}^{self.dim} points exceeds capacity")
-
-    @property
-    def n(self) -> int:
-        return self.points_per_axis
 
     @property
     def spacing(self) -> float:
@@ -125,29 +121,14 @@ def component_magnitude(components, shape) -> np.ndarray:
 
 @dataclass
 class Field:
-    """Scalar lattice function (real or complex) on a TorusGrid."""
+    """Scalar lattice function (real or complex) on a TorusGrid, checked
+    on construction: the export container of ``to_bytes``/``from_bytes``."""
 
     grid: TorusGrid
     data: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         self.data = _check_data(self.grid, self.data)
-
-    @classmethod
-    def constant(cls, grid, value=1.0) -> "Field":
-        return cls(grid, np.full(grid.shape, value))
-
-    def lp_norm(self, p: float, weight=None) -> float:
-        """Discrete L^p norm with measure h^d (optionally weighted)."""
-        return self.grid.lp_norm(self.data, p, weight)
-
-    def inner(self, other) -> complex:
-        """<f, g> = sum f * conj(g) * h^d."""
-        g = other.data if isinstance(other, Field) else np.asarray(other)
-        return complex(np.sum(self.data * np.conj(g)) * self.grid.cell_volume)
-
-    def integral(self) -> complex:
-        return complex(np.sum(self.data) * self.grid.cell_volume)
 
     def to_bytes(self) -> bytes:
         """Flat binary layout: header (dim, N, L, complex flag), then the
@@ -166,23 +147,3 @@ class Field:
         arr = np.frombuffer(payload, dtype=dtype, offset=_HEADER.size)
         return cls(grid, arr.reshape(grid.shape).copy())
 
-
-@dataclass
-class VectorField:
-    """Vector lattice function: one scalar component per space dimension."""
-
-    grid: TorusGrid
-    data: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        self.data = _check_data(self.grid, self.data, components=self.grid.dim)
-
-    def magnitude(self) -> np.ndarray:
-        """|v| at every site, streamed by ``component_magnitude``."""
-        return component_magnitude(self.data, self.grid.shape)
-
-    def sup_norm(self) -> float:
-        return float(np.max(self.magnitude()))
-
-    def component(self, j: int) -> Field:
-        return Field(self.grid, self.data[j])

@@ -47,7 +47,7 @@ def drifted_generator(drift: MollifiedDrift, grid: TorusGrid,
                       alpha: float) -> LatticeOperator:
     """Lambda = A + b . grad as a lattice handle (direct application)."""
     return Affine([(1.0, frac_laplacian(grid, alpha)),
-                   (1.0, DotGradient(drift.lattice.data,
+                   (1.0, DotGradient(drift.lattice,
                                      FourierMultiplier(grid, 1.0)))])
 
 
@@ -58,7 +58,7 @@ def assemble_l2_resolvent(drift: MollifiedDrift, zeta, grid: TorusGrid,
     Where the Neumann series of the inner compression H* S diverges, the
     first ``apply`` raises ``DivergenceError``.
     """
-    b = drift.lattice.data
+    b = drift.lattice
     minus = (alpha - 1.0) / (2.0 * alpha)
     plus = (alpha + 1.0) / (2.0 * alpha)
     # adjoint of |b|^(1/2) (conj(zeta)+A)^(-minus), times b^(1/2).grad (zeta+A)^(-plus)
@@ -104,7 +104,7 @@ def assemble_lp_resolvent(drift: MollifiedDrift, mu: float, p: float,
         raise ParameterError("need 1 < r < p < q")
     if mu <= 0:
         raise ParameterError("mu must be positive")
-    b = drift.lattice.data
+    b = drift.lattice
     q_c = q / (q - 1.0)
     p_c = p / (p - 1.0)
     frac = -1.0 + 1.0 / alpha  # negative

@@ -132,7 +132,7 @@ def drift_at(points: np.ndarray, drift: MollifiedDrift) -> np.ndarray:
         stride = n ** (grid.dim - 1 - axis)
         ends = (lo[axis] * stride, hi[axis] * stride)
         flats = [f + e for f in flats for e in ends]
-    table = drift.lattice.data.reshape(grid.dim, -1)
+    table = drift.lattice.reshape(grid.dim, -1)
     out = np.zeros((grid.dim, coords.shape[1]))
     for flat, corner in zip(flats, itertools.product((0, 1), repeat=grid.dim)):
         vals = np.take(table, flat, axis=1)
@@ -341,7 +341,7 @@ def contraction_probe(drift: MollifiedDrift, weight: WeightSpec, p: float,
     ratio must fall below one at the smallest horizon and shrink with it.
     """
     kap = np.asarray(kappa, dtype=float)
-    b = drift.lattice.data
+    b = drift.lattice
     kb = sum(kap[j] * b[j] for j in range(grid.dim))
     mag = drift.magnitude()
     weight_p = mag * weight.lattice ** (2.0 - p)

@@ -52,17 +52,12 @@ class WeightSpec:
         """|| f ||_(p, eta) with measure eta^2 h^d."""
         return self.grid.lp_norm(data, p, self.lattice**2)
 
-    def multiply(self) -> PointwiseMultiplier:
-        return PointwiseMultiplier(self.grid, self.lattice)
-
-    def divide(self) -> PointwiseMultiplier:
-        return PointwiseMultiplier(self.grid, 1.0 / self.lattice)
-
     def conjugate(self, op: LatticeOperator) -> LatticeOperator:
         """eta^(-1) T eta.  Applied to A it gives the conjugated generator
         A_eta, whose semigroup is eta^(-1) exp(-tA) eta and whose resolvent
         powers are (mu + A_eta)^(-gamma) = eta^(-1) (mu + A)^(-gamma) eta."""
-        return Compose([self.divide(), op, self.multiply()])
+        return Compose([PointwiseMultiplier(self.grid, 1.0 / self.lattice),
+                        op, PointwiseMultiplier(self.grid, self.lattice)])
 
 
 def smooth_bump(grid: TorusGrid, center, radius: float) -> np.ndarray:
@@ -203,7 +198,7 @@ def verify_weighted_estimates(drift: DriftSpec, weight: WeightSpec, p: float,
     for m in m_levels:
         mol = mollify(drift, n=m, grid=grid)
         bm = mol.magnitude()
-        bm_p = magnitude_power(mol.lattice.data, 1.0 / p)
+        bm_p = magnitude_power(mol.lattice, 1.0 / p)
         for mu in mu_list:
             theta = assemble_lp_resolvent(mol, mu, p, q, r, grid, alpha)
             s1 = s2 = s3 = 0.0

@@ -357,7 +357,7 @@ def test_advective_source_real_path_matches_complex(small_grid, small_drift,
                                                     seed):
     # white noise carries the Nyquist planes that i*k_j maps off the reals
     u = np.random.default_rng(seed).standard_normal(small_grid.shape)
-    b = small_drift.lattice.data
+    b = small_drift.lattice
     expect = sum(b[j] * gradient_component(small_grid, j).apply(u).real
                  for j in range(small_grid.dim))
     got = evolution.advective_source(small_drift, u)
@@ -369,7 +369,7 @@ def test_advective_source_real_path_matches_complex(small_grid, small_drift,
                                           (3.0, "midpoint")])
 def test_stepper_rejects_displacement_of_a_cell(small_drift, cells, which):
     # the Courant check of PropagatorConfig is bypassed on purpose
-    b_max = np.max(np.abs(small_drift.lattice.data))
+    b_max = np.max(np.abs(small_drift.lattice))
     dt = cells * small_drift.grid.spacing / b_max
     with pytest.raises(ConfigurationError, match=f"{which} displacement"):
         evolution.SplitStepPropagator(small_drift, ALPHA, dt)

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stablelab.errors import CapacityError, ParameterError
-from stablelab.grid import Field, TorusGrid, VectorField
+from stablelab.drifts import MollifiedDrift
+from stablelab.grid import Field, TorusGrid, component_magnitude
 
 
 def test_grid_basics():
@@ -42,13 +43,14 @@ def test_site_index_round_trip():
 
 def test_field_norms_and_inner():
     grid = TorusGrid(1, 2.0, 8)
-    f = Field.constant(grid, 2.0)
+    f = np.full(grid.shape, 2.0)
+    h_d = grid.cell_volume
     # integral of |f|^p h^d = 2^p * 4
-    assert f.lp_norm(2) == pytest.approx(4.0)
-    assert f.lp_norm(np.inf) == 2.0
-    assert f.integral() == pytest.approx(8.0)
-    g = Field.constant(grid, 1.0 + 1.0j)
-    assert f.inner(g) == pytest.approx(8.0 - 8.0j)
+    assert grid.lp_norm(f, 2) == pytest.approx(4.0)
+    assert grid.lp_norm(f, np.inf) == 2.0
+    assert np.sum(f) * h_d == pytest.approx(8.0)
+    g = np.full(grid.shape, 1.0 + 1.0j)
+    assert np.sum(f * np.conj(g)) * h_d == pytest.approx(8.0 - 8.0j)
 
 
 @settings(max_examples=60, deadline=None)
@@ -69,10 +71,9 @@ def test_lp_norm_is_the_inline_formula_bitwise(p, complex_data, weighted,
         w = 1.0 if weight is None else weight
         expect = float((np.sum(w * np.abs(data) ** p) * grid.cell_volume)
                        ** (1.0 / p))
-    for got in (grid.lp_norm(data, p, weight),
-                Field(grid, data).lp_norm(p, weight)):
-        assert np.array_equal(np.array([got]).view(np.int64),
-                              np.array([expect]).view(np.int64))
+    got = grid.lp_norm(data, p, weight)
+    assert np.array_equal(np.array([got]).view(np.int64),
+                          np.array([expect]).view(np.int64))
 
 
 def test_field_rejects_bad_data():
@@ -81,6 +82,19 @@ def test_field_rejects_bad_data():
         Field(grid, np.zeros(7))
     with pytest.raises(ParameterError):
         Field(grid, np.full(8, np.nan))
+    # a drift's lattice array: one component per axis, finite
+    grid = TorusGrid(2, 2.0, 8)
+    good = np.ones((2,) + grid.shape)
+    MollifiedDrift(None, 1, 1.0, grid, good)
+    for bad in (good[0], good[:1], np.ones((3,) + grid.shape),
+                np.ones((2, 8, 6))):
+        with pytest.raises(ParameterError):
+            MollifiedDrift(None, 1, 1.0, grid, bad)
+    for value in (np.nan, np.inf, -np.inf):
+        bad = good.copy()
+        bad[1, 3, 5] = value
+        with pytest.raises(ParameterError):
+            MollifiedDrift(None, 1, 1.0, grid, bad)
 
 
 @pytest.mark.parametrize("complex_data", [False, True])
@@ -104,10 +118,11 @@ def test_binary_round_trip(complex_data, dim, n, half_length, seed):
 
 def test_vector_field_magnitude():
     grid = TorusGrid(2, 2.0, 8)
-    v = VectorField(grid, np.stack([np.full(grid.shape, 3.0),
-                                    np.full(grid.shape, 4.0)]))
+    v = MollifiedDrift(None, 1, 1.0, grid,
+                       np.stack([np.full(grid.shape, 3.0),
+                                 np.full(grid.shape, 4.0)]))
     assert v.sup_norm() == pytest.approx(5.0)
-    assert v.component(1).data[0, 0] == 4.0
+    assert v.lattice[1, 0, 0] == 4.0
 
 
 @settings(max_examples=30, deadline=None)
@@ -124,6 +139,6 @@ def test_streamed_magnitude_is_stacked_sum_bitwise(dim, n, seed,
     if complex_data:
         data = data + 1j * rng.standard_normal(data.shape)
     expect = np.sqrt(np.sum(np.abs(data) ** 2, axis=0))
-    got = VectorField(grid, data).magnitude()
+    got = component_magnitude(data, grid.shape)
     assert got.dtype == np.float64
     assert np.array_equal(got.view(np.int64), expect.view(np.int64))

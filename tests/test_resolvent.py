@@ -3,12 +3,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from stablelab import drifts, resolvent
 from stablelab.errors import DivergenceError, ParameterError
+from stablelab.formbound import top_eigenpair
 from stablelab.grid import TorusGrid
-from stablelab.operators import FourierMultiplier, resolvent_power
+from stablelab.operators import (Compose, DotGradient, FourierMultiplier,
+                                 resolvent_power)
 
 ALPHA = 1.5
 
@@ -163,6 +165,55 @@ def test_divergence_guard(route):
         theta.apply(rand(grid, 12))
     assert time.perf_counter() - start < 0.5
     assert err.value.norm_estimate >= 1.0
+
+
+def transport_radius(b, mu, grid):
+    """Spectral radius of b . grad (mu+A)^(-1), the Neumann ratio of both
+    routes: for divergence-free b it is the norm of the skew-adjoint
+    (mu+A)^(-1/2) b . grad (mu+A)^(-1/2)."""
+    half = resolvent_power(grid, ALPHA, mu, 0.5)
+    skew = Compose([half, DotGradient(b, half)])
+    return np.sqrt(top_eigenpair(Compose([skew.adjoint(), skew]), grid,
+                                 tol=1e-3)[0])
+
+
+@settings(max_examples=12, deadline=None)
+@given(n=st.sampled_from([8, 12, 16]),
+       amplitude=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+       mu=st.floats(0.05, 5.0), p=st.floats(2.5, 6.0),
+       q_gap=st.floats(0.1, 3.0), r_frac=st.floats(0.1, 0.9),
+       radius=st.one_of(st.floats(0.05, 0.8), st.floats(1.25, 4.0)),
+       seed=st.integers(0, 2**31 - 1))
+def test_resolvents_invert_or_refuse_at_first_apply(n, amplitude, mu, p,
+                                                    q_gap, r_frac, radius,
+                                                    seed):
+    amp = np.asarray(amplitude)
+    assume(np.max(np.abs(amp)) >= 0.1)
+    grid = TorusGrid(3, 8.0, n)
+
+    def lattice_drift(a):
+        # epsilon below the spacing and a level above |x| and |b|: b_n = b
+        level = 16 + int(np.sum(np.abs(a)))
+        return drifts.mollify(drifts.bounded_smooth_drift(a, 8.0, 3),
+                              n=level, grid=grid, epsilon_n=0.05)
+
+    # the Neumann ratio is linear in b: scale it to ``radius``, which stays
+    # off 1, where a series may need more terms than NeumannInverse allows
+    scale = radius / transport_radius(lattice_drift(amp).lattice, mu, grid)
+    mol = lattice_drift(scale * amp)
+    gen = resolvent.drifted_generator(mol, grid, ALPHA)
+    f = rand(grid, seed)
+    for theta in (resolvent.assemble_l2_resolvent(mol, mu, grid, ALPHA),
+                  resolvent.assemble_lp_resolvent(
+                      mol, mu, p, p + q_gap, 1.0 + r_frac * (p - 1.0), grid,
+                      ALPHA)):
+        if radius > 1.0:
+            with pytest.raises(DivergenceError):
+                theta.apply(f)
+            continue
+        u = theta.apply(f)
+        back = gen.apply(u) + mu * u
+        assert np.linalg.norm(back - f) <= 1e-8 * np.linalg.norm(f)
 
 
 def test_neumann_term_norms_decay_geometrically(grid, smooth_drift):
