@@ -86,16 +86,20 @@ class CharFnProbe:
         return abs(self.w_hat - self.target)
 
 
-def _wrap(x: np.ndarray, half_length: float) -> np.ndarray:
-    """(x + L) % (2L) - L, bit for bit.  numpy's float remainder is the
-    identity on [0, 2L) (up to the sign of a zero, which subtracting L
-    erases), so it is taken only where x + L falls outside."""
+def _wrap_shifted(shifted: np.ndarray, half_length: float) -> np.ndarray:
+    """From shifted = x + L, in place: (x + L) % (2L) - L, bit for bit.
+    numpy's float remainder is the identity on [0, 2L) (up to the sign of
+    a zero, which subtracting L erases), so it is taken only where x + L
+    falls outside."""
     period = 2.0 * half_length
-    shifted = np.add(x, half_length)
     outside = (shifted < 0.0) | (shifted >= period)
     np.remainder(shifted, period, out=shifted, where=outside)
     shifted -= half_length
     return shifted
+
+
+def _wrap(x: np.ndarray, half_length: float) -> np.ndarray:
+    return _wrap_shifted(np.add(x, half_length), half_length)
 
 
 def _lattice_coords(points: np.ndarray, grid: TorusGrid) -> np.ndarray:
@@ -107,39 +111,47 @@ def _lattice_eval(data: np.ndarray, coords: np.ndarray, order) -> np.ndarray:
     return ndimage.map_coordinates(data, coords, order=order, mode="grid-wrap")
 
 
-def drift_at(points: np.ndarray, drift: MollifiedDrift) -> np.ndarray:
-    """Mollified drift at arbitrary points, shape (points, dim): periodic
-    trilinear (multilinear in ``dim``) interpolation of the lattice.
+def _padded_lattice(drift: MollifiedDrift) -> np.ndarray:
+    """``drift.lattice`` with two periodic sites more at the end of each
+    axis: a wrapped point's lattice coordinate c lies in [0, N]."""
+    pad = [(0, 0)] + [(0, 2)] * drift.grid.dim
+    return np.pad(drift.lattice, pad, mode="wrap")
 
-    Bit for bit the order-1 ``map_coordinates(..., mode="grid-wrap")`` of
-    each component, with one set of corners and weights for all of them.
-    Per axis, from the lattice coordinate c of the wrapped point:
-    lo = floor(c) % N, hi = (lo + 1) % N, w0 = 1 - (c - floor(c)) and
-    w1 = 1 - w0.  Each of the 2**dim corners, last axis fastest, gathers
-    its values, multiplies them by its axis-0, axis-1, ... weights in turn
-    and adds them to the sum, which starts at zero.
-    """
-    grid = drift.grid
-    n = grid.points_per_axis
-    coords = _lattice_coords(_wrap(points, grid.half_length), grid)
+
+def drift_rows(wrapped: np.ndarray, table: np.ndarray,
+               grid: TorusGrid) -> np.ndarray:
+    """Mollified drift (dim, points) at wrapped points held as rows, from
+    the ``_padded_lattice`` table: bit for bit the order-1
+    ``map_coordinates(..., mode="grid-wrap")`` of each component.  Per
+    axis lo = floor(c), hi = lo + 1 (no remainder: the table is padded),
+    w0 = 1 - (c - floor(c)) and w1 = 1 - w0.  Each of the 2**dim corners,
+    last axis fastest, is multiplied by its axis-0, axis-1, ... weights in
+    turn and added to a sum that starts at zero."""
+    dim = grid.dim
+    coords = (wrapped + grid.half_length) / grid.spacing
     base = np.floor(coords)
     w0 = 1.0 - (coords - base)
-    weights = (w0, 1.0 - w0)
-    lo = base.astype(np.intp) % n
-    hi = (lo + 1) % n
-    flats = [0]  # flat lattice index of each corner, last axis fastest
-    for axis in range(grid.dim):
-        stride = n ** (grid.dim - 1 - axis)
-        ends = (lo[axis] * stride, hi[axis] * stride)
-        flats = [f + e for f in flats for e in ends]
-    table = drift.lattice.reshape(grid.dim, -1)
-    out = np.zeros((grid.dim, coords.shape[1]))
-    for flat, corner in zip(flats, itertools.product((0, 1), repeat=grid.dim)):
-        vals = np.take(table, flat, axis=1)
-        for axis, c in enumerate(corner):
-            vals *= weights[c][axis]
-        out += vals
-    return np.ascontiguousarray(out.T)
+    weights = np.stack((w0, 1.0 - w0))
+    corners = np.array(list(itertools.product((0, 1), repeat=dim)))
+    strides = table.shape[1] ** np.arange(dim - 1, -1, -1)
+    flat = strides @ base.astype(np.intp)
+    vals = np.take(table.reshape(dim, -1), flat + (corners @ strides)[:, None],
+                   axis=1)
+    for axis in range(dim):
+        vals *= weights[corners[:, axis], axis]
+    out = np.zeros_like(wrapped)
+    for corner in range(len(corners)):
+        out += vals[:, corner]
+    return out
+
+
+def drift_at(points: np.ndarray, drift: MollifiedDrift) -> np.ndarray:
+    """Mollified drift at arbitrary points, shape (points, dim): the
+    ``drift_rows`` interpolation, on a table padded for this call."""
+    grid = drift.grid
+    rows = _wrap(np.ascontiguousarray(np.transpose(points)), grid.half_length)
+    return np.ascontiguousarray(
+        drift_rows(rows, _padded_lattice(drift), grid).T)
 
 
 def integrate(drift: MollifiedDrift, x0, t_final: float, dt: float,
@@ -157,6 +169,9 @@ def integrate(drift: MollifiedDrift, x0, t_final: float, dt: float,
     leave the bits unchanged.  ``CapacityError`` bounds one block's noise,
     not the run's; a non-finite state raises ``ParameterError`` at its
     step, within the first block that fails.
+    A block holds state, integrals and noise as rows (dim, paths) and reads
+    b through ``drift_rows`` from a table padded once per call; one x + L
+    per step gives the wrap count's cells and the next wrapped point.
     """
     grid = drift.grid
     if record not in ("final", "all"):
@@ -181,31 +196,39 @@ def integrate(drift: MollifiedDrift, x0, t_final: float, dt: float,
     abs_drift = np.zeros((n_paths, len(times)))
     noise = (itertools.repeat(None) if freeze_noise else increment_blocks(
         params, dt, n_paths * n_steps, _PATH_BLOCK * n_steps))
+    table = _padded_lattice(drift)
     wrap_events = 0
     for i0, block_noise in zip(range(0, n_paths, _PATH_BLOCK), noise):
         paths = slice(i0, min(i0 + _PATH_BLOCK, n_paths))
-        x = np.broadcast_to(x0, states[paths, 0, :].shape).copy()
-        states[paths, 0, :] = x
+        if block_noise is not None:  # step k reads the slab (dim, paths)
+            block_noise = block_noise.reshape(-1, n_steps, grid.dim).transpose(
+                1, 2, 0).copy()
+        x = np.repeat(x0[:, None], paths.stop - i0, axis=1)
+        states[paths, 0, :] = x.T
         running_int = np.zeros_like(x)
-        running_abs = np.zeros(len(x))
-        cell = np.floor((x + grid.half_length) / (2.0 * grid.half_length))
+        running_abs = np.zeros(x.shape[1])
+        shifted = x + grid.half_length
+        cell = np.floor(shifted / (2.0 * grid.half_length))
         for k in range(n_steps):
-            b = drift_at(x, drift)
-            step = -b * dt
-            if block_noise is not None:
-                step += block_noise[k::n_steps]
-            x += step
+            b = drift_rows(_wrap_shifted(shifted, grid.half_length), table, grid)
+            bdt = b * dt
+            if block_noise is None:
+                x -= bdt
+            else:  # dZ - b dt has the bits of -b dt + dZ
+                x += block_noise[k] - bdt
             if not np.all(np.isfinite(x)):
                 raise ParameterError(f"path state not finite after step {k + 1}")
-            running_int += b * dt
-            running_abs += np.linalg.norm(b, axis=1) * dt
-            new_cell = np.floor((x + grid.half_length) / (2.0 * grid.half_length))
-            wrap_events += int(np.count_nonzero(np.any(new_cell != cell, axis=1)))
+            running_int += bdt
+            # |b| summed as np.linalg.norm does: (b0*b0 + b1*b1) + ...
+            running_abs += np.sqrt(sum(c * c for c in b)) * dt
+            shifted = x + grid.half_length
+            new_cell = np.floor(shifted / (2.0 * grid.half_length))
+            wrap_events += int(np.count_nonzero(np.any(new_cell != cell, axis=0)))
             cell = new_cell
             if every_step or k + 1 == n_steps:
                 row = k + 1 if every_step else 1
-                states[paths, row, :] = x
-                drift_int[paths, row, :] = running_int
+                states[paths, row, :] = x.T
+                drift_int[paths, row, :] = running_int.T
                 abs_drift[paths, row] = running_abs
     wrap_fraction = wrap_events / float(n_paths * n_steps)
     return PathEnsemble(x0=x0, times=times, states=states,

@@ -4,7 +4,9 @@ A stdlib-``ast`` stand-in for a linter's unused-import rule: an import
 whose bound name never appears as an ``ast.Name`` is dead code.  The
 package ``__init__`` re-exports by name, so it has a rule of its own:
 each name it imports is used there or listed in ``__all__``, and each
-``__all__`` entry is imported, so that no export goes stale.
+``__all__`` entry is imported, so that no export goes stale.  Likewise a
+module-level private function or class that no module of the package
+names is dead code.
 """
 
 import ast
@@ -78,3 +80,33 @@ def test_stale_export_is_caught():
 def test_init_exports_match_imports():
     init = Path(stablelab.__file__)
     assert stale_exports(init.read_text(encoding="utf-8")) == []
+
+
+def unreferenced_private(sources) -> list:
+    """Module-level ``_name`` functions and classes of the given sources
+    that none of them references as an ``ast.Name`` or ``ast.Attribute``."""
+    trees = [ast.parse(source) for source in sources]
+    referenced = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return [node.name for tree in trees for node in tree.body
+            if isinstance(node, defs) and node.name.startswith("_")
+            and not node.name.startswith("__") and node.name not in referenced]
+
+
+def test_unreferenced_private_is_caught():
+    sources = ["def _used():\n    pass\n\ndef _dead():\n    pass\n"
+               "class _Gone:\n    pass\n",
+               "from .a import x\nx._used()\n"]
+    assert unreferenced_private(sources) == ["_dead", "_Gone"]
+
+
+def test_private_helpers_are_referenced():
+    package = Path(stablelab.__file__).parent.glob("*.py")
+    assert unreferenced_private(
+        [p.read_text(encoding="utf-8") for p in sorted(package)]) == []

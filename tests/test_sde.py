@@ -208,6 +208,62 @@ def test_final_record_is_first_and_last_row_of_all(hardy, seed, n_paths,
     assert fin.wrap_fraction == full.wrap_fraction
 
 
+def _reference_integrate(drift, x0, n_paths, steps, dt, seed, freeze):
+    """``integrate(..., record="all")`` as a points-major Euler loop that
+    reads the drift through ``map_coordinates``."""
+    half = drift.grid.half_length
+    noise = sample_increments(StableParams(ALPHA, 3, seed), dt,
+                              n_paths * steps).values.reshape(n_paths, steps, 3)
+    x = np.tile(x0, (n_paths, 1))
+    xs, ints, absint, wraps = [x], [np.zeros_like(x)], [np.zeros(n_paths)], 0
+    for k in range(steps):
+        b = _map_coordinates_drift(x, drift)
+        step = -b * dt
+        if not freeze:
+            step += noise[:, k, :]
+        new = x + step
+        cells = [np.floor((y + half) / (2.0 * half)) for y in (x, new)]
+        wraps += np.count_nonzero(np.any(cells[0] != cells[1], axis=1))
+        x = new
+        xs.append(x)
+        ints.append(ints[-1] + b * dt)
+        absint.append(absint[-1] + np.linalg.norm(b, axis=1) * dt)
+    return (np.stack(xs, axis=1), np.stack(ints, axis=1),
+            np.stack(absint, axis=1), wraps / float(n_paths * steps))
+
+
+@st.composite
+def _edge_start(draw):
+    """A lattice, and a start whose coordinates sit at or near the edge of
+    the torus, some of them where the lattice coordinate rounds to N."""
+    n, half = draw(st.sampled_from([(8, 3.3), (16, 5.1), (26, 6.1)]))
+    below = _just_below(half)
+    at_n = below[(sde._wrap(below, half) + half)
+                 / TorusGrid(3, half, n).spacing == n]
+    near = st.one_of(st.floats(half - 0.3, half), st.floats(-half, 0.3 - half),
+                     st.sampled_from(list(below[:8])),
+                     st.sampled_from(list(at_n)))
+    return n, half, np.array(draw(st.tuples(near, near, near)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=_edge_start(), seed=st.integers(0, 2**31 - 1),
+       n_paths=st.integers(1, 40), steps=st.integers(1, 12),
+       freeze=st.booleans())
+def test_integrate_matches_points_major_loop_bit_for_bit(case, seed, n_paths,
+                                                         steps, freeze):
+    n, half, x0 = case
+    drift = _random_drift(n, half, seed)
+    ens = sde.integrate(drift, x0, 0.01 * steps, 0.01, n_paths, seed=seed,
+                        alpha=ALPHA, freeze_noise=freeze, record="all")
+    expect = _reference_integrate(drift, x0, n_paths, steps, 0.01, seed,
+                                  freeze)
+    for got, want in zip((ens.states, ens.drift_integral,
+                          ens.abs_drift_integral), expect):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert ens.wrap_fraction == expect[3]
+
+
 @pytest.mark.parametrize("record,freeze", [("final", False), ("all", False),
                                            ("final", True)])
 def test_path_blocks_give_the_same_bits(hardy, monkeypatch, record, freeze):
@@ -237,14 +293,14 @@ def test_integrate_noise_is_held_one_block_at_a_time(hardy):
 
 def test_non_finite_state_fails_at_its_step(grid, hardy, monkeypatch):
     calls = []
-    real_drift_at = sde.drift_at
+    real_drift_rows = sde.drift_rows
 
-    def nan_at_step_3(points, drift):
+    def nan_at_step_3(wrapped, table, grid):
         calls.append(1)
-        b = real_drift_at(points, drift)
+        b = real_drift_rows(wrapped, table, grid)
         return np.full_like(b, np.nan) if len(calls) == 3 else b
 
-    monkeypatch.setattr(sde, "drift_at", nan_at_step_3)
+    monkeypatch.setattr(sde, "drift_rows", nan_at_step_3)
     with pytest.raises(ParameterError, match="step 3"):
         sde.integrate(hardy, [0.0] * 3, 0.2, 0.01, 16, seed=0, alpha=ALPHA)
     assert len(calls) <= 4
