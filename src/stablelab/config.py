@@ -13,6 +13,7 @@ from .drifts import DriftSpec, hardy_drift
 from .errors import AdmissibilityError, ConfigurationError
 from .formbound import admissible_delta_threshold
 from .scenarios import SCENARIO_RUNNERS
+from .weighted import check_weighted_exponent
 
 
 @dataclass
@@ -71,12 +72,7 @@ class ExperimentConfig:
             raise AdmissibilityError(
                 f"p = {self.p} outside the admissible exponent interval "
                 f"({p_minus:.4f}, {p_plus:.4f})")
-        floor = max(self.dim - self.alpha + 1.0,
-                    self.dim / (2.0 * self.nu) + 2.0)
-        if self.p <= floor:
-            raise AdmissibilityError(
-                f"p = {self.p} must exceed (d-alpha+1) v (d/(2 nu)+2) "
-                f"= {floor:.4f} for the weighted estimates")
+        check_weighted_exponent(self.dim, self.alpha, self.nu, self.p)
         if not (1.0 < self.r < self.p < self.q):
             raise AdmissibilityError("need 1 < r < p < q")
 

@@ -194,16 +194,14 @@ class SplitStepPropagator:
         if drift.sup_norm() == 0.0:
             self.displacement = None
             return
-        prefilter = quintic_prefilter(self.grid)
-        self.prefiltered_half_heat = FourierMultiplier(
-            self.grid, self.half_heat.symbol * prefilter.symbol)
+        symbol = self.half_heat.symbol * quintic_prefilter(self.grid).symbol
+        self.prefiltered_half_heat = FourierMultiplier(self.grid, symbol)
         b = drift.lattice
         cells = dt / self.grid.spacing
         # RK2 departure points: midpoint velocity, then full backtrack
         mid = -0.5 * cells * b
         _check_subcell(mid, "midpoint")
-        self.displacement = -cells * _slot_sum(prefilter.apply(b),
-                                               _slot_weights(mid))
+        self.displacement = -cells * quintic_shift(b, mid)
         _check_subcell(self.displacement, "departure")
 
     def slot_weights(self):

@@ -108,7 +108,7 @@ def top_eigenpair(op: LatticeOperator, grid: TorusGrid, tol=1e-6, seed=0,
 
 
 def estimate_weak_formbound(b, lam: float, grid: TorusGrid, alpha: float,
-                            tol=1e-6, seed=0, start=None) -> FormBoundEstimate:
+                            seed=0, start=None) -> FormBoundEstimate:
     """Weak form-bound estimate: squared top singular value of
     S = M_(|b|^(1/2)) o (lam + A)^(-(alpha-1)/(2 alpha)).
 
@@ -123,8 +123,7 @@ def estimate_weak_formbound(b, lam: float, grid: TorusGrid, alpha: float,
     if np.max(w) == 0.0:
         return FormBoundEstimate("weak_formbound", 0.0, lam)
     value, vec, matvecs, residual = top_eigenpair(
-        symmetrized_sandwich(w, lam, grid, alpha), grid, tol=tol, seed=seed,
-        start=start)
+        symmetrized_sandwich(w, lam, grid, alpha), grid, seed=seed, start=start)
     return FormBoundEstimate("weak_formbound", value, lam, matvecs, residual,
                              eigenfield=vec)
 

@@ -141,9 +141,20 @@ class Field:
 
     @classmethod
     def from_bytes(cls, payload: bytes) -> "Field":
+        """Inverse of ``to_bytes``; a malformed payload raises ParameterError."""
+        size, head = len(payload), _HEADER.size
+        if size < head:
+            raise ParameterError(f"field payload has {size} bytes, expected "
+                                 f"at least the {head}-byte header")
         dim, n, half_length, iscomplex = _HEADER.unpack_from(payload)
+        if iscomplex not in (0, 1):
+            raise ParameterError(f"complex flag must be 0 or 1, got {iscomplex}")
         grid = TorusGrid(dim, half_length, n)
-        dtype = "<c16" if iscomplex else "<f8"
-        arr = np.frombuffer(payload, dtype=dtype, offset=_HEADER.size)
+        dtype = np.dtype("<c16" if iscomplex else "<f8")
+        expected = head + n**dim * dtype.itemsize
+        if size != expected:
+            raise ParameterError(
+                f"field payload has {size} bytes, expected {expected}")
+        arr = np.frombuffer(payload, dtype=dtype, offset=head)
         return cls(grid, arr.reshape(grid.shape).copy())
 

@@ -1,9 +1,9 @@
 """Whole-space radial quadratures for the isotropic stable heat kernel.
 
-Everything here works on R^d (no torus): values come from 1D Fourier /
-Hankel-type quadrature of exp(-t rho^alpha).  These routines serve as
-independent oracles for the lattice operators and as the machinery behind
-the pointwise gradient-resolvent comparison constant.
+Everything here works on R^d (no torus), in d = 3 and for the 1D
+marginal: values come from 1D Fourier quadrature of exp(-t rho^alpha).
+These routines serve as independent oracles for the lattice operators and
+as the machinery behind the pointwise gradient-resolvent comparison constant.
 """
 
 from __future__ import annotations
@@ -18,9 +18,6 @@ from .errors import ParameterError, QuadratureError
 
 _QUAD_LIMIT = 400
 _QUAD_LIMLST = 600
-# Ogata nodes (Bessel zeros) and step of the Hankel-type quadrature
-_OGATA_TERMS = 220
-_OGATA_STEP = 0.02
 # Gauss-Legendre nodes of the 1D marginal mass on [0, R]
 _HALFLINE_NODES = 64
 # marginal CDF: density spline knots, and where the power tail takes over
@@ -77,22 +74,11 @@ def _fourier_quad(f, w, kind, rho_scale):
     return val
 
 
-def _ogata_bessel(f, nu):
-    """Ogata-type quadrature for int_0^inf f(x) J_nu(x) dx."""
-    h = _OGATA_STEP
-    zeros = special.jn_zeros(nu, _OGATA_TERMS) / np.pi
-    weights = special.yv(nu, np.pi * zeros) / special.jv(nu + 1, np.pi * zeros)
-    ht = h * zeros
-    phi = ht * np.tanh(0.5 * np.pi * np.sinh(ht))
-    dphi = (np.tanh(0.5 * np.pi * np.sinh(ht))
-            + 0.5 * np.pi * ht * np.cosh(ht) / np.cosh(0.5 * np.pi * np.sinh(ht)) ** 2)
-    x = np.pi / h * phi
-    return float(np.pi * np.sum(weights * f(x) * special.jv(nu, x) * dphi))
-
-
 def heat_kernel_value(alpha: float, dim: int, t: float, r: float) -> float:
-    """Kernel of exp(-t(-Laplacian)^(alpha/2)) on R^d at separation r."""
+    """Kernel of exp(-t(-Laplacian)^(alpha/2)) on R^d, d = 1 or 3, at r."""
     _check(alpha, dim, t)
+    if dim not in (1, 3):
+        raise ParameterError(f"radial quadrature supports dim 1 or 3, got {dim}")
     if r < 0:
         raise ParameterError("r must be nonnegative")
     if r == 0.0:
@@ -100,31 +86,23 @@ def heat_kernel_value(alpha: float, dim: int, t: float, r: float) -> float:
     scale = (45.0 / t) ** (1.0 / alpha)
     if dim == 1:
         return _fourier_quad(lambda u: np.exp(-t * u**alpha), r, "cos", scale) / np.pi
-    if dim == 2:
-        val = _ogata_bessel(lambda x: np.exp(-t * (x / r) ** alpha) * x, 0)
-        return val / (2.0 * np.pi * r * r)
-    if dim == 3:
-        i1 = _fourier_quad(lambda u: np.exp(-t * u**alpha) * u, r, "sin", scale)
-        return i1 / (2.0 * np.pi**2 * r)
-    raise ParameterError(f"radial quadrature supports dim in (1, 2, 3), got {dim}")
+    i1 = _fourier_quad(lambda u: np.exp(-t * u**alpha) * u, r, "sin", scale)
+    return i1 / (2.0 * np.pi**2 * r)
 
 
 def heat_kernel_radial_derivative(alpha: float, dim: int, t: float, r: float) -> float:
-    """d/dr of the radial kernel profile (negative for r > 0)."""
+    """d/dr of the radial kernel profile, d = 1 or 3 (negative for r > 0)."""
     _check(alpha, dim, t)
+    if dim not in (1, 3):
+        raise ParameterError(f"radial quadrature supports dim 1 or 3, got {dim}")
     if r <= 0:
         raise ParameterError("r must be positive")
     scale = (45.0 / t) ** (1.0 / alpha)
     if dim == 1:
         return -_fourier_quad(lambda u: np.exp(-t * u**alpha) * u, r, "sin", scale) / np.pi
-    if dim == 2:
-        val = _ogata_bessel(lambda x: np.exp(-t * (x / r) ** alpha) * x**2, 1)
-        return -val / (2.0 * np.pi * r**3)
-    if dim == 3:
-        i1 = _fourier_quad(lambda u: np.exp(-t * u**alpha) * u, r, "sin", scale)
-        i2 = _fourier_quad(lambda u: np.exp(-t * u**alpha) * u * u, r, "cos", scale)
-        return (-i1 / r + i2) / (2.0 * np.pi**2 * r)
-    raise ParameterError(f"radial quadrature supports dim in (1, 2, 3), got {dim}")
+    i1 = _fourier_quad(lambda u: np.exp(-t * u**alpha) * u, r, "sin", scale)
+    i2 = _fourier_quad(lambda u: np.exp(-t * u**alpha) * u * u, r, "cos", scale)
+    return (-i1 / r + i2) / (2.0 * np.pi**2 * r)
 
 
 def _marginal_mass_halfline(alpha, t, radius):
@@ -137,24 +115,17 @@ def _marginal_mass_halfline(alpha, t, radius):
 
 
 def ball_mass(alpha: float, dim: int, t: float, radius: float) -> float:
-    """P(|Z_t| <= radius) for the increment with exponent exp(-t|k|^alpha).
-
-    For d = 1 and d = 3 the mass reduces exactly to the 1D marginal:
-    M_1(R) = 2 F(R) - 1 and M_3(R) = 2(F(R) - F(0)) - 2 R p1(R), both
-    consequences of p3(r) = -p1'(r) / (2 pi r).
+    """P(|Z_t| <= radius) in d = 3 for the increment with exponent
+    exp(-t|k|^alpha): exactly M_3(R) = 2(F(R) - F(0)) - 2 R p1(R) in terms
+    of the 1D marginal, a consequence of p3(r) = -p1'(r) / (2 pi r).
     """
     _check(alpha, dim, t)
+    if dim != 3:
+        raise ParameterError(f"radial quadrature supports dim 3, got {dim}")
     if radius <= 0:
         return 0.0
-    if dim == 1:
-        return 2.0 * _marginal_mass_halfline(alpha, t, radius)
-    if dim == 2:
-        return radius * _ogata_bessel(
-            lambda x: np.exp(-t * (x / radius) ** alpha) / radius, 1)
-    if dim == 3:
-        return (2.0 * _marginal_mass_halfline(alpha, t, radius)
-                - 2.0 * radius * heat_kernel_value(alpha, 1, t, radius))
-    raise ParameterError(f"radial quadrature supports dim in (1, 2, 3), got {dim}")
+    return (2.0 * _marginal_mass_halfline(alpha, t, radius)
+            - 2.0 * radius * heat_kernel_value(alpha, 1, t, radius))
 
 
 def cutoff_mass(alpha: float, dim: int, t: float, k: float, profile) -> float:
@@ -292,24 +263,23 @@ def _laplace_time_nodes(mu, left_rate):
     return s, s[1] - s[0]
 
 
-def resolvent_kernel_value(alpha, dim, mu, r, gamma=1.0,
-                           profile=None) -> float:
+def resolvent_kernel_value(alpha, dim, mu, r, gamma=1.0) -> float:
     """Radial kernel of (mu + A)^(-gamma) via the Laplace-time integral of
     the scaled heat kernel profile."""
     if mu <= 0:
         raise ParameterError("mu must be positive")
-    prof = profile or kernel_profile(alpha, dim)
+    prof = kernel_profile(alpha, dim)
     s, ds = _laplace_time_nodes(mu, gamma + 1.0)
     t = np.exp(s)
     vals = np.exp(-mu * t) * t**gamma * prof.density_at(t, r)
     return float(np.sum(vals) * ds / special.gamma(gamma))
 
 
-def resolvent_kernel_gradient(alpha, dim, mu, r, profile=None) -> float:
+def resolvent_kernel_gradient(alpha, dim, mu, r) -> float:
     """|d/dr| of the radial kernel of the whole resolvent (mu + A)^(-1)."""
     if mu <= 0:
         raise ParameterError("mu must be positive")
-    prof = profile or kernel_profile(alpha, dim)
+    prof = kernel_profile(alpha, dim)
     gamma = 1.0
     s, ds = _laplace_time_nodes(mu, gamma + 1.0)
     t = np.exp(s)
@@ -348,14 +318,14 @@ def estimate_gradient_constant(alpha, dim,
         raise ParameterError("sample_spec must contain at least one (mu, r) pair")
     prof = kernel_profile(alpha, dim)
     gamma_frac = (alpha - 1.0) / alpha
-    lhs = {s: resolvent_kernel_gradient(alpha, dim, s[0], s[1], profile=prof)
+    lhs = {s: resolvent_kernel_gradient(alpha, dim, s[0], s[1])
            for s in samples}
     per_kappa = {}
     for kappa in _KAPPAS:
         ratios = []
         for mu, r in samples:
             rhs = resolvent_kernel_value(alpha, dim, mu / kappa, r,
-                                         gamma=gamma_frac, profile=prof)
+                                         gamma=gamma_frac)
             ratios.append(lhs[(mu, r)] / rhs)
         per_kappa[kappa] = max(ratios)
     kappa_est = min(per_kappa, key=per_kappa.get)

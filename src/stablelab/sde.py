@@ -57,10 +57,6 @@ class PathEnsemble:
     def n_paths(self) -> int:
         return self.states.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.states.shape[2]
-
     def recovered_noise(self, time_index: int = -1) -> np.ndarray:
         """Z_t = X_t - x0 + int_0^t b(X_s) ds from unwrapped coordinates."""
         return (self.states[:, time_index, :] - self.x0[None, :]
@@ -107,10 +103,6 @@ def _lattice_coords(points: np.ndarray, grid: TorusGrid) -> np.ndarray:
     return np.ascontiguousarray(((points + grid.half_length) / grid.spacing).T)
 
 
-def _lattice_eval(data: np.ndarray, coords: np.ndarray, order) -> np.ndarray:
-    return ndimage.map_coordinates(data, coords, order=order, mode="grid-wrap")
-
-
 def _padded_lattice(drift: MollifiedDrift) -> np.ndarray:
     """``drift.lattice`` with two periodic sites more at the end of each
     axis: a wrapped point's lattice coordinate c lies in [0, N]."""
@@ -145,18 +137,8 @@ def drift_rows(wrapped: np.ndarray, table: np.ndarray,
     return out
 
 
-def drift_at(points: np.ndarray, drift: MollifiedDrift) -> np.ndarray:
-    """Mollified drift at arbitrary points, shape (points, dim): the
-    ``drift_rows`` interpolation, on a table padded for this call."""
-    grid = drift.grid
-    rows = _wrap(np.ascontiguousarray(np.transpose(points)), grid.half_length)
-    return np.ascontiguousarray(
-        drift_rows(rows, _padded_lattice(drift), grid).T)
-
-
 def integrate(drift: MollifiedDrift, x0, t_final: float, dt: float,
               n_paths: int, seed: int, alpha: float,
-              freeze_noise: bool = False,
               record: str = "final") -> PathEnsemble:
     """Explicit Euler steps X' = X - b(X) dt + dZ with exact stable
     increments; drift integrals are accumulated with the same b values
@@ -194,15 +176,13 @@ def integrate(drift: MollifiedDrift, x0, t_final: float, dt: float,
     states = np.empty((n_paths, len(times), grid.dim))
     drift_int = np.zeros((n_paths, len(times), grid.dim))
     abs_drift = np.zeros((n_paths, len(times)))
-    noise = (itertools.repeat(None) if freeze_noise else increment_blocks(
-        params, dt, n_paths * n_steps, _PATH_BLOCK * n_steps))
+    noise = increment_blocks(params, dt, n_paths * n_steps, _PATH_BLOCK * n_steps)
     table = _padded_lattice(drift)
     wrap_events = 0
-    for i0, block_noise in zip(range(0, n_paths, _PATH_BLOCK), noise):
+    for i0, block in zip(range(0, n_paths, _PATH_BLOCK), noise):
         paths = slice(i0, min(i0 + _PATH_BLOCK, n_paths))
-        if block_noise is not None:  # step k reads the slab (dim, paths)
-            block_noise = block_noise.reshape(-1, n_steps, grid.dim).transpose(
-                1, 2, 0).copy()
+        # step k reads the slab (dim, paths)
+        slabs = block.reshape(-1, n_steps, grid.dim).transpose(1, 2, 0).copy()
         x = np.repeat(x0[:, None], paths.stop - i0, axis=1)
         states[paths, 0, :] = x.T
         running_int = np.zeros_like(x)
@@ -212,10 +192,7 @@ def integrate(drift: MollifiedDrift, x0, t_final: float, dt: float,
         for k in range(n_steps):
             b = drift_rows(_wrap_shifted(shifted, grid.half_length), table, grid)
             bdt = b * dt
-            if block_noise is None:
-                x -= bdt
-            else:  # dZ - b dt has the bits of -b dt + dZ
-                x += block_noise[k] - bdt
+            x += slabs[k] - bdt  # dZ - b dt has the bits of -b dt + dZ
             if not np.all(np.isfinite(x)):
                 raise ParameterError(f"path state not finite after step {k + 1}")
             running_int += bdt
@@ -256,8 +233,8 @@ def mc_vs_semigroup(drift: MollifiedDrift, x0, t: float, f, n_paths: int,
 
     def mc_mean(d, lev_drift, sd):
         ens = integrate(lev_drift, x0, t, d, n_paths, sd, alpha)
-        vals = _lattice_eval(
-            fdata, _lattice_coords(wrapped_states(ens, grid), grid), order=3)
+        coords = _lattice_coords(wrapped_states(ens, grid), grid)
+        vals = ndimage.map_coordinates(fdata, coords, order=3, mode="grid-wrap")
         return (float(np.mean(vals)),
                 float(np.std(vals, ddof=1) / np.sqrt(len(vals))),
                 float(np.mean(ens.abs_drift_integral[:, -1])),

@@ -163,16 +163,18 @@ def verify_weighted_markov(weight: WeightSpec, alpha: float, t_list,
                                             "per_level_omega": omegas})
 
 
-def _weighted_estimate_parameters(dim, alpha, nu, p):
+def check_weighted_exponent(dim, alpha, nu, p) -> None:
+    """Raise AdmissibilityError unless p > (d - alpha + 1) v (d/(2 nu) + 2)."""
     floor = max(dim - alpha + 1.0, dim / (2.0 * nu) + 2.0)
     if p <= floor:
         raise AdmissibilityError(
-            f"p = {p} must exceed (d - alpha + 1) v (d/(2 nu) + 2) = {floor:.4f}")
+            f"p = {p} must exceed (d - alpha + 1) v (d/(2 nu) + 2) = "
+            f"{floor:.4f} for the weighted estimates")
 
 
 def verify_weighted_estimates(drift: DriftSpec, weight: WeightSpec, p: float,
                               mu_list, grid: TorusGrid, alpha: float,
-                              m_levels=(8, 16), q=None, r=None,
+                              m_levels, q: float, r: float,
                               seed=0) -> VerificationReport:
     """Probe the three weighted resolvent estimates for the drifted
     generator at each mollification level m and each mu:
@@ -188,9 +190,7 @@ def verify_weighted_estimates(drift: DriftSpec, weight: WeightSpec, p: float,
     ratios stay uniformly bounded across m.  The probes are random bumps
     of radius L/4 centred within L/3 of the origin.
     """
-    _weighted_estimate_parameters(grid.dim, alpha, weight.nu, p)
-    q = q if q is not None else p + 1.0
-    r = r if r is not None else (1.0 + p) / 2.0
+    check_weighted_exponent(grid.dim, alpha, weight.nu, p)
     probes = random_bumps(grid, _ESTIMATE_PROBES, grid.half_length / 4.0,
                           seed=seed, center_radius=grid.half_length / 3.0)
     eta = weight.lattice

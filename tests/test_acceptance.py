@@ -151,7 +151,7 @@ def test_criterion_07_weighted_estimates(hardy):
     w = weighted.WeightSpec(grid, nu=0.675, alpha=ALPHA)
     rep = weighted.verify_weighted_estimates(
         hardy, w, p=5.0, mu_list=(1e2, 1e3, 1e4), grid=grid, alpha=ALPHA,
-        m_levels=(8, 16), seed=SEED)
+        m_levels=(8, 16), q=6.0, r=3.0, seed=SEED)
     table = rep.provenance["tables"]["drift_lp_ratio"]
     decreasing = all(
         table[f"m{m}_mu100.0"] > table[f"m{m}_mu1000.0"]

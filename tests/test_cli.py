@@ -112,7 +112,7 @@ def test_validation_thresholds():
     with pytest.raises(AdmissibilityError):
         cfg.validate(m_constant=3.0)
     cfg2 = config.ExperimentConfig(p=4.0)  # below the weighted floor
-    with pytest.raises(AdmissibilityError):
+    with pytest.raises(AdmissibilityError, match="for the weighted estimates"):
         cfg2.validate(m_constant=3.0)
     cfg3 = config.ExperimentConfig(p=50.0, q=60.0)  # above the exponent interval
     with pytest.raises(AdmissibilityError, match="admissible exponent interval"):
@@ -167,6 +167,15 @@ def test_exit_code_2_on_unrunnable_values(tmp_path):
         assert cli.run(write(tmp_path, f"bad{i}.cfg", text), stream=out) == 2
         assert out.getvalue().startswith(f"config error: {key} ")
         assert "Traceback" not in out.getvalue()
+
+
+def test_exit_code_2_on_an_unsupported_dimension(tmp_path):
+    # the radial quadratures behind the admissibility constant cover d = 3
+    out = io.StringIO()
+    dim4 = write(tmp_path, "dim4.json", '{"scenario": "sampler_check", "dim": 4}')
+    assert cli.run(dim4, stream=out) == 2
+    assert out.getvalue() == (
+        "config error: radial quadrature supports dim 1 or 3, got 4\n")
 
 
 def test_benchmark_default_and_quick_configs_validate():

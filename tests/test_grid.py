@@ -116,6 +116,25 @@ def test_binary_round_trip(complex_data, dim, n, half_length, seed):
     assert np.array_equal(g.data.view(np.int64), data.view(np.int64))
 
 
+@pytest.mark.parametrize("complex_data", [False, True])
+def test_from_bytes_rejects_a_malformed_payload(complex_data):
+    grid = TorusGrid(2, 3.0, 8)
+    data = np.arange(64.0).reshape(grid.shape) * (1j if complex_data else 1.0)
+    payload = Field(grid, data).to_bytes()
+    width = 16 if complex_data else 8
+    size = len(payload)
+    assert size == 32 + 64 * width
+    cases = [(payload[:31], "31 bytes, expected at least the 32-byte"),
+             (payload[:-width], f"{size - width} bytes, expected {size}"),
+             (payload + bytes(width), f"{size + width} bytes, expected {size}")]
+    for flag in (2, -1):
+        cases.append((payload[:24] + flag.to_bytes(8, "little", signed=True)
+                       + payload[32:], f"complex flag must be 0 or 1, got {flag}"))
+    for bad, message in cases:
+        with pytest.raises(ParameterError, match=message):
+            Field.from_bytes(bad)
+
+
 def test_vector_field_magnitude():
     grid = TorusGrid(2, 2.0, 8)
     v = MollifiedDrift(None, 1, 1.0, grid,

@@ -6,7 +6,8 @@ package ``__init__`` re-exports by name, so it has a rule of its own:
 each name it imports is used there or listed in ``__all__``, and each
 ``__all__`` entry is imported, so that no export goes stale.  Likewise a
 module-level private function or class that no module of the package
-names is dead code.
+names is dead code, and so is a public one that the package names nowhere
+but in its own definition and does not export in ``__all__``.
 """
 
 import ast
@@ -110,3 +111,38 @@ def test_private_helpers_are_referenced():
     package = Path(stablelab.__file__).parent.glob("*.py")
     assert unreferenced_private(
         [p.read_text(encoding="utf-8") for p in sorted(package)]) == []
+
+
+def unreached_public(sources, exported) -> list:
+    """Module-level public functions and classes of the given sources that
+    no other top-level statement of any of them names as an ``ast.Name``
+    or ``ast.Attribute``, and that ``exported`` does not list."""
+    statements = [node for source in sources for node in ast.parse(source).body]
+    names = []
+    for node in statements:
+        names.append({n.id if isinstance(n, ast.Name) else n.attr
+                      for n in ast.walk(node)
+                      if isinstance(n, (ast.Name, ast.Attribute))})
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return [node.name for i, node in enumerate(statements)
+            if isinstance(node, defs) and not node.name.startswith("_")
+            and node.name not in exported
+            and not any(node.name in used
+                        for j, used in enumerate(names) if j != i)]
+
+
+def test_unreached_public_is_caught():
+    sources = ["def loop():\n    return loop()\n\n"
+               "def called():\n    pass\n\n"
+               "def exported():\n    pass\n\n"
+               "class Orphan:\n    pass\n",
+               "from .a import called\nRUNNERS = {'c': called}\n"
+               "def _private():\n    pass\n"]
+    assert unreached_public(sources, ["exported"]) == ["loop", "Orphan"]
+
+
+def test_public_names_are_reached_or_exported():
+    package = Path(stablelab.__file__).parent.glob("*.py")
+    assert unreached_public(
+        [p.read_text(encoding="utf-8") for p in sorted(package)],
+        stablelab.__all__) == []

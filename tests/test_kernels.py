@@ -20,7 +20,7 @@ def test_peak_closed_form_vs_quadrature():
         0.033773727880779265, rel=1e-12)
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("dim", [1, 3])
 def test_scaling_self_similarity(dim):
     # p_2(r) = 2^(-d/alpha) p_1(2^(-1/alpha) r)
     r = 1.3
@@ -28,6 +28,22 @@ def test_scaling_self_similarity(dim):
     rhs = 2.0 ** (-dim / ALPHA) * kernels.heat_kernel_value(
         ALPHA, dim, 1.0, 2.0 ** (-1.0 / ALPHA) * r)
     assert lhs == pytest.approx(rhs, rel=1e-6)
+
+
+def test_unsupported_dimensions_raise_before_any_quadrature(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("quadrature ran")
+
+    monkeypatch.setattr(kernels, "_fourier_quad", refuse)
+    monkeypatch.setattr(kernels, "_marginal_mass_halfline", refuse)
+    for fn in (kernels.heat_kernel_value, kernels.heat_kernel_radial_derivative):
+        for dim in (2, 4):
+            with pytest.raises(ParameterError,
+                               match=f"supports dim 1 or 3, got {dim}"):
+                fn(ALPHA, dim, 1.0, 0.5)
+    for dim in (1, 2, 4):
+        with pytest.raises(ParameterError, match=f"supports dim 3, got {dim}"):
+            kernels.ball_mass(ALPHA, dim, 1.0, 0.5)
 
 
 def test_dimension_lift_identity():

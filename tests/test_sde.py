@@ -60,6 +60,14 @@ def _map_coordinates_drift(points, drift):
                      for j in range(grid.dim)], axis=-1)
 
 
+def _drift_at(points, drift):
+    """The drift at points (points, dim) as ``integrate`` reads it:
+    ``drift_rows`` on the padded table, with the points held as rows."""
+    grid = drift.grid
+    rows = sde._wrap(np.ascontiguousarray(points.T), grid.half_length)
+    return sde.drift_rows(rows, sde._padded_lattice(drift), grid).T
+
+
 def _random_drift(n, half_length, seed):
     grid = TorusGrid(3, half_length, n)
     data = np.random.default_rng(seed).standard_normal((3,) + grid.shape)
@@ -104,9 +112,9 @@ def test_drift_at_matches_map_coordinates_bit_for_bit(case, seed):
     uniform = np.random.default_rng(seed + 1).uniform(-7.0 * half, 7.0 * half,
                                                       (500, 3))
     points = np.concatenate([points, uniform])
-    got = sde.drift_at(points, drift)
+    got = _drift_at(points, drift)
     expect = _map_coordinates_drift(points, drift)
-    assert got.shape == expect.shape and got.flags.c_contiguous
+    assert got.shape == expect.shape
     assert np.array_equal(got, expect)
     assert np.array_equal(got.view(np.int64), expect.view(np.int64))
 
@@ -119,7 +127,7 @@ def test_drift_at_where_a_coordinate_rounds_to_n(n, half):
                       axis=-1)
     coords = sde._lattice_coords(sde._wrap(points, half), drift.grid)
     assert np.any(coords == n)
-    assert np.array_equal(sde.drift_at(points, drift),
+    assert np.array_equal(_drift_at(points, drift),
                           _map_coordinates_drift(points, drift))
 
 
@@ -165,10 +173,8 @@ def test_integrate_guards(grid, hardy):
         sde.integrate(hardy, [0.0] * 3, 0.1, -0.01, 8, seed=0, alpha=ALPHA)
     with pytest.raises(ParameterError):
         sde.integrate(hardy, [0.0] * 3, 0.1, 0.03, 8, seed=0, alpha=ALPHA)
-    for freeze in (False, True):
-        with pytest.raises(ParameterError):
-            sde.integrate(hardy, [0.0] * 3, 0.1, 0.01, 0, seed=0, alpha=ALPHA,
-                          freeze_noise=freeze)
+    with pytest.raises(ParameterError):
+        sde.integrate(hardy, [0.0] * 3, 0.1, 0.01, 0, seed=0, alpha=ALPHA)
     strong = drifts.mollify(drifts.bounded_smooth_drift([300.0] * 3, 8.0, 3),
                             n=512, grid=grid, epsilon_n=0.05)
     with pytest.raises(ParameterError):
@@ -191,11 +197,11 @@ def test_default_record_keeps_start_and_end(grid, hardy):
 
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1), n_paths=st.integers(1, 40),
-       steps=st.integers(1, 12), freeze=st.booleans())
+       steps=st.integers(1, 12))
 def test_final_record_is_first_and_last_row_of_all(hardy, seed, n_paths,
-                                                   steps, freeze):
+                                                   steps):
     args = (hardy, [0.3, -0.2, 0.0], 0.01 * steps, 0.01, n_paths)
-    kw = dict(seed=seed, alpha=ALPHA, freeze_noise=freeze)
+    kw = dict(seed=seed, alpha=ALPHA)
     fin = sde.integrate(*args, **kw)
     full = sde.integrate(*args, record="all", **kw)
     ends = [0, -1]
@@ -208,7 +214,7 @@ def test_final_record_is_first_and_last_row_of_all(hardy, seed, n_paths,
     assert fin.wrap_fraction == full.wrap_fraction
 
 
-def _reference_integrate(drift, x0, n_paths, steps, dt, seed, freeze):
+def _reference_integrate(drift, x0, n_paths, steps, dt, seed):
     """``integrate(..., record="all")`` as a points-major Euler loop that
     reads the drift through ``map_coordinates``."""
     half = drift.grid.half_length
@@ -218,10 +224,7 @@ def _reference_integrate(drift, x0, n_paths, steps, dt, seed, freeze):
     xs, ints, absint, wraps = [x], [np.zeros_like(x)], [np.zeros(n_paths)], 0
     for k in range(steps):
         b = _map_coordinates_drift(x, drift)
-        step = -b * dt
-        if not freeze:
-            step += noise[:, k, :]
-        new = x + step
+        new = x + (-b * dt + noise[:, k, :])
         cells = [np.floor((y + half) / (2.0 * half)) for y in (x, new)]
         wraps += np.count_nonzero(np.any(cells[0] != cells[1], axis=1))
         x = new
@@ -248,27 +251,26 @@ def _edge_start(draw):
 
 @settings(max_examples=30, deadline=None)
 @given(case=_edge_start(), seed=st.integers(0, 2**31 - 1),
-       n_paths=st.integers(1, 40), steps=st.integers(1, 12),
-       freeze=st.booleans())
+       n_paths=st.integers(1, 40), steps=st.integers(1, 12))
 def test_integrate_matches_points_major_loop_bit_for_bit(case, seed, n_paths,
-                                                         steps, freeze):
+                                                         steps):
     n, half, x0 = case
     drift = _random_drift(n, half, seed)
     ens = sde.integrate(drift, x0, 0.01 * steps, 0.01, n_paths, seed=seed,
-                        alpha=ALPHA, freeze_noise=freeze, record="all")
-    expect = _reference_integrate(drift, x0, n_paths, steps, 0.01, seed,
-                                  freeze)
+                        alpha=ALPHA, record="all")
+    expect = _reference_integrate(drift, x0, n_paths, steps, 0.01, seed)
     for got, want in zip((ens.states, ens.drift_integral,
                           ens.abs_drift_integral), expect):
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
     assert ens.wrap_fraction == expect[3]
 
 
-@pytest.mark.parametrize("record,freeze", [("final", False), ("all", False),
-                                           ("final", True)])
-def test_path_blocks_give_the_same_bits(hardy, monkeypatch, record, freeze):
+# the ids these two cases have always run under
+@pytest.mark.parametrize("record", ["final", "all"],
+                         ids=["final-False", "all-False"])
+def test_path_blocks_give_the_same_bits(hardy, monkeypatch, record):
     args = (hardy, [0.3, -0.2, 0.0], 0.05, 0.01, 40)
-    kw = dict(seed=4, alpha=ALPHA, record=record, freeze_noise=freeze)
+    kw = dict(seed=4, alpha=ALPHA, record=record)
     whole = sde.integrate(*args, **kw)
     monkeypatch.setattr(sde, "_PATH_BLOCK", 7)
     blocked = sde.integrate(*args, **kw)
@@ -312,7 +314,7 @@ def test_drift_integral_bookkeeping(grid, hardy):
     # recompute each increment of the integral from the stored states
     recomputed = np.zeros_like(ens.drift_integral)
     for k in range(ens.states.shape[1] - 1):
-        bvals = sde.drift_at(ens.states[:, k, :], hardy)
+        bvals = _drift_at(ens.states[:, k, :], hardy)
         recomputed[:, k + 1, :] = recomputed[:, k, :] + bvals * 0.01
     np.testing.assert_array_equal(ens.drift_integral, recomputed)
     # additivity: the integral at any split point is a prefix of the same
@@ -320,7 +322,7 @@ def test_drift_integral_bookkeeping(grid, hardy):
     mid = 10
     segment = recomputed[:, mid, :].copy()
     for k in range(mid, ens.states.shape[1] - 1):
-        segment = segment + sde.drift_at(ens.states[:, k, :], hardy) * 0.01
+        segment = segment + _drift_at(ens.states[:, k, :], hardy) * 0.01
     np.testing.assert_array_equal(ens.drift_integral[:, -1, :], segment)
 
 
@@ -368,7 +370,7 @@ def test_strong_step_refinement_first_order(grid, hardy):
         dt = t / n_steps
         x = np.zeros((n_paths, 3))
         for k in range(n_steps):
-            x = x - sde.drift_at(x, hardy) * dt + agg[:, k, :]
+            x = x - _drift_at(x, hardy) * dt + agg[:, k, :]
         return x
 
     gap_coarse = np.mean(np.abs(euler(4) - euler(16)))
@@ -376,15 +378,6 @@ def test_strong_step_refinement_first_order(grid, hardy):
     # ratio of (dt - dt_ref) gaps for order one: (1/4-1/16)/(1/8-1/16) = 3
     ratio = gap_coarse / gap_fine
     assert 1.8 < ratio < 4.5
-
-
-def test_frozen_noise_matches_fine_ode(grid, hardy):
-    ens = sde.integrate(hardy, [1.0, 1.0, 0.0], 0.25, 0.0125, 2, seed=3,
-                        alpha=ALPHA, freeze_noise=True)
-    ref = sde.integrate(hardy, [1.0, 1.0, 0.0], 0.25, 0.25 / 2000, 1, seed=3,
-                        alpha=ALPHA, freeze_noise=True)
-    gap = np.max(np.abs(ens.states[0, -1, :] - ref.states[0, -1, :]))
-    assert gap < 5e-3 * 0.0125 / 0.25 + 1e-5  # O(dt) envelope
 
 
 def test_mc_vs_semigroup_free(grid, zero):

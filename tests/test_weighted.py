@@ -85,7 +85,7 @@ def test_weighted_estimates_report(grid, weight):
     base = drifts.hardy_drift(0.05, ALPHA, 3)
     rep = weighted.verify_weighted_estimates(
         base, weight, p=5.0, mu_list=(1e2, 1e3, 1e4), grid=grid, alpha=ALPHA,
-        m_levels=(8, 16), seed=2)
+        m_levels=(8, 16), q=6.0, r=3.0, seed=2)
     assert rep.verdict == "pass"
     table = rep.provenance["tables"]["drift_lp_ratio"]
     assert table["m8_mu100.0"] > table["m8_mu1000.0"] > table["m8_mu10000.0"]
@@ -96,7 +96,7 @@ def test_weighted_estimates_zero_probe(grid, weight):
     base = drifts.bounded_smooth_drift([0.0] * 3, 8.0, 3)
     rep = weighted.verify_weighted_estimates(
         base, weight, p=5.0, mu_list=(1e2, 1e3), grid=grid, alpha=ALPHA,
-        m_levels=(4,), seed=3)
+        m_levels=(4,), q=6.0, r=3.0, seed=3)
     table = rep.provenance["tables"]["drift_sup_ratio"]
     assert all(v == 0.0 for v in table.values())
 
@@ -106,7 +106,8 @@ def test_weighted_estimates_inadmissible_p(grid, weight):
     with pytest.raises(AdmissibilityError):
         weighted.verify_weighted_estimates(base, weight, p=4.0,
                                            mu_list=(1e2,), grid=grid,
-                                           alpha=ALPHA)
+                                           alpha=ALPHA, m_levels=(8, 16),
+                                           q=6.0, r=3.0)
 
 
 def test_eta_b_integrability_hardy():
