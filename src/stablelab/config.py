@@ -12,6 +12,7 @@ import numpy as np
 from .drifts import DriftSpec, hardy_drift
 from .errors import AdmissibilityError, ConfigurationError
 from .formbound import admissible_delta_threshold
+from .grid import TorusGrid
 from .scenarios import SCENARIO_RUNNERS
 from .weighted import check_weighted_exponent
 
@@ -48,8 +49,8 @@ class ExperimentConfig:
     def validate(self, m_constant: float) -> None:
         """Cross-field admissibility; raises AdmissibilityError citing the
         violated hypothesis, and ConfigurationError naming the key for a
-        seed outside [0, 2^64), a non-positive dt or half_length, or an
-        empty t_list, lambda_ladder or mu_ladder."""
+        seed outside [0, 2^64), a non-positive dt or half_length, an empty
+        t_list, lambda_ladder or mu_ladder, or a grid_n with no lattice."""
         if not 0 <= self.seed < 2**64:
             raise ConfigurationError(
                 f"seed = {self.seed} must lie in [0, 2^64)")
@@ -60,6 +61,9 @@ class ExperimentConfig:
         for key in ("t_list", "lambda_ladder", "mu_ladder"):
             if not len(getattr(self, key)):
                 raise ConfigurationError(f"{key} must not be empty")
+        halves = self.scenario in ("formbound_audit", "full_suite")
+        for n in (self.grid_n, self.grid_n // 2)[:1 + halves]:  # and its half
+            _checked("grid_n", TorusGrid, self.dim, self.half_length, n)
         self.m_constant = m_constant
         adm = admissible_delta_threshold(self.dim, self.alpha, m_constant)
         if self.delta >= adm.threshold:

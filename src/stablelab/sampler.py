@@ -22,7 +22,9 @@ n increments in R^d read one PCG64 stream as n uniforms theta | n
 exponentials E | n x d normals (row-major).  A uniform takes one 64-bit
 word, so E starts after ``advance(n)``; the normals start where a
 throw-away pass over the n exponentials (ziggurat) ends.  With a generator
-in each part, ``increment_blocks`` replays the batch bit for bit in blocks.
+in each part, ``_fill_increments`` draws the batch in blocks, bit for bit,
+into scratch the caller owns; ``sde.integrate`` calls it on a worker thread,
+which runs private functions only (the benchmark's tracer wraps public ones).
 """
 
 from __future__ import annotations
@@ -72,16 +74,16 @@ class IncrementBatch:
             raise ParameterError("increment values must be finite")
 
 
-def _kanter_positive_stable(sigma: float, n: int, uniforms, expos) -> np.ndarray:
-    theta = uniforms.uniform(0.0, np.pi, size=n)
-    expo = expos.standard_exponential(size=n)
+def _kanter_fill(sigma: float, uniforms, expos, a, theta, expo, den):
+    """Kanter's S into ``a`` from theta and E drawn into ``theta``, ``expo``
+    (``den`` is scratch): the closed form's operations and order, so bits."""
+    np.multiply(uniforms.random(out=theta), np.pi, out=theta)  # uniform(0, pi)
+    expos.standard_exponential(out=expo)
     ratio = (1.0 - sigma) / sigma
-    # (A(theta) / E) ** ratio in place, to spare n-sized temporaries; the
-    # operations and their order are those of the closed form, so are the bits
-    a = np.sin(sigma * theta)
+    np.sin(np.multiply(theta, sigma, out=a), out=a)
     a **= sigma / (1.0 - sigma)
-    a *= np.sin((1.0 - sigma) * theta)
-    den = np.sin(theta)
+    a *= np.sin(np.multiply(theta, 1.0 - sigma, out=den), out=den)
+    np.sin(theta, out=den)
     den **= 1.0 / (1.0 - sigma)
     tiny = np.finfo(float).tiny
     lost = (a < tiny) | (den < tiny)
@@ -104,42 +106,53 @@ def sample_subordinator(alpha_half: float, dt: float, n: int, seed) -> np.ndarra
         raise ParameterError("dt must be positive")
     if n < 0:
         raise ParameterError("n must be nonnegative")
-    if n == 0:
-        return np.empty(0)
     if n > _MAX_VALUES:
         raise CapacityError(f"{n} subordinator samples exceed capacity")
     rng = _rng_for(seed, "subordinator")
-    return dt ** (1.0 / alpha_half) * _kanter_positive_stable(alpha_half, n, rng, rng)
+    return dt ** (1.0 / alpha_half) * _kanter_fill(alpha_half, rng, rng, *np.empty((4, n)))
 
 
-def increment_blocks(params: StableParams, dt: float, n: int, rows_per_block: int):
-    """Consecutive blocks of at most ``rows_per_block`` rows of
-    ``sample_increments(params, dt, n).values``, bit for bit."""
-    if dt <= 0 or n < 1 or rows_per_block < 1:
-        raise ParameterError("dt, n and rows_per_block must be positive")
-    rows_per_block = min(rows_per_block, n)
-    if rows_per_block * params.dim > _MAX_VALUES:
-        raise CapacityError(
-            f"block of {rows_per_block} x {params.dim} values exceeds capacity")
+def _increment_stream(params: StableParams, dt: float, n: int, rows: int):
+    """The stream (alpha, dt, theta, E and normal generators, scratch) of an
+    n-row batch; normals precede the throw-away pass, scratch holds ``rows``."""
+    if dt <= 0 or n < 1:
+        raise ParameterError("dt and n must be positive")
+    rows = min(rows, n)
+    if rows * params.dim > _MAX_VALUES:
+        raise CapacityError(f"block of {rows} x {params.dim} values exceeds capacity")
     uniforms = _rng_for(params.seed, "increments")
     expos = copy.deepcopy(uniforms)
     expos.bit_generator.advance(n)
-    normals = copy.deepcopy(expos)
-    for r0 in range(0, n, rows_per_block):
-        normals.standard_exponential(size=min(rows_per_block, n - r0))
-    for r0 in range(0, n, rows_per_block):
-        rows = min(rows_per_block, n - r0)
-        clock = _kanter_positive_stable(params.alpha / 2.0, rows, uniforms, expos)
-        clock *= dt ** (2.0 / params.alpha)
-        clock *= 2.0
-        values = normals.standard_normal(size=(rows, params.dim))
-        values *= np.sqrt(clock, out=clock)[:, None]
-        yield values
+    scratch = (np.empty((rows, params.dim)), *np.empty((4, rows)))
+    return params.alpha, dt, uniforms, expos, copy.deepcopy(expos), scratch
+
+
+def _fill_increments(stream, rows: int, skip: int) -> np.ndarray:
+    """The next ``rows`` rows of the batch, in the stream's scratch; the
+    normals first throw ``skip`` exponentials away (n before block 0)."""
+    alpha, dt, uniforms, expos, normals, scratch = stream
+    for r0 in range(0, skip, len(scratch[3])):
+        normals.standard_exponential(out=scratch[3][:skip - r0])
+    values, clock, theta, expo, den = [buf[:rows] for buf in scratch]
+    _kanter_fill(alpha / 2.0, uniforms, expos, clock, theta, expo, den)
+    clock *= dt ** (2.0 / alpha)
+    clock *= 2.0
+    normals.standard_normal(out=values)
+    values *= np.sqrt(clock, out=clock)[:, None]
+    return values
+
+
+def _fill_slab(stream, skip: int, slab: np.ndarray) -> np.ndarray:
+    """The next paths x steps rows of the batch (path-major), transposed
+    into the caller's ``slab`` (steps, dim, paths): step k reads slab[k]."""
+    values = _fill_increments(stream, slab[:, 0].size, skip)
+    np.copyto(slab, values.reshape(-1, *slab.shape[:2]).transpose(1, 2, 0))
+    return slab
 
 
 def sample_increments(params: StableParams, dt: float, n: int) -> IncrementBatch:
     """n i.i.d. samples of Z_dt - Z_0; bit-reproducible from the seed."""
-    values = next(increment_blocks(params, dt, n, n))
+    values = _fill_increments(_increment_stream(params, dt, n, n), n, n)
     return IncrementBatch(params=params, dt=dt, values=values)
 
 

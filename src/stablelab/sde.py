@@ -6,6 +6,7 @@ the driving noise from paths through the accumulated drift integral.
 from __future__ import annotations
 
 import itertools
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,7 +17,7 @@ from .errors import ParameterError
 from .evolution import PropagatorConfig, propagate
 from .grid import Field, TorusGrid
 from .report import VerificationReport, build_report
-from .sampler import StableParams, empirical_char_function, increment_blocks
+from .sampler import StableParams, _fill_slab, _increment_stream, empirical_char_function
 from .weighted import WeightSpec, random_bumps
 
 _PATH_BLOCK = 2048  # paths per block: integrate holds their noise at once
@@ -144,13 +145,13 @@ def integrate(drift: MollifiedDrift, x0, t_final: float, dt: float,
     increments; drift integrals are accumulated with the same b values
     that drive the steps.
 
-    Blocks of ``_PATH_BLOCK`` paths draw their rows of the one-shot noise
-    batch (``sampler.increment_blocks``) and keep state and drift integrals
-    at the recorded times only: [0, t_final] for ``record="final"``, every
-    step for ``"all"``.  Steps act per path, so block size and ``record``
-    leave the bits unchanged.  ``CapacityError`` bounds one block's noise,
-    not the run's; a non-finite state raises ``ParameterError`` at its
-    step, within the first block that fails.
+    Blocks of ``_PATH_BLOCK`` paths read their rows of the one-shot noise
+    batch, drawn one block ahead by a worker thread into buffers allocated
+    once per call, and keep state and drift integrals at the recorded times
+    only: [0, t_final] for ``record="final"``, every step for ``"all"``.
+    Steps act per path, so block size and ``record`` leave the bits alone.
+    ``CapacityError`` bounds one block's noise, not the run's; a non-finite
+    state raises ``ParameterError`` at its step, after the worker stops.
     A block holds state, integrals and noise as rows (dim, paths) and reads
     b through ``drift_rows`` from a table padded once per call; one x + L
     per step gives the wrap count's cells and the next wrapped point.
@@ -176,37 +177,44 @@ def integrate(drift: MollifiedDrift, x0, t_final: float, dt: float,
     states = np.empty((n_paths, len(times), grid.dim))
     drift_int = np.zeros((n_paths, len(times), grid.dim))
     abs_drift = np.zeros((n_paths, len(times)))
-    noise = increment_blocks(params, dt, n_paths * n_steps, _PATH_BLOCK * n_steps)
+    stream = _increment_stream(params, dt, n_paths * n_steps, _PATH_BLOCK * n_steps)
+    buffers = np.empty((2, stream[-1][0].size))  # noise slabs, used in turn
+    starts = range(0, n_paths, _PATH_BLOCK)
+    slabs = [buffers[j % 2, :n_steps * grid.dim * min(_PATH_BLOCK, n_paths - i0)]
+             .reshape(n_steps, grid.dim, -1) for j, i0 in enumerate(starts)]
     table = _padded_lattice(drift)
     wrap_events = 0
-    for i0, block in zip(range(0, n_paths, _PATH_BLOCK), noise):
-        paths = slice(i0, min(i0 + _PATH_BLOCK, n_paths))
-        # step k reads the slab (dim, paths)
-        slabs = block.reshape(-1, n_steps, grid.dim).transpose(1, 2, 0).copy()
-        x = np.repeat(x0[:, None], paths.stop - i0, axis=1)
-        states[paths, 0, :] = x.T
-        running_int = np.zeros_like(x)
-        running_abs = np.zeros(x.shape[1])
-        shifted = x + grid.half_length
-        cell = np.floor(shifted / (2.0 * grid.half_length))
-        for k in range(n_steps):
-            b = drift_rows(_wrap_shifted(shifted, grid.half_length), table, grid)
-            bdt = b * dt
-            x += slabs[k] - bdt  # dZ - b dt has the bits of -b dt + dZ
-            if not np.all(np.isfinite(x)):
-                raise ParameterError(f"path state not finite after step {k + 1}")
-            running_int += bdt
-            # |b| summed as np.linalg.norm does: (b0*b0 + b1*b1) + ...
-            running_abs += np.sqrt(sum(c * c for c in b)) * dt
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        ahead = worker.submit(_fill_slab, stream, n_paths * n_steps, slabs[0])
+        for j, i0 in enumerate(starts):
+            noise = ahead.result()  # step k reads the slab (dim, paths)
+            if j + 1 < len(slabs):
+                ahead = worker.submit(_fill_slab, stream, 0, slabs[j + 1])
+            paths = slice(i0, i0 + noise.shape[2])
+            x = np.repeat(x0[:, None], noise.shape[2], axis=1)
+            states[paths, 0, :] = x.T
+            running_int = np.zeros_like(x)
+            running_abs = np.zeros(x.shape[1])
             shifted = x + grid.half_length
-            new_cell = np.floor(shifted / (2.0 * grid.half_length))
-            wrap_events += int(np.count_nonzero(np.any(new_cell != cell, axis=0)))
-            cell = new_cell
-            if every_step or k + 1 == n_steps:
-                row = k + 1 if every_step else 1
-                states[paths, row, :] = x.T
-                drift_int[paths, row, :] = running_int.T
-                abs_drift[paths, row] = running_abs
+            cell = np.floor(shifted / (2.0 * grid.half_length))
+            for k in range(n_steps):
+                b = drift_rows(_wrap_shifted(shifted, grid.half_length), table, grid)
+                bdt = b * dt
+                x += noise[k] - bdt  # dZ - b dt has the bits of -b dt + dZ
+                if not np.all(np.isfinite(x)):
+                    raise ParameterError(f"path state not finite after step {k + 1}")
+                running_int += bdt
+                # |b| summed as np.linalg.norm does: (b0*b0 + b1*b1) + ...
+                running_abs += np.sqrt(sum(c * c for c in b)) * dt
+                shifted = x + grid.half_length
+                new_cell = np.floor(shifted / (2.0 * grid.half_length))
+                wrap_events += int(np.count_nonzero(np.any(new_cell != cell, axis=0)))
+                cell = new_cell
+                if every_step or k + 1 == n_steps:
+                    row = k + 1 if every_step else 1
+                    states[paths, row, :] = x.T
+                    drift_int[paths, row, :] = running_int.T
+                    abs_drift[paths, row] = running_abs
     wrap_fraction = wrap_events / float(n_paths * n_steps)
     return PathEnsemble(x0=x0, times=times, states=states,
                         drift_integral=drift_int, abs_drift_integral=abs_drift,

@@ -169,6 +169,38 @@ def test_exit_code_2_on_unrunnable_values(tmp_path):
         assert "Traceback" not in out.getvalue()
 
 
+def test_exit_code_2_on_a_grid_n_with_no_lattice(tmp_path, monkeypatch):
+    # formbound_audit (alone or in full_suite) also builds grid_n // 2
+    def refuse(cfg):
+        raise AssertionError("a scenario ran")
+
+    monkeypatch.setattr(cli, "run_scenario", refuse)
+    cases = [('{"scenario": "formbound_audit", "grid_n": 0}', {}),
+             ('{"scenario": "formbound_audit", "grid_n": 6}', {}),
+             ('{"scenario": "formbound_audit", "grid_n": 10}', {}),
+             ('{"grid_n": 6}', {}),
+             ('{"scenario": "sampler_check", "grid_n": 5}', {}),
+             ('{"scenario": "sde_identify", "grid_n": 2}', {}),
+             ('{"scenario": "formbound_audit"}', {"grid_n": 6}),
+             ('{"scenario": "formbound_audit", "grid_n": 36}', {"quick": True})]
+    for i, (text, kwargs) in enumerate(cases):
+        out = io.StringIO()
+        path = write(tmp_path, f"grid{i}.json", text)
+        assert cli.run(path, stream=out, **kwargs) == 2, text
+        assert out.getvalue().startswith(
+            "config error: bad value for config key 'grid_n': "
+            "points_per_axis must be even and >= 4"), out.getvalue()
+        assert "Traceback" not in out.getvalue()
+
+
+def test_every_grid_n_with_its_lattices_validates():
+    m = config.reference_m_constant(1.5, 3)
+    for scenario, grid_n in [("formbound_audit", 8), ("formbound_audit", 12),
+                             ("full_suite", 16), ("sampler_check", 6),
+                             ("evolution_verify", 4), ("sde_identify", 10)]:
+        config.ExperimentConfig(scenario=scenario, grid_n=grid_n).validate(m)
+
+
 def test_exit_code_2_on_an_unsupported_dimension(tmp_path):
     # the radial quadratures behind the admissibility constant cover d = 3
     out = io.StringIO()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -155,15 +157,64 @@ def _rows_and_block(draw):
 @example(sizes=(200, 1), dim=3, alpha=1.984375, seed=1)  # rearranged form
 @example(sizes=(200, 64), dim=3, alpha=1.984375, seed=1)
 @example(sizes=(200, 200), dim=2, alpha=1.984375, seed=5)
+@example(sizes=(2000, 977), dim=3, alpha=1.984375, seed=1)  # partial last
+@example(sizes=(977, 977), dim=1, alpha=1.5, seed=3)
 def test_increment_blocks_replay_the_one_shot_batch(sizes, dim, alpha, seed):
+    # the buffered stream: every block overwrites the one scratch set
     n, rows = sizes
     params = StableParams(alpha, dim, seed)
-    blocks = list(sampler.increment_blocks(params, 0.7, n, rows))
+    stream = sampler._increment_stream(params, 0.7, n, rows)
+    scratch = stream[-1]
+    blocks = []
+    for r0 in range(0, n, rows):
+        block = sampler._fill_increments(stream, min(rows, n - r0),
+                                         0 if r0 else n)
+        assert np.shares_memory(block, scratch[0])
+        blocks.append(block.copy())
     assert [len(b) for b in blocks[:-1]] == [rows] * (len(blocks) - 1)
     assert 1 <= len(blocks[-1]) <= rows
     got = np.concatenate(blocks)
     want = sample_increments(params, 0.7, n).values
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@settings(max_examples=20, deadline=None)
+@given(paths=st.integers(1, 60), block=st.integers(1, 60),
+       steps=st.integers(1, 9), dim=st.integers(1, 3),
+       alpha=st.floats(1.01, 1.99), seed=st.integers(0, 2**32 - 1))
+@example(paths=60, block=7, steps=9, dim=3, alpha=1.984375, seed=1)
+def test_slabs_in_two_buffers_are_the_batch_transposed(paths, block, steps,
+                                                       dim, alpha, seed):
+    # integrate's layout: block j of paths is written to buffer j % 2 as
+    # (steps, dim, paths), and step k reads the rows slab[k]
+    n = paths * steps
+    params = StableParams(alpha, dim, seed)
+    stream = sampler._increment_stream(params, 0.3, n, block * steps)
+    buffers = np.full((2, len(stream[-1][0]) * dim), np.nan)
+    want = sample_increments(params, 0.3, n).values.reshape(paths, steps, dim)
+    for j, p0 in enumerate(range(0, paths, block)):
+        width = min(block, paths - p0)
+        slab = buffers[j % 2, :steps * dim * width].reshape(steps, dim, width)
+        got = sampler._fill_slab(stream, 0 if j else n, slab)
+        assert got is slab
+        expect = want[p0:p0 + width].transpose(1, 2, 0)
+        assert np.array_equal(got.view(np.int64), expect.view(np.int64))
+
+
+def test_the_increment_stream_allocates_no_block_sized_array():
+    # the buffers are the caller's: a block draws nothing of its own size
+    # but the Kanter underflow mask
+    params = StableParams(1.5, 3, 11)
+    rows = 50_000
+    stream = sampler._increment_stream(params, 0.1, 4 * rows, rows)
+    sampler._fill_increments(stream, rows, 4 * rows)
+    tracemalloc.start()
+    try:
+        sampler._fill_increments(stream, rows, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * rows  # under one float64 array of the block's rows
 
 
 def test_rearranged_kanter_form_matches_closed_form():

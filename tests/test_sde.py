@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 import warnings
 
@@ -148,7 +149,7 @@ def test_integrate_refuses_a_bad_start_before_any_noise(hardy, monkeypatch,
     def refuse(*args, **kwargs):
         raise AssertionError("noise drawn")
 
-    monkeypatch.setattr(sde, "increment_blocks", refuse)
+    monkeypatch.setattr(sde, "_fill_slab", refuse)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ParameterError, match="x0"):
@@ -306,6 +307,49 @@ def test_non_finite_state_fails_at_its_step(grid, hardy, monkeypatch):
     with pytest.raises(ParameterError, match="step 3"):
         sde.integrate(hardy, [0.0] * 3, 0.2, 0.01, 16, seed=0, alpha=ALPHA)
     assert len(calls) <= 4
+
+
+class _WorkerFault(Exception):
+    pass
+
+
+def test_integrate_leaves_no_thread_behind(hardy, monkeypatch):
+    before = set(threading.enumerate())
+    args = (hardy, [0.3, -0.2, 0.0], 0.05, 0.01, 40)
+    monkeypatch.setattr(sde, "_PATH_BLOCK", 7)
+    sde.integrate(*args, seed=4, alpha=ALPHA)
+    assert set(threading.enumerate()) == before
+
+    real_drift_rows = sde.drift_rows
+    calls = []
+
+    def nan_at_step_3(wrapped, table, grid):
+        calls.append(1)
+        b = real_drift_rows(wrapped, table, grid)
+        return np.full_like(b, np.nan) if len(calls) == 3 else b
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sde, "drift_rows", nan_at_step_3)
+        with pytest.raises(ParameterError, match="step 3"):
+            sde.integrate(*args, seed=4, alpha=ALPHA)
+    assert set(threading.enumerate()) == before
+
+    # the third block's draw fails on the worker while the second steps
+    real_fill = sde._fill_slab
+    fills = []
+
+    def fail_third(stream, skip, slab):
+        fills.append(threading.current_thread())
+        if len(fills) == 3:
+            raise _WorkerFault("drawn on the worker")
+        return real_fill(stream, skip, slab)
+
+    monkeypatch.setattr(sde, "_fill_slab", fail_third)
+    with pytest.raises(_WorkerFault, match="drawn on the worker"):
+        sde.integrate(*args, seed=4, alpha=ALPHA)
+    assert len(fills) == 3
+    assert threading.current_thread() not in fills
+    assert set(threading.enumerate()) == before
 
 
 def test_drift_integral_bookkeeping(grid, hardy):

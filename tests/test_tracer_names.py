@@ -7,12 +7,14 @@ per-layer metric.  The tracer is loaded by file path, not installed.
 
 import importlib
 import importlib.util
+import threading
 import types
 from pathlib import Path
 
 import numpy as np
 
-from stablelab import drifts, evolution, operators, resolvent
+import stablelab
+from stablelab import drifts, evolution, operators, resolvent, sde
 from stablelab.grid import TorusGrid
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -71,3 +73,34 @@ def test_hooks_read_objects_built_at_n8():
     weights = stepper.slot_weights()
     assert tracer._split_step(stepper.step, (stepper, f, weights), {},
                               stepper.step(f, weights)) == {"n": 8}
+
+
+def test_the_noise_worker_runs_nothing_the_tracer_wraps(monkeypatch):
+    # the tracer keeps one span stack for the process: a wrapped call on
+    # integrate's worker thread would nest in the main thread's spans
+    tracer = load_tracer()
+    package = Path(stablelab.__file__).parent
+    main = threading.current_thread()
+    ran = set()
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if (event == "call" and threading.current_thread() is not main
+                and Path(code.co_filename).parent == package):
+            ran.add((Path(code.co_filename).stem, code.co_qualname))
+
+    grid = TorusGrid(3, 8.0, 8)
+    mol = drifts.mollify(drifts.bounded_smooth_drift([0.3, 0.2, 0.1], 8.0, 3),
+                         n=16, grid=grid, epsilon_n=0.05)
+    monkeypatch.setattr(sde, "_PATH_BLOCK", 5)
+    threading.setprofile(profile)
+    try:
+        sde.integrate(mol, [0.0] * 3, 0.04, 0.01, 12, seed=1, alpha=1.5)
+    finally:
+        threading.setprofile(None)
+    # comprehensions and closures are no module or class attribute
+    named = {(module, name) for module, name in ran if "<" not in name}
+    assert ("sampler", "_fill_slab") in named
+    for module, name in named:
+        assert name.rsplit(".", 1)[-1].startswith("_"), (module, name)
+        assert f"{module}.{name}" not in tracer.EXTRA_METHODS
