@@ -2,7 +2,8 @@
 available scenarios.
 
 Exit codes: 0 all checks passed (or trend-only), 1 check failure,
-2 configuration error (parse or validation), 3 admissibility violation.
+2 configuration error (parse, validation or a value a scenario refuses),
+3 admissibility violation.
 """
 
 from __future__ import annotations
@@ -52,7 +53,11 @@ def run(config_path, out_dir=None, seed=None, grid_n=None, quick=False,
         print(f"config error: {exc}", file=stream)
         return 2
 
-    results = run_scenario(cfg)
+    try:
+        results = run_scenario(cfg)
+    except ConfigurationError as exc:  # values validate cannot judge yet
+        print(f"config error: {exc}", file=stream)
+        return 2
     bundle_dir = Path(out_dir) if out_dir else (
         Path("reports") / time.strftime("%Y%m%d-%H%M%S"))
     bundle_dir.mkdir(parents=True, exist_ok=True)

@@ -8,7 +8,10 @@ each site reads the same seven spline coefficients per axis, and one
 advection is a weighted sum of shifted views of the coefficient array.
 The spline prefilter is a Fourier multiplier folded into the leading
 half-step, and the slot weights are built from the stored displacements
-once per propagation, not at each step.  An Arnoldi matrix-exponential
+once per propagation, not at each step.  Fields that share a stepper step
+as one stack (the Duhamel sum with its field, the mass check's cutoffs
+and constant in pairs), and the slot sum of a stack is split between the
+caller and one worker thread, bit for bit.  An Arnoldi matrix-exponential
 stepper, used by the tests as a reference and not as a scheme,
 cross-validates the splitting.  Real fields stay real along the
 splitting, and each config builds its stepper once.
@@ -16,8 +19,9 @@ splitting, and each config builds its stepper once.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -113,36 +117,66 @@ def _slot_weights(displacement: np.ndarray) -> np.ndarray:
     return out
 
 
-def _shifted_sum(coeffs: np.ndarray, weights: np.ndarray, axis: int):
+def _shifted_sum(coeffs: np.ndarray, weights: np.ndarray, axis: int,
+                 block: np.ndarray, totals: list) -> np.ndarray:
     """sum over slots o of weights[axis][o] times the contraction of the
     lower axes, on views of the padded coefficients shifted by o along
-    ``axis``.  Axis 0 is contracted last, on a contiguous copy, as one
-    einsum over a strided view of its seven windows."""
+    ``axis``, into ``totals[axis]``.  Axis 0 is contracted last, copied
+    into the contiguous ``block``, as one einsum over a strided view of
+    its seven windows.  Every buffer is the caller's."""
     n = weights.shape[-1]
+    total = totals[axis]
     if axis == 0:
-        block = np.ascontiguousarray(coeffs)
+        np.copyto(block, coeffs)
         windows = as_strided(block, (len(weights[0]), n) + block.shape[1:],
                              block.strides[:1] + block.strides,
                              writeable=False)
-        return np.einsum("a...,a...->...", weights[0], windows)
+        return np.einsum("a...,a...->...", weights[0], windows, out=total)
     lead = (slice(None),) * axis
-    total = np.zeros(weights.shape[2:], dtype=coeffs.dtype)
+    total.fill(0.0)
     for o, w in enumerate(weights[axis]):
         term = _shifted_sum(coeffs[lead + (slice(o, o + n),)], weights,
-                            axis - 1)
+                            axis - 1, block, totals)
         term *= w
         total += term
     return total
 
 
+def _sum_slices(padded, weights, leads, out, block, totals) -> None:
+    """The slot sums of ``padded[lead]`` into ``out[lead]``, for each lead
+    in turn, in the scratch ``block`` and ``totals`` (one per lower axis)."""
+    for lead in leads:
+        _shifted_sum(padded[lead], weights, len(weights) - 1, block,
+                     totals + [out[lead]])
+
+
 def _slot_sum(coeffs: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Quintic interpolation from spline coefficients: the slot sum of
-    each (N, ..., N) slice of ``coeffs`` with the same weights."""
-    dim = len(weights)
+    each (N, ..., N) slice of ``coeffs`` with the same weights.  Of two or
+    more slices, the caller sums the first half and one worker thread the
+    rest, bit for bit as one at a time; each works in the padded stack and
+    in scratch allocated here, so the worker allocates no lattice array."""
+    dim, n = len(weights), weights.shape[-1]
+    lead_dims = coeffs.ndim - dim
+    padded = np.pad(coeffs, [(0, 0)] * lead_dims + [(_SLOTS, _SLOTS)] * dim,
+                    mode="wrap")
     out = np.empty(coeffs.shape, dtype=coeffs.dtype)
-    for lead in np.ndindex(coeffs.shape[:coeffs.ndim - dim]):
-        out[lead] = _shifted_sum(np.pad(coeffs[lead], _SLOTS, mode="wrap"),
-                                 weights, dim - 1)
+
+    def scratch():
+        return (np.empty((n + 2 * _SLOTS,) + (n,) * (dim - 1), coeffs.dtype),
+                [np.empty((n,) * dim, coeffs.dtype) for _ in range(dim - 1)])
+
+    leads = list(np.ndindex(coeffs.shape[:lead_dims]))
+    if len(leads) == 1:
+        _sum_slices(padded, weights, leads, out, *scratch())
+        return out
+    half = (len(leads) + 1) // 2
+    mine, theirs = scratch(), scratch()
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        rest = worker.submit(_sum_slices, padded, weights, leads[half:], out,
+                             *theirs)
+        _sum_slices(padded, weights, leads[:half], out, *mine)
+        rest.result()
     return out
 
 
@@ -182,9 +216,11 @@ class SplitStepPropagator:
     multiplier, then the slot sum, then half_heat.
     The slot weights (7 per axis and site, 5.5 MB at N = 32 in 3-D) are
     not kept: ``slot_weights`` builds them, once per propagation, and
-    ``step`` takes them.  The Courant check of ``PropagatorConfig`` keeps
-    every displacement below one cell; a stepper built with a larger step
-    raises ``ConfigurationError``.
+    ``step`` takes them, and takes a stack of fields on leading axes too;
+    its slot sum, like the build's interpolation of the d drift
+    components, runs on two threads.  The Courant check of
+    ``PropagatorConfig`` keeps every displacement below one cell; a stepper
+    built with a larger step raises ``ConfigurationError``.
     """
 
     def __init__(self, drift: MollifiedDrift, alpha: float, dt: float):
@@ -259,8 +295,8 @@ class ArnoldiPropagator:
 
 
 def propagate(config: PropagatorConfig, f):
-    """exp(-t_final (A + b . grad)) applied to a lattice array; real
-    input gives float64 output."""
+    """exp(-t_final (A + b . grad)) applied to a lattice array, or to a
+    stack of them on leading axes; real input gives float64 output."""
     data = np.asarray(f)
     was_real = not np.iscomplexobj(data)
     stepper = config.stepper
@@ -305,12 +341,14 @@ def duhamel_residual(config: PropagatorConfig, f) -> float:
     weights *= dt / 3.0
 
     heat_f = np.array(data)
-    accum = weights[0] * advective_source(config.drift, heat_f)  # s = 0 term
+    # one stack steps the Duhamel sum (from its s = 0 term) and f itself
+    stack = np.stack([weights[0] * advective_source(config.drift, heat_f),
+                      data])
     for k in range(1, steps + 1):
-        accum = stepper.step(accum, slots)
+        stack = stepper.step(stack, slots)
         heat_f = heat_step.apply(heat_f)
-        accum += weights[k] * advective_source(config.drift, heat_f)
-    lhs = propagate(cfg, data)
+        stack[0] += weights[k] * advective_source(config.drift, heat_f)
+    accum, lhs = stack
     residual = lhs - heat_f + accum
     return float(np.linalg.norm(residual) / max(np.linalg.norm(data), 1e-300))
 
@@ -326,7 +364,10 @@ def conservativeness_check(config: PropagatorConfig, x_index, k_list,
         raise ParameterError("cutoff radius k + 1 must fit inside the torus")
     levels = n_levels or (config.drift.n,)
     radius = grid.radius()
-    site = tuple(x_index)
+    site = (slice(None),) + tuple(x_index)
+    # the cutoffs, then the constant 1, propagated in stacked pairs
+    fields = ([partial(cutoff_profile, radius, k) for k in k_list]
+              + [partial(np.ones, grid.shape)])
     values = {}
     mass_drift = {}
     for n in levels:
@@ -334,11 +375,12 @@ def conservativeness_check(config: PropagatorConfig, x_index, k_list,
                else replace(config, drift=mollify(
                    config.drift.base, n=n, grid=grid,
                    epsilon_n=config.drift.epsilon_n)))
-        for k in k_list:
-            cut = cutoff_profile(radius, k)
-            values[(n, k)] = float(propagate(cfg, cut)[site])
-        ones = propagate(cfg, np.ones(grid.shape))
-        mass_drift[n] = float(ones[site] - 1.0)
+        at_site = []
+        for i in range(0, len(fields), 2):
+            pair = np.stack([make() for make in fields[i:i + 2]])
+            at_site.extend(float(v) for v in propagate(cfg, pair)[site])
+        values.update({(n, k): v for k, v in zip(k_list, at_site)})
+        mass_drift[n] = at_site[-1] - 1.0
     checks = []
     for n in levels:
         seq = [values[(n, k)] for k in k_list]

@@ -193,6 +193,17 @@ def test_exit_code_2_on_a_grid_n_with_no_lattice(tmp_path, monkeypatch):
         assert "Traceback" not in out.getvalue()
 
 
+def test_exit_code_2_on_a_value_a_scenario_refuses(tmp_path):
+    # validate passes half_length 3; evolution_verify's stepper refuses it
+    out = io.StringIO()
+    path = write(tmp_path, "short.json",
+                 '{"scenario": "evolution_verify", "half_length": 3.0}')
+    assert cli.run(path, out_dir=str(tmp_path / "out"), stream=out) == 2
+    assert out.getvalue() == ("config error: advection Courant number "
+                              "1.213 > 1; increase steps\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_every_grid_n_with_its_lattices_validates():
     m = config.reference_m_constant(1.5, 3)
     for scenario, grid_n in [("formbound_audit", 8), ("formbound_audit", 12),

@@ -1,4 +1,7 @@
 import dataclasses
+import threading
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from stablelab import drifts, evolution
 from stablelab.errors import ConfigurationError, ParameterError
 from stablelab.grid import TorusGrid
 from stablelab.operators import gradient_component, heat_semigroup
+from stablelab.profiles import cutoff_profile
 
 ALPHA = 1.5
 
@@ -421,10 +425,136 @@ def test_slot_weights_built_once_per_propagation(small_grid, small_drift,
     assert len(builds) == 1
     evolution.propagate(cfg, f)
     assert len(builds) == 2
-    # one for the Duhamel loop, one for its propagate call
+    # the Duhamel sum and f are stepped as one stack, with one build
     evolution.duhamel_residual(cfg, f)
-    assert len(builds) == 4
+    assert len(builds) == 3
     # never kept: neither the stepper nor the config holds a weight array
     kept = list(vars(stepper).values()) + list(vars(cfg).values())
     assert not any(np.shape(v)[:2] == (small_grid.dim, 7) for v in kept
                    if isinstance(v, np.ndarray))
+
+
+def unstacked_duhamel_residual(config, f):
+    # one field per propagation: the Duhamel loop, then propagate(f)
+    data = np.asarray(f)
+    data = np.asarray(data, dtype=complex if np.iscomplexobj(data) else float)
+    cfg = (config if config.steps % 2 == 0
+           else replace(config, steps=config.steps + 1))
+    steps, dt = cfg.steps, cfg.dt
+    stepper = cfg.stepper
+    slots = stepper.slot_weights()
+    heat_step = heat_semigroup(config.grid, config.alpha, dt)
+    weights = np.full(steps + 1, 2.0)
+    weights[1::2] = 4.0
+    weights[0] = weights[-1] = 1.0
+    weights *= dt / 3.0
+    heat_f = np.array(data)
+    accum = weights[0] * evolution.advective_source(config.drift, heat_f)
+    for k in range(1, steps + 1):
+        accum = stepper.step(accum, slots)
+        heat_f = heat_step.apply(heat_f)
+        accum += weights[k] * evolution.advective_source(config.drift, heat_f)
+    residual = evolution.propagate(cfg, data) - heat_f + accum
+    return float(np.linalg.norm(residual) / max(np.linalg.norm(data), 1e-300))
+
+
+def unstacked_site_values(config, site, k_list):
+    # one propagate per cutoff, then one for the constant 1
+    radius = config.grid.radius()
+    values = {f"n{config.drift.n}_k{k}": float(evolution.propagate(
+        config, cutoff_profile(radius, k))[site]) for k in k_list}
+    ones = evolution.propagate(config, np.ones(config.grid.shape))
+    return values, {config.drift.n: float(ones[site] - 1.0)}
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), n=st.sampled_from([8, 12, 16]),
+       slices=st.integers(1, 5), is_complex=st.booleans(),
+       steps=st.integers(1, 4), cutoffs=st.integers(1, 3))
+def test_stacks_give_the_bits_of_one_field_at_a_time(small_grid, small_drift,
+                                                     seed, n, slices,
+                                                     is_complex, steps,
+                                                     cutoffs):
+    rng = np.random.default_rng(seed)
+    shape = (slices, n, n, n)
+    coeffs = rng.standard_normal(shape)
+    if is_complex:
+        coeffs = coeffs + 1j * rng.standard_normal(shape)
+    weights = evolution._slot_weights(rng.uniform(-0.99, 0.99, (3, n, n, n)))
+    stacked = evolution._slot_sum(coeffs, weights)
+    for i in range(slices):
+        assert np.array_equal(stacked[i], evolution._slot_sum(coeffs[i],
+                                                              weights))
+    cfg = evolution.PropagatorConfig(small_drift, ALPHA, 0.05 * steps, steps)
+    f = smooth_field(small_grid, seed)
+    if is_complex:
+        f = f + 1j * smooth_field(small_grid, seed + 1)
+    assert (evolution.duhamel_residual(cfg, f)
+            == unstacked_duhamel_residual(cfg, f))
+    site = small_grid.site_index([0.5, -1.0, 0.0])
+    k_list = [1.0, 2.5, 4.0][:cutoffs]
+    rep = evolution.conservativeness_check(cfg, site, k_list)
+    values, mass_drift = unstacked_site_values(cfg, site, k_list)
+    assert rep.provenance == {"values": values, "mass_drift": mass_drift}
+
+
+class _WorkerFault(Exception):
+    pass
+
+
+def test_slot_sum_leaves_no_thread_behind(small_grid, small_drift,
+                                          monkeypatch):
+    before = set(threading.enumerate())
+    cfg = evolution.PropagatorConfig(small_drift, ALPHA, 0.1, 2)
+    pair = np.stack([smooth_field(small_grid, 1), smooth_field(small_grid, 2)])
+    evolution.propagate(cfg, pair)
+    assert set(threading.enumerate()) == before
+
+    # the worker's half fails while the caller sums its own
+    main = threading.current_thread()
+    real_shifted_sum = evolution._shifted_sum
+
+    def fail_off_main(*args):
+        if threading.current_thread() is not main:
+            raise _WorkerFault("summed on the worker")
+        return real_shifted_sum(*args)
+
+    monkeypatch.setattr(evolution, "_shifted_sum", fail_off_main)
+    with pytest.raises(_WorkerFault, match="summed on the worker"):
+        evolution.propagate(cfg, pair)
+    assert set(threading.enumerate()) == before
+
+
+def test_the_slot_sum_worker_allocates_no_lattice_array(monkeypatch):
+    # the caller waits until the worker is done, so the traced peak over
+    # the worker's run is the worker's own
+    n = 32
+    rng = np.random.default_rng(3)
+    weights = evolution._slot_weights(rng.uniform(-0.9, 0.9, (3, n, n, n)))
+    coeffs = rng.standard_normal((2, n, n, n))
+    main = threading.current_thread()
+    worker_done = threading.Event()
+    grown = []
+    real_sum_slices = evolution._sum_slices
+
+    def measured(*args):
+        if threading.current_thread() is main:
+            assert worker_done.wait(60)
+            return real_sum_slices(*args)
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        try:
+            return real_sum_slices(*args)
+        finally:
+            grown.append(tracemalloc.get_traced_memory()[1] - start)
+            worker_done.set()
+
+    monkeypatch.setattr(evolution, "_sum_slices", measured)
+    tracemalloc.start()
+    try:
+        out = evolution._slot_sum(coeffs, weights)
+    finally:
+        tracemalloc.stop()
+    assert len(grown) == 1
+    assert grown[0] < n ** 3 * 8  # under one float64 lattice array
+    assert np.array_equal(out[1], evolution._slot_sum(coeffs[1], weights))

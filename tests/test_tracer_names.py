@@ -75,10 +75,10 @@ def test_hooks_read_objects_built_at_n8():
                               stepper.step(f, weights)) == {"n": 8}
 
 
-def test_the_noise_worker_runs_nothing_the_tracer_wraps(monkeypatch):
-    # the tracer keeps one span stack for the process: a wrapped call on
-    # integrate's worker thread would nest in the main thread's spans
-    tracer = load_tracer()
+def worker_calls(run) -> set:
+    """(module, qualified name) of every package function that ``run()``
+    runs off the main thread, comprehensions and closures left out (they
+    are no module or class attribute)."""
     package = Path(stablelab.__file__).parent
     main = threading.current_thread()
     ran = set()
@@ -89,18 +89,44 @@ def test_the_noise_worker_runs_nothing_the_tracer_wraps(monkeypatch):
                 and Path(code.co_filename).parent == package):
             ran.add((Path(code.co_filename).stem, code.co_qualname))
 
-    grid = TorusGrid(3, 8.0, 8)
-    mol = drifts.mollify(drifts.bounded_smooth_drift([0.3, 0.2, 0.1], 8.0, 3),
-                         n=16, grid=grid, epsilon_n=0.05)
-    monkeypatch.setattr(sde, "_PATH_BLOCK", 5)
     threading.setprofile(profile)
     try:
-        sde.integrate(mol, [0.0] * 3, 0.04, 0.01, 12, seed=1, alpha=1.5)
+        run()
     finally:
         threading.setprofile(None)
-    # comprehensions and closures are no module or class attribute
-    named = {(module, name) for module, name in ran if "<" not in name}
-    assert ("sampler", "_fill_slab") in named
+    return {(module, name) for module, name in ran if "<" not in name}
+
+
+def assert_untraced(named, tracer):
+    # the tracer keeps one span stack for the process: a wrapped call on a
+    # worker thread would nest in the main thread's spans
     for module, name in named:
         assert name.rsplit(".", 1)[-1].startswith("_"), (module, name)
         assert f"{module}.{name}" not in tracer.EXTRA_METHODS
+
+
+def small_drift():
+    grid = TorusGrid(3, 8.0, 8)
+    return drifts.mollify(drifts.bounded_smooth_drift([0.3, 0.2, 0.1], 8.0, 3),
+                          n=16, grid=grid, epsilon_n=0.05)
+
+
+def test_the_noise_worker_runs_nothing_the_tracer_wraps(monkeypatch):
+    mol = small_drift()
+    monkeypatch.setattr(sde, "_PATH_BLOCK", 5)
+    named = worker_calls(lambda: sde.integrate(mol, [0.0] * 3, 0.04, 0.01,
+                                               12, seed=1, alpha=1.5))
+    assert ("sampler", "_fill_slab") in named
+    assert_untraced(named, load_tracer())
+
+
+def test_the_slot_sum_worker_runs_nothing_the_tracer_wraps():
+    # a stepper build interpolates the d drift components as one stack,
+    # and a stacked propagate steps its fields together
+    mol = small_drift()
+    cfg = evolution.PropagatorConfig(mol, 1.5, 0.02, 2)
+    pair = np.random.default_rng(0).standard_normal((2,) + mol.grid.shape)
+    for run in (lambda: cfg.stepper, lambda: evolution.propagate(cfg, pair)):
+        named = worker_calls(run)
+        assert ("evolution", "_shifted_sum") in named
+        assert_untraced(named, load_tracer())
