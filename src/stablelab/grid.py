@@ -82,13 +82,13 @@ class TorusGrid:
     def lp_norm(self, data, p: float, weight=None) -> float:
         """Discrete L^p norm of ``data`` with measure h^d, times ``weight``
         at each site when given (summed as weight * |data|^p); p = inf
-        gives max |data| and ignores the weight."""
+        gives max |data| and ignores the weight.  The sum is that of
+        ``_lp_norm_into`` in a fresh float64 buffer, the one form a worker
+        thread also uses in a buffer its caller allocated."""
         if p == np.inf:
             return float(np.max(np.abs(data)))
-        mass = np.abs(data) ** p
-        if weight is not None:
-            mass = weight * mass
-        return float((np.sum(mass) * self.cell_volume) ** (1.0 / p))
+        return _lp_norm_into(np.empty(np.shape(data)), data, p, weight,
+                             self.cell_volume)
 
     def site_index(self, point) -> tuple:
         """Index of the lattice site nearest to a physical point."""
@@ -97,6 +97,17 @@ class TorusGrid:
             raise ParameterError(f"point must have {self.dim} coordinates")
         idx = np.rint((pt + self.half_length) / self.spacing).astype(int)
         return tuple(int(i) % self.points_per_axis for i in idx)
+
+
+def _lp_norm_into(buf, data, p, weight, cell_volume) -> float:
+    """(sum weight * |data|^p * cell_volume)^(1/p) for finite p, worked in
+    the float64 array ``buf`` of data's shape (``data`` may be ``buf``
+    itself): |data| into buf, then buf **= p, times the weight, summed."""
+    np.abs(data, out=buf)
+    buf **= p
+    if weight is not None:
+        buf *= weight
+    return float((np.sum(buf) * cell_volume) ** (1.0 / p))
 
 
 def _check_data(grid, data, components=None):

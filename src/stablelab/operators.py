@@ -13,6 +13,11 @@ keep float64 throughout.  Gradients (``gradient_component``,
 Fourier multipliers are diagonal in the discrete dual basis, so
 compositions of handles reproduce the continuum operator calculus up to
 round-off on band-limited data.
+
+Every transform here runs on two pocketfft worker threads when one field
+of its lattice has at least 64^3 points, and on one below (``_fft_workers``).
+pocketfft splits a multidimensional transform into the same 1-D
+transforms whatever the worker count, so the bits do not depend on it.
 """
 
 from __future__ import annotations
@@ -59,6 +64,12 @@ class LatticeOperator:
         return best
 
 
+def _fft_workers(grid):
+    """pocketfft workers for transforms on ``grid``: 2 when one field has
+    at least 64^3 points, else 1 (two were slower on N = 32 stacks)."""
+    return 2 if grid.points_per_axis ** grid.dim >= 64 ** 3 else 1
+
+
 def _is_even(symbol):
     """symbol[-k] == symbol[k] at every lattice site, compared one plane of
     the first axis at a time so that no mirrored copy is allocated."""
@@ -94,14 +105,17 @@ class FourierMultiplier(LatticeOperator):
     def apply(self, data):
         data = np.asarray(data)
         axes = tuple(range(-self.grid.dim, 0))
+        workers = _fft_workers(self.grid)
         if not np.iscomplexobj(data):
             half = self._real_half_symbol()
             if half is not False:
                 data = np.asarray(data, dtype=float)
-                return sfft.irfftn(half * sfft.rfftn(data, axes=axes),
-                                   s=self.grid.shape, axes=axes)
+                return sfft.irfftn(
+                    half * sfft.rfftn(data, axes=axes, workers=workers),
+                    s=self.grid.shape, axes=axes, workers=workers)
         return sfft.ifftn(self.symbol * sfft.fftn(
-            np.asarray(data, dtype=complex), axes=axes), axes=axes)
+            np.asarray(data, dtype=complex), axes=axes, workers=workers),
+            axes=axes, workers=workers)
 
     def adjoint(self):
         return FourierMultiplier(self.grid, np.conj(self.symbol))
@@ -273,13 +287,14 @@ def real_gradient(grid, data) -> np.ndarray:
     ``gradient_component(grid, j).apply(data).real``.
     """
     data = np.asarray(data, dtype=float)
-    spec = sfft.rfftn(data)
+    workers = _fft_workers(grid)
+    spec = sfft.rfftn(data, workers=workers)
     nyquist = grid.points_per_axis // 2
     out = np.empty((grid.dim,) + data.shape)
     for j, k in enumerate(grid.frequencies()):
         symbol = 1j * k[..., : nyquist + 1]
         symbol[(slice(None),) * j + (nyquist,)] = 0.0
-        out[j] = sfft.irfftn(symbol * spec, s=data.shape)
+        out[j] = sfft.irfftn(symbol * spec, s=data.shape, workers=workers)
     return out
 
 
@@ -303,8 +318,10 @@ class DotGradient(LatticeOperator):
 
     def apply(self, data):
         axes = tuple(range(-self.grid.dim, 0))
-        spec = self.inner.symbol * sfft.fftn(np.asarray(data), axes=axes)
-        return sum(v * sfft.ifftn(1j * k * spec, axes=axes)
+        workers = _fft_workers(self.grid)
+        spec = self.inner.symbol * sfft.fftn(np.asarray(data), axes=axes,
+                                             workers=workers)
+        return sum(v * sfft.ifftn(1j * k * spec, axes=axes, workers=workers)
                    for v, k in zip(self.values, self.grid.frequencies()))
 
     def adjoint(self):
@@ -321,7 +338,8 @@ def even_convolution(grid, kernel) -> FourierMultiplier:
     kernel even about x = 0 (index N/2).  Its symbol, the real part of the
     kernel's DFT, is exactly even (scipy fills the spectrum of real data
     by Hermitian symmetry), so real data take the half-spectrum path."""
-    spectrum = sfft.fftn(np.fft.ifftshift(kernel))
+    spectrum = sfft.fftn(np.fft.ifftshift(kernel),
+                         workers=_fft_workers(grid))
     return FourierMultiplier(grid, spectrum.real * grid.cell_volume)
 
 

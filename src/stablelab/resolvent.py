@@ -17,6 +17,7 @@ they must agree to round-off wherever the Neumann series converge.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -24,7 +25,7 @@ import numpy as np
 
 from .drifts import MollifiedDrift
 from .errors import ParameterError
-from .grid import TorusGrid, component_magnitude
+from .grid import TorusGrid, _lp_norm_into, component_magnitude
 from .operators import (Affine, Compose, DotGradient, FourierMultiplier,
                         LatticeOperator, NeumannInverse, PointwiseMultiplier,
                         frac_laplacian, resolvent_power)
@@ -155,38 +156,75 @@ def l2_extremizer(potential: np.ndarray, mu: float, grid: TorusGrid,
                          grid, tol=1e-8, seed=seed, start=start)[1]
 
 
-def probe_potential_bounds(potential, res, exponents, norm, shared, own=None):
+def _lp_norms(buf, items, weight, cell_volume):
+    """The L^p norms, with the weight, of v * x (of x when v is None) for
+    each (x, v, p) of ``items``, in order, worked in the float64 ``buf``
+    alone."""
+    norms = []
+    for x, v, p in items:
+        if v is not None:
+            x = np.multiply(v, x, out=buf)
+        norms.append(_lp_norm_into(buf, x, p, weight, cell_volume))
+    return norms
+
+
+def probe_potential_bounds(potential, res, exponents, weight, shared,
+                           own=None):
     """For each p of ``exponents``, in order, the largest ratios
-    norm(op f, p) / norm(f, p) of the operators of bounds (a) V^(1/p) R,
+    ||op f||_p / ||f||_p of the operators of bounds (a) V^(1/p) R,
     (b) V^(1/p) R V^(1/p') and (c) R V^(1/p'), R = ``res``, over the
-    ``shared`` probes and the probes ``own(p)``, with the number of probes.
-    R f of a shared probe is applied once for every exponent; probes of
-    norm 0 are skipped; (b) applies V^(1/p) to the output of (c)."""
+    real ``shared`` probes and the probes ``own(p)``, with the number of
+    probes.  R maps real fields to real fields; the norms are
+    ``TorusGrid.lp_norm`` with ``weight`` (None, or a lattice array such
+    as eta^2).  R f of a shared probe is applied once for every exponent;
+    probes of norm 0 are skipped, with no transform of (c); (b) applies
+    V^(1/p) to the output of (c).
+
+    The caller draws the probes in order and makes every transform and
+    lattice allocation.  One worker thread takes ||f||_p of each probe
+    while R f is transformed, and the (a)-(c) norms, V^(1/p) multiplied
+    in, while the next fields are transformed, in one scratch buffer
+    allocated here; the ratios are folded in probe order, so the bits
+    are those of one thread.
+    """
     with np.errstate(divide="ignore", invalid="ignore"):
         mults = [[PointwiseMultiplier(res.grid, np.where(
             potential > 0, potential ** (1.0 / e), 0.0))
             for e in (p, p / (p - 1.0))] for p in exponents]
     worst = [{"a": 0.0, "b": 0.0, "c": 0.0} for _ in exponents]
     counts = [0] * len(exponents)
+    buf, cell_volume = np.empty(res.grid.shape), res.grid.cell_volume
+    pending = []  # (i, ||f||_p, future of the (a)-(c) norms), probe order
 
-    def take(i, f, rf):
-        counts[i] += 1
-        p, (mul_p, mul_pc), w = exponents[i], mults[i], worst[i]
-        nf = norm(f, p)
-        if nf == 0.0:
-            return
-        c = res.apply(mul_pc.apply(f))
-        w["a"] = max(w["a"], norm(mul_p.apply(rf), p) / nf)
-        w["b"] = max(w["b"], norm(mul_p.apply(c), p) / nf)
-        w["c"] = max(w["c"], norm(c, p) / nf)
+    def fold():
+        for i, nf, norms in pending:
+            for w, n in zip("abc", norms.result()):
+                worst[i][w] = max(worst[i][w], n / nf)
+        pending.clear()
 
-    for f in shared:
+    def take(worker, f, which):
+        norms_f = worker.submit(_lp_norms, buf, [
+            (f, None, exponents[i]) for i in which], weight, cell_volume)
         rf = res.apply(f)
-        for i in range(len(exponents)):
-            take(i, f, rf)
-    for i, p in enumerate(exponents):
-        for f in own(p) if own else ():
-            take(i, f, res.apply(f))
+        norms_f = norms_f.result()
+        fold()  # the worker is done with every earlier probe
+        for i, nf in zip(which, norms_f):
+            counts[i] += 1
+            if nf == 0.0:
+                continue
+            p, (mul_p, mul_pc) = exponents[i], mults[i]
+            c = res.apply(mul_pc.apply(f))
+            pending.append((i, nf, worker.submit(_lp_norms, buf, [
+                (rf, mul_p.values, p), (c, mul_p.values, p), (c, None, p)],
+                weight, cell_volume)))
+
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        for f in shared:
+            take(worker, f, range(len(exponents)))
+        for i, p in enumerate(exponents):
+            for f in own(p) if own else ():
+                take(worker, f, [i])
+        fold()
     return list(zip(worst, counts))
 
 
@@ -276,7 +314,7 @@ def verify_lp_inequalities(potential: np.ndarray, exponents, mu: float,
 
     found = probe_potential_bounds(
         potential, resolvent_power(grid, alpha, mu, gamma), exponents,
-        grid.lp_norm, shared(), transported)
+        None, shared(), transported)
     return [build_report(
         "markov_lp_resolvent_bounds",
         {"p": p, "mu": mu, "lam": lam, "delta": delta, "candidates": cand},

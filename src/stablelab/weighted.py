@@ -294,7 +294,7 @@ def verify_weighted_lp_inequalities(potential: np.ndarray, p: float,
         (rng.standard_normal(grid.shape) for _ in range(half)))
     [(worst, _)] = probe_potential_bounds(
         potential, weight.conjugate(resolvent_power(grid, alpha, mu, gamma)),
-        (p,), weight.lp_norm, probes)
+        (p,), weight.lattice**2, probes)
     checks = potential_bound_checks("weighted", worst, delta,
                                     p * (p / (p - 1.0)) / 4.0, p, mu, gamma)
     return build_report("weighted_markov_lp_bounds",

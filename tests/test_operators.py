@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy import fft as sfft
 
 from stablelab import operators as ops
@@ -446,3 +446,77 @@ def test_dot_gradient_stack_matches_members(kind, n, dim, seed, members,
     for m in range(members):
         assert np.array_equal(out[m].view(np.int64),
                               op.apply(stack[m]).view(np.int64))
+
+
+# Two pocketfft workers on lattices of 64^3 points or more: the same
+# 1-D transforms run, split between the threads, so the bits stay.
+
+def bits(arr):
+    return np.ascontiguousarray(arr).view(np.int64)
+
+
+def every_transform_path(grid, data, rng):
+    """Outputs of the real and complex multiplier paths, DotGradient and,
+    for one field, real_gradient."""
+    resolvent = ops.resolvent_power(grid, 1.5, 1.0, 0.5)
+    dot = ops.DotGradient(rng.standard_normal((grid.dim,) + grid.shape),
+                          ops.heat_semigroup(grid, 1.5, 0.1))
+    outs = [resolvent.apply(data), resolvent.apply(data.astype(complex)),
+            dot.apply(data)]
+    if data.shape == grid.shape:
+        outs.append(ops.real_gradient(grid, data))
+    return outs
+
+
+@settings(max_examples=4, deadline=None)
+@given(n=st.sampled_from([64, 66, 72]), fields=st.integers(1, 3),
+       seed=seeds)
+@example(n=128, fields=1, seed=0)
+def test_two_fft_workers_give_the_bits_of_one(n, fields, seed):
+    grid = TorusGrid(3, 8.0, n)
+    assert ops._fft_workers(grid) == 2
+    rng = np.random.default_rng(seed)
+    data = rng.standard_normal(((fields,) if fields > 1 else ()) + grid.shape)
+    two = every_transform_path(grid, data, np.random.default_rng(seed))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ops, "_fft_workers", lambda grid: 1)
+        one = every_transform_path(grid, data, np.random.default_rng(seed))
+    assert len(two) == len(one) == (4 if fields == 1 else 3)
+    for got, ref in zip(two, one):
+        assert got.dtype == ref.dtype
+        assert np.array_equal(bits(got), bits(ref))
+
+
+class _RecordedFFT:
+    """scipy.fft with the ``workers`` of every call recorded."""
+
+    def __init__(self):
+        self.workers = []
+
+    def __getattr__(self, name):
+        fn = getattr(sfft, name)
+
+        def recorded(*args, **kwargs):
+            self.workers.append(kwargs.get("workers"))
+            return fn(*args, **kwargs)
+
+        return recorded
+
+
+@pytest.mark.parametrize("n, fields, expect", [
+    (32, 4, 1),
+    (32, 8, 1),  # 64^3 points in the stack, 32^3 per field
+    (64, 1, 2)])
+def test_fft_workers_follow_the_points_per_field(monkeypatch, n, fields,
+                                                 expect):
+    grid = TorusGrid(3, 8.0, n)
+    data = np.random.default_rng(0).standard_normal(
+        ((fields,) if fields > 1 else ()) + grid.shape)
+    recorded = _RecordedFFT()
+    monkeypatch.setattr(ops, "sfft", recorded)
+    every_transform_path(grid, data, np.random.default_rng(0))
+    ops.even_convolution(grid, rand_field(grid, 1))
+    # rfftn/irfftn, fftn/ifftn, fftn + 3 ifftn, [rfftn + 3 irfftn], fftn
+    assert len(recorded.workers) == (2 + 2 + 4 + 1 if fields > 1
+                                     else 2 + 2 + 4 + 4 + 1)
+    assert set(recorded.workers) == {expect}

@@ -1,3 +1,5 @@
+import sys
+import threading
 import time
 import tracemalloc
 
@@ -10,7 +12,8 @@ from stablelab.errors import DivergenceError, ParameterError
 from stablelab.formbound import top_eigenpair
 from stablelab.grid import TorusGrid
 from stablelab.operators import (Compose, DotGradient, FourierMultiplier,
-                                 resolvent_power)
+                                 PointwiseMultiplier, resolvent_power)
+from stablelab.weighted import WeightSpec
 
 ALPHA = 1.5
 
@@ -369,13 +372,13 @@ def test_probe_ratios_are_homogeneous_of_degree_0(n, amplitude, seed, scale,
     res = resolvent_power(grid, ALPHA, 1.0, (ALPHA - 1.0) / ALPHA)
     probes = [rand(grid, seed + k) for k in range(3)]
     plain = resolvent.probe_potential_bounds(
-        potential, res, exponents, grid.lp_norm, probes)
+        potential, res, exponents, None, probes)
     scaled = resolvent.probe_potential_bounds(
-        potential, res, exponents, grid.lp_norm, (scale * f for f in probes))
+        potential, res, exponents, None, (scale * f for f in probes))
     # and, over probes that each set a ratio, shared equals one at a time
     assert plain == [found for p in exponents
                      for found in resolvent.probe_potential_bounds(
-                         potential, res, [p], grid.lp_norm, iter(probes))]
+                         potential, res, [p], None, iter(probes))]
     for (w_plain, count_plain), (w_scaled, count_scaled) in zip(
             plain, scaled, strict=True):
         assert count_plain == count_scaled == 3
@@ -407,3 +410,156 @@ def test_shared_probes_save_one_transform_each(grid, monkeypatch, n_probes):
 
     separate = transforms((2.0,)) + transforms((4.5,))
     assert separate - transforms((2.0, 4.5)) == max(4, n_probes - 3) + 1
+
+
+def sequential_probe_bounds(potential, res, exponents, weight, shared,
+                            own=None):
+    """The one-thread probe loop: every norm on the caller, as each probe
+    is drawn, in the order of the pipelined loop's fold."""
+    def norm(f, p):
+        return res.grid.lp_norm(f, p, weight)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mults = [[PointwiseMultiplier(res.grid, np.where(
+            potential > 0, potential ** (1.0 / e), 0.0))
+            for e in (p, p / (p - 1.0))] for p in exponents]
+    worst = [{"a": 0.0, "b": 0.0, "c": 0.0} for _ in exponents]
+    counts = [0] * len(exponents)
+
+    def take(i, f, rf):
+        counts[i] += 1
+        p, (mul_p, mul_pc), w = exponents[i], mults[i], worst[i]
+        nf = norm(f, p)
+        if nf == 0.0:
+            return
+        c = res.apply(mul_pc.apply(f))
+        w["a"] = max(w["a"], norm(mul_p.apply(rf), p) / nf)
+        w["b"] = max(w["b"], norm(mul_p.apply(c), p) / nf)
+        w["c"] = max(w["c"], norm(c, p) / nf)
+
+    for f in shared:
+        rf = res.apply(f)
+        for i in range(len(exponents)):
+            take(i, f, rf)
+    for i, p in enumerate(exponents):
+        for f in own(p) if own else ():
+            take(i, f, res.apply(f))
+    return list(zip(worst, counts))
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.sampled_from([8, 16]), amplitude=st.floats(0.0, 2.0),
+       seed=st.integers(0, 2**31 - 1), n_probes=st.integers(1, 8),
+       zero_at=st.integers(0, 8),
+       exponents=st.lists(st.floats(1.1, 8.0), min_size=1, max_size=3),
+       weighted=st.booleans())
+def test_pipelined_probe_loop_equals_the_sequential_loop(
+        n, amplitude, seed, n_probes, zero_at, exponents, weighted):
+    grid, potential = smooth_potential(n, amplitude, seed)
+    res = resolvent_power(grid, ALPHA, 1.0, (ALPHA - 1.0) / ALPHA)
+    weight = None
+    if weighted:
+        eta = WeightSpec(grid, 0.5, ALPHA)
+        res, weight = eta.conjugate(res), eta.lattice**2
+    probes = [rand(grid, seed + k) for k in range(n_probes)]
+    probes.insert(min(zero_at, n_probes), np.zeros(grid.shape))
+    extra = rand(grid, seed + n_probes)
+
+    def own(p):
+        return [np.zeros(grid.shape), p * extra]
+
+    calls = []
+    apply = FourierMultiplier.apply
+
+    def counted(self, data):
+        calls.append(1)
+        return apply(self, data)
+
+    found = {}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(FourierMultiplier, "apply", counted)
+        for name, loop in (("pipelined", resolvent.probe_potential_bounds),
+                           ("sequential", sequential_probe_bounds)):
+            calls.clear()
+            found[name] = (loop(potential, res, exponents, weight,
+                                iter(probes), own), len(calls))
+    assert found["pipelined"] == found["sequential"]
+    (reports, transforms) = found["pipelined"]
+    assert [count for _, count in reports] == [n_probes + 3] * len(exponents)
+    assert transforms > 0
+
+
+def test_the_probe_draw_is_replayed_bitwise(monkeypatch):
+    # the fields the loop hands to R, in order, against a replay of the
+    # draw: n_probes - 3 random or sign fields from default_rng(seed), the
+    # bump at the potential maximum, then the transported extremizer and
+    # its modulus for each exponent
+    grid, potential = smooth_potential(8, 1.0, 5)
+    exponents, seed, n_probes = (2.0, 4.5), 20240801, 50
+    phi = rand(grid, 7)
+    handed = []
+    apply = FourierMultiplier.apply
+
+    def recorded(self, data):
+        handed.append(np.array(data, copy=True))
+        return apply(self, data)
+
+    monkeypatch.setattr(FourierMultiplier, "apply", recorded)
+    resolvent.verify_lp_inequalities(
+        potential, exponents, 1.0, 0.01, grid, ALPHA, n_probes=n_probes,
+        seed=seed, delta=0.05, extremizer=phi)
+
+    mask = potential > 1e-9 * np.max(potential)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v_pc = {p: np.where(potential > 0,
+                            potential ** (1.0 / (p / (p - 1.0))), 0.0)
+                for p in exponents}
+        transported = {p: np.where(mask, potential ** (1.0 / p - 0.5), 0.0)
+                       * phi for p in exponents}
+    rng = np.random.default_rng(seed)
+    shared = []
+    for _ in range(n_probes - 3):
+        kind = rng.integers(0, 2)
+        f = rng.standard_normal(grid.shape)
+        shared.append(np.sign(f) if kind == 1 else f)
+    bump = np.zeros(grid.shape)
+    bump[np.unravel_index(np.argmax(potential), grid.shape)] = 1.0
+    shared.append(bump)
+    expect = [g for f in shared for g in [f] + [v_pc[p] * f
+                                               for p in exponents]]
+    for p in exponents:
+        f = transported[p]
+        expect += [f, v_pc[p] * f, np.abs(f), v_pc[p] * np.abs(f)]
+    assert len(handed) == len(expect) == 48 * 3 + 8
+    for got, ref in zip(handed, expect):
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
+def test_pipelined_probe_loops_under_thread_stress():
+    # three callers at once, each with its own norm worker (six threads on
+    # two cores), switching every 10 us: each folds the sequential ratios
+    grid, potential = smooth_potential(16, 1.0, 11)
+    res = resolvent_power(grid, ALPHA, 1.0, (ALPHA - 1.0) / ALPHA)
+    exponents = [2.0, 4.5]
+    probes = [rand(grid, k) for k in range(12)] + [np.zeros(grid.shape)]
+    expect = sequential_probe_bounds(potential, res, exponents, None,
+                                     iter(probes))
+    found = [None] * 3
+
+    def run(k):
+        found[k] = resolvent.probe_potential_bounds(
+            potential, res, exponents, None, iter(probes))
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert found == [expect] * 3

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 import stablelab
-from stablelab import drifts, evolution, operators, resolvent, sde
+from stablelab import drifts, evolution, operators, resolvent, sde, weighted
 from stablelab.grid import TorusGrid
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -129,4 +129,21 @@ def test_the_slot_sum_worker_runs_nothing_the_tracer_wraps():
     for run in (lambda: cfg.stepper, lambda: evolution.propagate(cfg, pair)):
         named = worker_calls(run)
         assert ("evolution", "_shifted_sum") in named
+        assert_untraced(named, load_tracer())
+
+
+def test_the_norm_worker_runs_nothing_the_tracer_wraps():
+    # both callers of probe_potential_bounds, the plain and the weighted
+    mol = small_drift()
+    grid, potential = mol.grid, mol.magnitude()
+    eta = weighted.WeightSpec(grid, 0.5, 1.5)
+    runs = (
+        lambda: resolvent.verify_lp_inequalities(
+            potential, (2.0, 4.5), 1.0, 0.01, grid, 1.5, n_probes=5, seed=1,
+            delta=0.05, extremizer=np.ones(grid.shape)),
+        lambda: weighted.verify_weighted_lp_inequalities(
+            potential, 4.5, 1.0, 0.01, grid, 1.5, eta, seed=1))
+    for run in runs:
+        named = worker_calls(run)
+        assert named == {("resolvent", "_lp_norms"), ("grid", "_lp_norm_into")}
         assert_untraced(named, load_tracer())
