@@ -100,8 +100,9 @@ class ExperimentConfig:
 
 def _coerce(name: str, value, dim: int):
     """``value`` as the kind of the field's default in ExperimentConfig:
-    an int, a float, or a tuple of floats (from a list or a comma or
-    space separated string).  A drift is built from its document in
+    an int (from a float only if it is integral, as the key=value form
+    refuses "32.9"), a float, or a tuple of floats (from a list or a comma
+    or space separated string).  A drift is built from its document in
     ``dim``; ``m_constant`` is a float or None."""
     if name == "drift":
         return _drift_from_doc(value, dim) if value else None
@@ -112,8 +113,12 @@ def _coerce(name: str, value, dim: int):
         if isinstance(value, str):
             value = [v for v in value.replace(",", " ").split() if v]
         return tuple(float(v) for v in value)
-    if isinstance(default, (int, float)):
-        return type(default)(value)
+    if isinstance(default, int):
+        if isinstance(value, float) and not value.is_integer():
+            raise ValueError(f"{value!r} is not an integer")
+        return int(value)
+    if isinstance(default, float):
+        return float(value)
     return value
 
 

@@ -21,10 +21,11 @@ the algebraically equal form with powers at most 1/sigma < 2,
 n increments in R^d read one PCG64 stream as n uniforms theta | n
 exponentials E | n x d normals (row-major).  A uniform takes one 64-bit
 word, so E starts after ``advance(n)``; the normals start where a
-throw-away pass over the n exponentials (ziggurat) ends.  With a generator
-in each part, ``_fill_increments`` draws the batch in blocks, bit for bit,
-into scratch the caller owns; ``sde.integrate`` calls it on a worker thread,
-which runs private functions only (the benchmark's tracer wraps public ones).
+throw-away pass over the n exponentials (ziggurat) ends, which
+``_increment_stream`` makes when it sets up a generator for each part.
+``_fill_increments`` then draws the batch in blocks, bit for bit, into the
+stream's scratch; ``sde.integrate`` calls it on a worker thread, which runs
+private functions only (the benchmark's tracer wraps public ones).
 """
 
 from __future__ import annotations
@@ -114,7 +115,8 @@ def sample_subordinator(alpha_half: float, dt: float, n: int, seed) -> np.ndarra
 
 def _increment_stream(params: StableParams, dt: float, n: int, rows: int):
     """The stream (alpha, dt, theta, E and normal generators, scratch) of an
-    n-row batch; normals precede the throw-away pass, scratch holds ``rows``."""
+    n-row batch, scratch for ``rows``; the normal generator has made the
+    throw-away pass over the n exponentials."""
     if dt <= 0 or n < 1:
         raise ParameterError("dt and n must be positive")
     rows = min(rows, n)
@@ -123,16 +125,16 @@ def _increment_stream(params: StableParams, dt: float, n: int, rows: int):
     uniforms = _rng_for(params.seed, "increments")
     expos = copy.deepcopy(uniforms)
     expos.bit_generator.advance(n)
+    normals = copy.deepcopy(expos)
     scratch = (np.empty((rows, params.dim)), *np.empty((4, rows)))
-    return params.alpha, dt, uniforms, expos, copy.deepcopy(expos), scratch
+    for r0 in range(0, n, rows):
+        normals.standard_exponential(out=scratch[3][:n - r0])
+    return params.alpha, dt, uniforms, expos, normals, scratch
 
 
-def _fill_increments(stream, rows: int, skip: int) -> np.ndarray:
-    """The next ``rows`` rows of the batch, in the stream's scratch; the
-    normals first throw ``skip`` exponentials away (n before block 0)."""
+def _fill_increments(stream, rows: int) -> np.ndarray:
+    """The next ``rows`` rows of the batch, in the stream's scratch."""
     alpha, dt, uniforms, expos, normals, scratch = stream
-    for r0 in range(0, skip, len(scratch[3])):
-        normals.standard_exponential(out=scratch[3][:skip - r0])
     values, clock, theta, expo, den = [buf[:rows] for buf in scratch]
     _kanter_fill(alpha / 2.0, uniforms, expos, clock, theta, expo, den)
     clock *= dt ** (2.0 / alpha)
@@ -142,17 +144,17 @@ def _fill_increments(stream, rows: int, skip: int) -> np.ndarray:
     return values
 
 
-def _fill_slab(stream, skip: int, slab: np.ndarray) -> np.ndarray:
+def _fill_slab(stream, slab: np.ndarray) -> np.ndarray:
     """The next paths x steps rows of the batch (path-major), transposed
     into the caller's ``slab`` (steps, dim, paths): step k reads slab[k]."""
-    values = _fill_increments(stream, slab[:, 0].size, skip)
+    values = _fill_increments(stream, slab[:, 0].size)
     np.copyto(slab, values.reshape(-1, *slab.shape[:2]).transpose(1, 2, 0))
     return slab
 
 
 def sample_increments(params: StableParams, dt: float, n: int) -> IncrementBatch:
     """n i.i.d. samples of Z_dt - Z_0; bit-reproducible from the seed."""
-    values = _fill_increments(_increment_stream(params, dt, n, n), n, n)
+    values = _fill_increments(_increment_stream(params, dt, n, n), n)
     return IncrementBatch(params=params, dt=dt, values=values)
 
 

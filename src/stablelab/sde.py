@@ -1,6 +1,7 @@
 """Euler-Maruyama integration of dX = -b(X) dt + dZ against stable noise,
 Monte Carlo cross-validation of the lattice semigroup, and recovery of
 the driving noise from paths through the accumulated drift integral.
+Every check reads paths at the horizon T only, so only T is kept.
 """
 
 from __future__ import annotations
@@ -25,20 +26,19 @@ _PATH_BLOCK = 2048  # paths per block: integrate holds their noise at once
 
 @dataclass
 class PathEnsemble:
-    """Simulated paths with accumulated drift integrals at recorded times.
+    """Simulated paths at the horizon with their accumulated drift integrals.
 
-    ``states`` holds unwrapped coordinates, shape (paths, times, dim), at
-    the times in ``times``: every Euler step, or only the start and the
-    end (see ``integrate``).  ``wrapped_states`` gives the torus
+    ``states`` holds the unwrapped coordinates X_T, shape (paths, dim), at
+    ``t_final`` = dt * n_steps.  ``wrapped_states`` gives the torus
     representatives used for lattice evaluations.  ``drift_integral``
     accumulates b(X) dt, so states - x0 + drift_integral reproduces the
     noise increments exactly at the discrete level; ``abs_drift_integral``
-    accumulates |b(X)| dt.  ``wrap_fraction`` counts cell changes over
-    every step, recorded or not.
+    accumulates |b(X)| dt, shape (paths,).  ``wrap_fraction`` counts cell
+    changes over every step.
     """
 
     x0: np.ndarray
-    times: np.ndarray
+    t_final: float
     states: np.ndarray = field(repr=False)
     drift_integral: np.ndarray = field(repr=False)
     abs_drift_integral: np.ndarray = field(repr=False)
@@ -47,21 +47,18 @@ class PathEnsemble:
     alpha: float = 1.5
 
     def __post_init__(self):
-        if self.states.ndim != 3:
-            raise ParameterError("states must be (paths, times, dim)")
+        if self.states.ndim != 2:
+            raise ParameterError("states must be (paths, dim)")
         if not np.all(np.isfinite(self.states)):
             raise ParameterError("path states must be finite")
-        if np.any(self.drift_integral[:, 0, :] != 0.0):
-            raise ParameterError("drift integral must start at zero")
 
     @property
     def n_paths(self) -> int:
         return self.states.shape[0]
 
-    def recovered_noise(self, time_index: int = -1) -> np.ndarray:
-        """Z_t = X_t - x0 + int_0^t b(X_s) ds from unwrapped coordinates."""
-        return (self.states[:, time_index, :] - self.x0[None, :]
-                + self.drift_integral[:, time_index, :])
+    def recovered_noise(self) -> np.ndarray:
+        """Z_T = X_T - x0 + int_0^T b(X_s) ds from unwrapped coordinates."""
+        return self.states - self.x0 + self.drift_integral
 
 
 @dataclass
@@ -139,26 +136,23 @@ def drift_rows(wrapped: np.ndarray, table: np.ndarray,
 
 
 def integrate(drift: MollifiedDrift, x0, t_final: float, dt: float,
-              n_paths: int, seed: int, alpha: float,
-              record: str = "final") -> PathEnsemble:
+              n_paths: int, seed: int, alpha: float) -> PathEnsemble:
     """Explicit Euler steps X' = X - b(X) dt + dZ with exact stable
     increments; drift integrals are accumulated with the same b values
     that drive the steps.
 
     Blocks of ``_PATH_BLOCK`` paths read their rows of the one-shot noise
     batch, drawn one block ahead by a worker thread into buffers allocated
-    once per call, and keep state and drift integrals at the recorded times
-    only: [0, t_final] for ``record="final"``, every step for ``"all"``.
-    Steps act per path, so block size and ``record`` leave the bits alone.
-    ``CapacityError`` bounds one block's noise, not the run's; a non-finite
-    state raises ``ParameterError`` at its step, after the worker stops.
-    A block holds state, integrals and noise as rows (dim, paths) and reads
-    b through ``drift_rows`` from a table padded once per call; one x + L
-    per step gives the wrap count's cells and the next wrapped point.
+    once per call, and write state and drift integrals once, after their
+    last step; the ensemble's ``t_final`` is dt * n_steps.  Steps act per
+    path, so the block size leaves the bits alone.  ``CapacityError``
+    bounds one block's noise, not the run's; a non-finite state raises
+    ``ParameterError`` at its step, after the worker stops.  A block holds
+    state, integrals and noise as rows (dim, paths) and reads b through
+    ``drift_rows`` from a table padded once per call; one x + L per step
+    gives the wrap count's cells and the next wrapped point.
     """
     grid = drift.grid
-    if record not in ("final", "all"):
-        raise ParameterError(f"record must be 'final' or 'all', got {record!r}")
     if dt <= 0 or t_final <= 0 or n_paths < 1:
         raise ParameterError("dt, t_final and n_paths must be positive")
     if dt * drift.sup_norm() > grid.half_length / 8.0:
@@ -171,28 +165,24 @@ def integrate(drift: MollifiedDrift, x0, t_final: float, dt: float,
         raise ParameterError(
             f"x0 must be a finite vector of shape ({grid.dim},), got {x0!r}")
     params = StableParams(alpha=alpha, dim=grid.dim, seed=seed)
-    every_step = record == "all"
-    times = dt * (np.arange(n_steps + 1) if every_step
-                  else np.array([0, n_steps]))
-    states = np.empty((n_paths, len(times), grid.dim))
-    drift_int = np.zeros((n_paths, len(times), grid.dim))
-    abs_drift = np.zeros((n_paths, len(times)))
-    stream = _increment_stream(params, dt, n_paths * n_steps, _PATH_BLOCK * n_steps)
-    buffers = np.empty((2, stream[-1][0].size))  # noise slabs, used in turn
-    starts = range(0, n_paths, _PATH_BLOCK)
-    slabs = [buffers[j % 2, :n_steps * grid.dim * min(_PATH_BLOCK, n_paths - i0)]
+    states = np.empty((n_paths, grid.dim))
+    drift_int = np.empty((n_paths, grid.dim))
+    abs_drift = np.empty(n_paths)
+    block = min(_PATH_BLOCK, n_paths)
+    stream = _increment_stream(params, dt, n_paths * n_steps, block * n_steps)
+    buffers = np.empty((2, n_steps * grid.dim * block))  # noise slabs, in turn
+    starts = range(0, n_paths, block)
+    slabs = [buffers[j % 2, :n_steps * grid.dim * min(block, n_paths - i0)]
              .reshape(n_steps, grid.dim, -1) for j, i0 in enumerate(starts)]
     table = _padded_lattice(drift)
     wrap_events = 0
     with ThreadPoolExecutor(max_workers=1) as worker:
-        ahead = worker.submit(_fill_slab, stream, n_paths * n_steps, slabs[0])
+        ahead = worker.submit(_fill_slab, stream, slabs[0])
         for j, i0 in enumerate(starts):
             noise = ahead.result()  # step k reads the slab (dim, paths)
             if j + 1 < len(slabs):
-                ahead = worker.submit(_fill_slab, stream, 0, slabs[j + 1])
-            paths = slice(i0, i0 + noise.shape[2])
+                ahead = worker.submit(_fill_slab, stream, slabs[j + 1])
             x = np.repeat(x0[:, None], noise.shape[2], axis=1)
-            states[paths, 0, :] = x.T
             running_int = np.zeros_like(x)
             running_abs = np.zeros(x.shape[1])
             shifted = x + grid.half_length
@@ -210,20 +200,19 @@ def integrate(drift: MollifiedDrift, x0, t_final: float, dt: float,
                 new_cell = np.floor(shifted / (2.0 * grid.half_length))
                 wrap_events += int(np.count_nonzero(np.any(new_cell != cell, axis=0)))
                 cell = new_cell
-                if every_step or k + 1 == n_steps:
-                    row = k + 1 if every_step else 1
-                    states[paths, row, :] = x.T
-                    drift_int[paths, row, :] = running_int.T
-                    abs_drift[paths, row] = running_abs
+            paths = slice(i0, i0 + noise.shape[2])
+            states[paths] = x.T
+            drift_int[paths] = running_int.T
+            abs_drift[paths] = running_abs
     wrap_fraction = wrap_events / float(n_paths * n_steps)
-    return PathEnsemble(x0=x0, times=times, states=states,
+    return PathEnsemble(x0=x0, t_final=float(dt * n_steps), states=states,
                         drift_integral=drift_int, abs_drift_integral=abs_drift,
                         wrap_fraction=wrap_fraction, seed=seed, alpha=alpha)
 
 
 def wrapped_states(ensemble: PathEnsemble, grid: TorusGrid) -> np.ndarray:
-    """Torus representatives of the final recorded states."""
-    return _wrap(ensemble.states[:, -1, :], grid.half_length)
+    """Torus representatives of the final states."""
+    return _wrap(ensemble.states, grid.half_length)
 
 
 def mc_vs_semigroup(drift: MollifiedDrift, x0, t: float, f, n_paths: int,
@@ -245,7 +234,7 @@ def mc_vs_semigroup(drift: MollifiedDrift, x0, t: float, f, n_paths: int,
         vals = ndimage.map_coordinates(fdata, coords, order=3, mode="grid-wrap")
         return (float(np.mean(vals)),
                 float(np.std(vals, ddof=1) / np.sqrt(len(vals))),
-                float(np.mean(ens.abs_drift_integral[:, -1])),
+                float(np.mean(ens.abs_drift_integral)),
                 ens.wrap_fraction)
 
     mean_c, se_c, abs_c, wrap_c = mc_mean(dt, drift, seed)
@@ -286,7 +275,7 @@ def identify_driving_noise(ensemble: PathEnsemble, kappa_list) -> list:
     """Characteristic function of the recovered noise at each dual vector
     against the pure stable exponent exp(-t |kappa|^alpha)."""
     z = ensemble.recovered_noise()
-    t = float(ensemble.times[-1])
+    t = ensemble.t_final
     probes = []
     for kappa in kappa_list:
         kap = np.asarray(kappa, dtype=float)
@@ -309,7 +298,7 @@ def noise_identification_report(ensemble: PathEnsemble, kappa_list,
     checks.append(("wrap_fraction", ensemble.wrap_fraction,
                    "<= 0.01 for validity", valid))
     return build_report("driving_noise_identification",
-                        {"t": float(ensemble.times[-1]),
+                        {"t": ensemble.t_final,
                          "n_paths": ensemble.n_paths,
                          "alpha": ensemble.alpha},
                         checks, provenance={"seed": ensemble.seed})

@@ -90,6 +90,10 @@ _BAD_VALUES = [
     ('{"drift": 5}', "drift"),
     ("[parameters]\nalpha = 2.5\n", "alpha"),
     ("[parameters]\ndim = 2\n", "dim"),
+    ("[parameters]\ngrid_n = 32.9\n", "grid_n"),
+    ('{"grid_n": 32.9}', "grid_n"),
+    ('{"seed": 1.5}', "seed"),
+    ('{"n_paths": Infinity}', "n_paths"),
 ]
 
 
@@ -97,6 +101,10 @@ def test_parse_errors():
     for text, key in _BAD_VALUES:
         with pytest.raises(ConfigurationError, match=key):
             config.parse_config(text)
+    # an integral float is an int
+    cfg = config.parse_config('{"n_paths": 2.5e4, "grid_n": 16.0}')
+    assert (cfg.n_paths, cfg.grid_n) == (25000, 16)
+    assert type(cfg.n_paths) is int
     with pytest.raises(ConfigurationError):
         config.parse_config("")
     with pytest.raises(ConfigurationError):
@@ -284,6 +292,23 @@ def test_rerun_reproduces_summary(tmp_path):
     a = (tmp_path / "one" / "summary.json").read_bytes()
     b = (tmp_path / "two" / "summary.json").read_bytes()
     assert a == b
+
+
+def test_a_run_replays_from_its_own_summary_config(tmp_path):
+    # summary.json["config"] is a whole config: run from it, the same
+    # summary.json comes out byte for byte
+    first = write(tmp_path, "audit.cfg",
+                  "[experiment]\nscenario = formbound_audit\n"
+                  "[parameters]\ngrid_n = 16\nseed = 7\ndelta = 0.04\n"
+                  "[drift]\nkind = hardy\ndelta = 0.04\nalpha = 1.5\n")
+    out = io.StringIO()
+    assert cli.run(first, out_dir=str(tmp_path / "one"), stream=out) == 0
+    summary = (tmp_path / "one" / "summary.json").read_bytes()
+    doc = json.loads(summary)["config"]
+    assert doc["seed"] == 7 and doc["drift"]["parameters"]["delta"] == 0.04
+    again = write(tmp_path, "replay.json", json.dumps(doc))
+    assert cli.run(again, out_dir=str(tmp_path / "two"), stream=out) == 0
+    assert (tmp_path / "two" / "summary.json").read_bytes() == summary
 
 
 def test_summary_identical_across_processes(tmp_path):

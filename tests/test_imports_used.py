@@ -8,6 +8,12 @@ each name it imports is used there or listed in ``__all__``, and each
 module-level private function or class that no module of the package
 names is dead code, and so is a public one that the package names nowhere
 but in its own definition and does not export in ``__all__``.
+
+The knob ledger counts what a caller may leave unset: every parameter
+with a default and every annotated class-body assignment with a value,
+over the package's modules.  Each is an option with a value someone
+chose; ``KNOBS`` pins the total, so that none is added unnoticed.  A
+change that moves the count updates ``KNOBS`` and says why in CHANGES.md.
 """
 
 import ast
@@ -19,6 +25,7 @@ import stablelab
 
 MODULES = sorted(p for p in Path(stablelab.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
+KNOBS = 98
 
 
 def _imports(tree):
@@ -146,3 +153,30 @@ def test_public_names_are_reached_or_exported():
     assert unreached_public(
         [p.read_text(encoding="utf-8") for p in sorted(package)],
         stablelab.__all__) == []
+
+
+def knobs(source: str) -> int:
+    """Parameters with a default, and annotated class-body assignments
+    with a value, in ``source``."""
+    count = 0
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            count += len(node.args.defaults)
+            count += sum(d is not None for d in node.args.kw_defaults)
+        elif isinstance(node, ast.ClassDef):
+            count += sum(isinstance(s, ast.AnnAssign) and s.value is not None
+                         for s in node.body)
+    return count
+
+
+def test_knobs_are_counted():
+    source = ("def f(a, b=1, *, c=2, d):\n    return lambda x=0: x\n\n"
+              "class C:\n    x: int = 0\n    y: int\n    z = 1\n\n"
+              "    def g(self, k=None):\n        pass\n")
+    assert knobs(source) == 5
+
+
+def test_the_knob_ledger():
+    package = Path(stablelab.__file__).parent.glob("*.py")
+    assert sum(knobs(p.read_text(encoding="utf-8")) for p in package) == KNOBS

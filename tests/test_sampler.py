@@ -167,8 +167,7 @@ def test_increment_blocks_replay_the_one_shot_batch(sizes, dim, alpha, seed):
     scratch = stream[-1]
     blocks = []
     for r0 in range(0, n, rows):
-        block = sampler._fill_increments(stream, min(rows, n - r0),
-                                         0 if r0 else n)
+        block = sampler._fill_increments(stream, min(rows, n - r0))
         assert np.shares_memory(block, scratch[0])
         blocks.append(block.copy())
     assert [len(b) for b in blocks[:-1]] == [rows] * (len(blocks) - 1)
@@ -190,12 +189,12 @@ def test_slabs_in_two_buffers_are_the_batch_transposed(paths, block, steps,
     n = paths * steps
     params = StableParams(alpha, dim, seed)
     stream = sampler._increment_stream(params, 0.3, n, block * steps)
-    buffers = np.full((2, len(stream[-1][0]) * dim), np.nan)
+    buffers = np.full((2, min(block, paths) * steps * dim), np.nan)
     want = sample_increments(params, 0.3, n).values.reshape(paths, steps, dim)
     for j, p0 in enumerate(range(0, paths, block)):
         width = min(block, paths - p0)
         slab = buffers[j % 2, :steps * dim * width].reshape(steps, dim, width)
-        got = sampler._fill_slab(stream, 0 if j else n, slab)
+        got = sampler._fill_slab(stream, slab)
         assert got is slab
         expect = want[p0:p0 + width].transpose(1, 2, 0)
         assert np.array_equal(got.view(np.int64), expect.view(np.int64))
@@ -207,10 +206,10 @@ def test_the_increment_stream_allocates_no_block_sized_array():
     params = StableParams(1.5, 3, 11)
     rows = 50_000
     stream = sampler._increment_stream(params, 0.1, 4 * rows, rows)
-    sampler._fill_increments(stream, rows, 4 * rows)
+    sampler._fill_increments(stream, rows)
     tracemalloc.start()
     try:
-        sampler._fill_increments(stream, rows, 0)
+        sampler._fill_increments(stream, rows)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -138,7 +138,7 @@ def test_integrate_never_calls_map_coordinates(hardy, monkeypatch):
 
     monkeypatch.setattr(ndimage, "map_coordinates", refuse)
     ens = sde.integrate(hardy, [0.3, -0.2, 0.0], 0.05, 0.01, 40, seed=4,
-                        alpha=ALPHA, record="all")
+                        alpha=ALPHA)
     assert np.all(np.isfinite(ens.states))
 
 
@@ -157,16 +157,23 @@ def test_integrate_refuses_a_bad_start_before_any_noise(hardy, monkeypatch,
 
 
 def test_integrate_shapes_and_determinism(grid, hardy):
-    a = sde.integrate(hardy, [0.0] * 3, 0.1, 0.01, 64, seed=5, alpha=ALPHA,
-                      record="all")
-    b = sde.integrate(hardy, [0.0] * 3, 0.1, 0.01, 64, seed=5, alpha=ALPHA,
-                      record="all")
-    assert a.states.shape == (64, 11, 3)
+    a = sde.integrate(hardy, [0.0] * 3, 0.1, 0.01, 64, seed=5, alpha=ALPHA)
+    b = sde.integrate(hardy, [0.0] * 3, 0.1, 0.01, 64, seed=5, alpha=ALPHA)
+    assert a.states.shape == a.drift_integral.shape == (64, 3)
+    assert a.abs_drift_integral.shape == (64,)
     np.testing.assert_array_equal(a.states, b.states)
     np.testing.assert_array_equal(a.drift_integral, b.drift_integral)
-    c = sde.integrate(hardy, [0.0] * 3, 0.1, 0.01, 64, seed=6, alpha=ALPHA,
-                      record="all")
+    c = sde.integrate(hardy, [0.0] * 3, 0.1, 0.01, 64, seed=6, alpha=ALPHA)
     assert not np.array_equal(a.states, c.states)
+
+
+def test_t_final_is_dt_times_the_step_count(hardy):
+    # 35 steps of 0.01 end at 0.01 * 35, one bit above the caller's 0.35
+    ens = sde.integrate(hardy, [0.0] * 3, 0.35, 0.01, 8, seed=5, alpha=ALPHA)
+    assert ens.t_final == 0.01 * 35 != 0.35
+    assert type(ens.t_final) is float
+    rep = sde.noise_identification_report(ens, [[1.0, 0.0, 0.0]])
+    assert rep.inputs["t"] == 0.01 * 35
 
 
 def test_integrate_guards(grid, hardy):
@@ -182,58 +189,25 @@ def test_integrate_guards(grid, hardy):
         sde.integrate(strong, [0.0] * 3, 0.1, 0.01, 8, seed=0, alpha=ALPHA)
 
 
-def test_integrate_rejects_unknown_record(grid, hardy):
-    with pytest.raises(ParameterError):
-        sde.integrate(hardy, [0.0] * 3, 0.1, 0.01, 8, seed=0, alpha=ALPHA,
-                      record="every")
-
-
-def test_default_record_keeps_start_and_end(grid, hardy):
-    ens = sde.integrate(hardy, [0.0] * 3, 0.1, 0.01, 32, seed=5, alpha=ALPHA)
-    assert ens.states.shape == (32, 2, 3)
-    assert ens.drift_integral.shape == (32, 2, 3)
-    assert ens.abs_drift_integral.shape == (32, 2)
-    assert ens.times[0] == 0.0 and ens.times[-1] == pytest.approx(0.1)
-
-
-@settings(max_examples=15, deadline=None)
-@given(seed=st.integers(0, 2**31 - 1), n_paths=st.integers(1, 40),
-       steps=st.integers(1, 12))
-def test_final_record_is_first_and_last_row_of_all(hardy, seed, n_paths,
-                                                   steps):
-    args = (hardy, [0.3, -0.2, 0.0], 0.01 * steps, 0.01, n_paths)
-    kw = dict(seed=seed, alpha=ALPHA)
-    fin = sde.integrate(*args, **kw)
-    full = sde.integrate(*args, record="all", **kw)
-    ends = [0, -1]
-    np.testing.assert_array_equal(fin.states, full.states[:, ends, :])
-    np.testing.assert_array_equal(fin.drift_integral,
-                                  full.drift_integral[:, ends, :])
-    np.testing.assert_array_equal(fin.abs_drift_integral,
-                                  full.abs_drift_integral[:, ends])
-    np.testing.assert_array_equal(fin.times, full.times[ends])
-    assert fin.wrap_fraction == full.wrap_fraction
-
-
 def _reference_integrate(drift, x0, n_paths, steps, dt, seed):
-    """``integrate(..., record="all")`` as a points-major Euler loop that
-    reads the drift through ``map_coordinates``."""
+    """``integrate`` as a points-major Euler loop that reads the drift
+    through ``map_coordinates`` and adds b dt to the drift integral at
+    each step: the final state, drift integral, |b| integral and wrap
+    fraction."""
     half = drift.grid.half_length
     noise = sample_increments(StableParams(ALPHA, 3, seed), dt,
                               n_paths * steps).values.reshape(n_paths, steps, 3)
     x = np.tile(x0, (n_paths, 1))
-    xs, ints, absint, wraps = [x], [np.zeros_like(x)], [np.zeros(n_paths)], 0
+    integral, absint, wraps = np.zeros_like(x), np.zeros(n_paths), 0
     for k in range(steps):
         b = _map_coordinates_drift(x, drift)
         new = x + (-b * dt + noise[:, k, :])
         cells = [np.floor((y + half) / (2.0 * half)) for y in (x, new)]
         wraps += np.count_nonzero(np.any(cells[0] != cells[1], axis=1))
         x = new
-        xs.append(x)
-        ints.append(ints[-1] + b * dt)
-        absint.append(absint[-1] + np.linalg.norm(b, axis=1) * dt)
-    return (np.stack(xs, axis=1), np.stack(ints, axis=1),
-            np.stack(absint, axis=1), wraps / float(n_paths * steps))
+        integral = integral + b * dt
+        absint = absint + np.linalg.norm(b, axis=1) * dt
+    return x, integral, absint, wraps / float(n_paths * steps)
 
 
 @st.composite
@@ -258,7 +232,7 @@ def test_integrate_matches_points_major_loop_bit_for_bit(case, seed, n_paths,
     n, half, x0 = case
     drift = _random_drift(n, half, seed)
     ens = sde.integrate(drift, x0, 0.01 * steps, 0.01, n_paths, seed=seed,
-                        alpha=ALPHA, record="all")
+                        alpha=ALPHA)
     expect = _reference_integrate(drift, x0, n_paths, steps, 0.01, seed)
     for got, want in zip((ens.states, ens.drift_integral,
                           ens.abs_drift_integral), expect):
@@ -266,16 +240,13 @@ def test_integrate_matches_points_major_loop_bit_for_bit(case, seed, n_paths,
     assert ens.wrap_fraction == expect[3]
 
 
-# the ids these two cases have always run under
-@pytest.mark.parametrize("record", ["final", "all"],
-                         ids=["final-False", "all-False"])
-def test_path_blocks_give_the_same_bits(hardy, monkeypatch, record):
+def test_path_blocks_give_the_same_bits(hardy, monkeypatch):
     args = (hardy, [0.3, -0.2, 0.0], 0.05, 0.01, 40)
-    kw = dict(seed=4, alpha=ALPHA, record=record)
+    kw = dict(seed=4, alpha=ALPHA)
     whole = sde.integrate(*args, **kw)
     monkeypatch.setattr(sde, "_PATH_BLOCK", 7)
     blocked = sde.integrate(*args, **kw)
-    for name in ("times", "states", "drift_integral", "abs_drift_integral"):
+    for name in ("t_final", "states", "drift_integral", "abs_drift_integral"):
         np.testing.assert_array_equal(getattr(blocked, name),
                                       getattr(whole, name))
     assert blocked.wrap_fraction == whole.wrap_fraction
@@ -338,11 +309,11 @@ def test_integrate_leaves_no_thread_behind(hardy, monkeypatch):
     real_fill = sde._fill_slab
     fills = []
 
-    def fail_third(stream, skip, slab):
+    def fail_third(stream, slab):
         fills.append(threading.current_thread())
         if len(fills) == 3:
             raise _WorkerFault("drawn on the worker")
-        return real_fill(stream, skip, slab)
+        return real_fill(stream, slab)
 
     monkeypatch.setattr(sde, "_fill_slab", fail_third)
     with pytest.raises(_WorkerFault, match="drawn on the worker"):
@@ -350,24 +321,6 @@ def test_integrate_leaves_no_thread_behind(hardy, monkeypatch):
     assert len(fills) == 3
     assert threading.current_thread() not in fills
     assert set(threading.enumerate()) == before
-
-
-def test_drift_integral_bookkeeping(grid, hardy):
-    ens = sde.integrate(hardy, [0.5, 0.0, 0.0], 0.2, 0.01, 16, seed=7,
-                        alpha=ALPHA, record="all")
-    # recompute each increment of the integral from the stored states
-    recomputed = np.zeros_like(ens.drift_integral)
-    for k in range(ens.states.shape[1] - 1):
-        bvals = _drift_at(ens.states[:, k, :], hardy)
-        recomputed[:, k + 1, :] = recomputed[:, k, :] + bvals * 0.01
-    np.testing.assert_array_equal(ens.drift_integral, recomputed)
-    # additivity: the integral at any split point is a prefix of the same
-    # accumulation, so segment sums reproduce the total exactly
-    mid = 10
-    segment = recomputed[:, mid, :].copy()
-    for k in range(mid, ens.states.shape[1] - 1):
-        segment = segment + _drift_at(ens.states[:, k, :], hardy) * 0.01
-    np.testing.assert_array_equal(ens.drift_integral[:, -1, :], segment)
 
 
 def test_recovered_noise_is_exactly_the_increments(grid, hardy):
@@ -384,10 +337,9 @@ def test_zero_drift_paths_match_sampler_law(grid, zero):
                         alpha=ALPHA)
     rep = sde.noise_identification_report(ens, [[1.0, 0.0, 0.0]])
     assert rep.verdict == "pass"
-    final = ens.states[:, -1, :]
     from stablelab.sampler import empirical_char_function
 
-    est, se = empirical_char_function(final, [1.0, 0.0, 0.0])
+    est, se = empirical_char_function(ens.states, [1.0, 0.0, 0.0])
     assert abs(est.real - np.exp(-0.5)) <= 3.0 * se
 
 
@@ -396,7 +348,7 @@ def test_two_seeds_same_law(grid, hardy):
                       alpha=ALPHA)
     b = sde.integrate(hardy, [0.0] * 3, 0.25, 0.0125, 4000, seed=11,
                       alpha=ALPHA)
-    res = stats.ks_2samp(a.states[:, -1, 0], b.states[:, -1, 0])
+    res = stats.ks_2samp(a.states[:, 0], b.states[:, 0])
     assert res.pvalue > 0.01
 
 
@@ -464,13 +416,13 @@ def test_noise_identification_hardy(grid, hardy):
     assert rep.verdict == "pass"
 
 
-def test_recovered_noise_independent_increments(grid, zero):
-    # disjoint-interval increments of the recovered noise decorrelate
-    ens = sde.integrate(zero, [0.0] * 3, 0.4, 0.01, 20000, seed=15,
-                        alpha=ALPHA, record="all")
-    z1 = np.linalg.norm(ens.recovered_noise(20), axis=1)
-    z2 = np.linalg.norm(ens.recovered_noise(-1)
-                        - ens.recovered_noise(20), axis=1)
+def test_recovered_noise_independent_increments():
+    # with zero drift the recovered noise is the sum of the sampled
+    # increments; sums over disjoint intervals decorrelate
+    noise = sample_increments(StableParams(ALPHA, 3, 15), 0.01,
+                              20000 * 40).values.reshape(20000, 40, 3)
+    z1 = np.linalg.norm(noise[:, :20].sum(axis=1), axis=1)
+    z2 = np.linalg.norm(noise[:, 20:].sum(axis=1), axis=1)
     r = np.corrcoef(z1, z2)[0, 1]
     assert abs(r) <= 3.0 / np.sqrt(len(z1))
 
