@@ -167,6 +167,16 @@ def test_integrate_shapes_and_determinism(grid, hardy):
     assert not np.array_equal(a.states, c.states)
 
 
+def test_default_record_keeps_start_and_end(grid, hardy):
+    x0 = [0.1, -0.2, 0.0]
+    ens = sde.integrate(hardy, x0, 0.1, 0.01, 32, seed=5, alpha=ALPHA)
+    np.testing.assert_array_equal(ens.x0, x0)
+    assert ens.states.shape == (32, 3)
+    assert ens.drift_integral.shape == (32, 3)
+    assert ens.abs_drift_integral.shape == (32,)
+    assert ens.t_final == pytest.approx(0.1)
+
+
 def test_t_final_is_dt_times_the_step_count(hardy):
     # 35 steps of 0.01 end at 0.01 * 35, one bit above the caller's 0.35
     ens = sde.integrate(hardy, [0.0] * 3, 0.35, 0.01, 8, seed=5, alpha=ALPHA)
