@@ -50,7 +50,9 @@ class ExperimentConfig:
         """Cross-field admissibility; raises AdmissibilityError citing the
         violated hypothesis, and ConfigurationError naming the key for a
         seed outside [0, 2^64), a non-positive dt or half_length, an empty
-        t_list, lambda_ladder or mu_ladder, or a grid_n with no lattice."""
+        t_list, lambda_ladder or mu_ladder, a hardy drift whose delta or
+        alpha is not the config's, or a grid_n with no lattice or too
+        coarse a lattice for a mollifier."""
         if not 0 <= self.seed < 2**64:
             raise ConfigurationError(
                 f"seed = {self.seed} must lie in [0, 2^64)")
@@ -61,9 +63,27 @@ class ExperimentConfig:
         for key in ("t_list", "lambda_ladder", "mu_ladder"):
             if not len(getattr(self, key)):
                 raise ConfigurationError(f"{key} must not be empty")
-        halves = self.scenario in ("formbound_audit", "full_suite")
-        for n in (self.grid_n, self.grid_n // 2)[:1 + halves]:  # and its half
+        if self.drift.kind == "hardy":  # the audits measure cfg.delta
+            for key in ("delta", "alpha"):
+                if self.drift.parameters.get(key) != getattr(self, key):
+                    raise ConfigurationError(
+                        f"drift.{key} = {self.drift.parameters.get(key)} must "
+                        f"equal {key} = {getattr(self, key)}")
+        # the lattices grid_n sets, each with the width in spacings of the
+        # mollifier bump it holds; drifts.mollifier wants the bump narrower
+        # than half_length / 2, that is more than 4 * width points per axis
+        lattices = [(self.grid_n, 0)]
+        if self.scenario in ("formbound_audit", "full_suite"):
+            lattices.append((self.grid_n // 2, 1))
+        if self.scenario in ("weighted_verify", "full_suite"):
+            lattices.append((min(self.grid_n, 16), 2))
+        for n, width in lattices:
             _checked("grid_n", TorusGrid, self.dim, self.half_length, n)
+            if n <= 4 * width:
+                raise ConfigurationError(
+                    f"bad value for config key 'grid_n': {self.grid_n} sets "
+                    f"{n} points per axis where a mollifier is {width} "
+                    f"spacing(s) wide; it needs more than {4 * width}")
         self.m_constant = m_constant
         adm = admissible_delta_threshold(self.dim, self.alpha, m_constant)
         if self.delta >= adm.threshold:

@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 import os
@@ -214,10 +215,82 @@ def test_exit_code_2_on_a_value_a_scenario_refuses(tmp_path):
 
 def test_every_grid_n_with_its_lattices_validates():
     m = config.reference_m_constant(1.5, 3)
-    for scenario, grid_n in [("formbound_audit", 8), ("formbound_audit", 12),
-                             ("full_suite", 16), ("sampler_check", 6),
-                             ("evolution_verify", 4), ("sde_identify", 10)]:
+    for scenario, grid_n in [("formbound_audit", 12), ("full_suite", 16),
+                             ("sampler_check", 6), ("evolution_verify", 4),
+                             ("sde_identify", 10), ("weighted_verify", 10),
+                             ("resolvent_verify", 8), ("evolution_verify", 8),
+                             ("sde_identify", 8)]:
         config.ExperimentConfig(scenario=scenario, grid_n=grid_n).validate(m)
+
+
+def test_exit_code_2_on_a_grid_n_too_coarse_for_a_mollifier(tmp_path,
+                                                            monkeypatch):
+    # formbound_audit mollifies on grid_n // 2 at one spacing, and
+    # weighted_verify on min(grid_n, 16) at two: at grid_n 8 neither bump
+    # fits inside half a half-length, and drifts.mollifier would refuse it
+    # mid-run with a ParameterError traceback and exit code 1
+    def refuse(cfg):
+        raise AssertionError("a scenario ran")
+
+    monkeypatch.setattr(cli, "run_scenario", refuse)
+    for i, (scenario, grid_n, n_points, width) in enumerate(
+            [("formbound_audit", 8, 4, 1), ("weighted_verify", 8, 8, 2),
+             ("full_suite", 8, 4, 1), ("weighted_verify", 6, 6, 2)]):
+        out = io.StringIO()
+        path = write(tmp_path, f"coarse{i}.json",
+                     json.dumps({"scenario": scenario, "grid_n": grid_n}))
+        assert cli.run(path, stream=out) == 2, scenario
+        assert out.getvalue() == (
+            f"config error: bad value for config key 'grid_n': {grid_n} "
+            f"sets {n_points} points per axis where a mollifier is {width} "
+            f"spacing(s) wide; it needs more than {4 * width}\n")
+
+
+def test_exit_code_2_on_a_hardy_drift_unlike_the_config(tmp_path):
+    # formbound_audit measures the drift against cfg.delta: a [drift]
+    # delta of 0.04 beside the default 0.05 used to fail
+    # vanishing_shift_estimate instead of being refused
+    cases = [("[experiment]\nscenario = formbound_audit\n"
+              "[parameters]\ngrid_n = 16\n"
+              "[drift]\nkind = hardy\ndelta = 0.04\n",
+              "drift.delta = 0.04 must equal delta = 0.05"),
+             ('{"scenario": "sampler_check", "alpha": 1.4, "drift": '
+              '{"kind": "hardy", "parameters": {"delta": 0.05}}}',
+              "drift.alpha = 1.5 must equal alpha = 1.4")]
+    for i, (text, message) in enumerate(cases):
+        out = io.StringIO()
+        path = write(tmp_path, f"drift{i}.cfg", text)
+        assert cli.run(path, out_dir=str(tmp_path / "out"), stream=out) == 2
+        assert out.getvalue() == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_no_run_imports_scipy_stats(tmp_path):
+    # scipy.stats costs about 17 MB and 0.3 s to import; the one KS test
+    # of sampler_check takes its p-value from stablelab._ks instead
+    src = Path(cli.__file__).resolve().parents[1]
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            assert not any(name == "scipy.stats"
+                           or name.startswith("scipy.stats.")
+                           for name in names), (path.name, node.lineno)
+    cfg = write(tmp_path, "sampler.json", '{"scenario": "sampler_check"}')
+    code = ("import sys\nfrom stablelab import cli\n"
+            f"code = cli.run({cfg!r}, out_dir={str(tmp_path / 'out')!r}, "
+            "grid_n=16)\n"
+            "assert code == 0, code\n"
+            "assert 'scipy.stats' not in sys.modules\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
 
 
 def test_exit_code_2_on_an_unsupported_dimension(tmp_path):

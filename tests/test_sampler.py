@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
-from stablelab import kernels, sampler
+from stablelab import _ks, kernels, sampler
 from stablelab.errors import CapacityError, ParameterError
 from stablelab.sampler import (IncrementBatch, StableParams,
                                empirical_char_function, sample_increments,
@@ -81,6 +81,48 @@ def test_marginal_ks_against_fourier_cdf():
     cdf = kernels.stable_marginal_cdf(1.5, 1.0)
     res = stats.kstest(batch.values[:, 0], cdf)
     assert res.pvalue > 0.01
+
+
+# D values that reach every branch of _ks._kolmogn_sf at each n: the low
+# Ruben-Gambino end (n D <= 1; at or below 1/2n), Durbin-MTW (n D^1.5 <=
+# 1.4, n <= 100000), Pelz-Good (with its underflow cut at n = 200000),
+# 2 * smirnov from n D^2 = 2.2, 0 from n D^2 = 370, D >= 0.5, the high
+# Ruben-Gambino end (n D >= n - 1) and D >= 1
+_KS_BRANCH_POINTS = {
+    141: [0.003, 0.005, 0.02, 0.04, 0.08, 0.12, 0.13, 0.3, 0.6, 0.995, 1.0],
+    10000: [3e-5, 8e-5, 0.001, 0.0026, 0.0027, 0.0028, 0.01, 0.0148, 0.0149,
+            0.1, 0.2, 0.6, 0.99995],
+    200000: [3e-6, 8e-6, 1e-4, 0.001, 0.0033, 0.004, 0.05, 0.6, 0.999997],
+}
+
+
+@pytest.mark.parametrize("n", sorted(_KS_BRANCH_POINTS))
+def test_ks_survival_function_is_scipys_bit_for_bit(n):
+    # plus a seeded grid below n = 100000, where 2 * smirnov is cheap
+    rng = np.random.default_rng(n)
+    grid = [] if n > 100000 else [*rng.uniform(0.0, 0.03, 40),
+                                  *10.0 ** rng.uniform(-6.0, 0.0, 40)]
+    for d in _KS_BRANCH_POINTS[n] + grid:
+        got = _ks._kolmogn_sf(n, np.asarray(d))
+        assert float(got) == stats.distributions.kstwo.sf(d, n), d
+
+
+def test_ks_stirling_series_is_scipys_bit_for_bit():
+    # the low Ruben-Gambino end reads 1.0 in double for every n > 140, so
+    # its log(n!/n^n) is checked on its own
+    for n in (141, 10000, 200000):
+        assert (_ks._log_nfactorial_div_n_pow_n(n)
+                == stats._ksstats._log_nfactorial_div_n_pow_n(n))
+
+
+def test_kstest_pvalue_is_scipys_on_the_lab_marginals():
+    cdf = kernels.stable_marginal_cdf(1.5, 1.0)
+    for seed in range(1, 21):
+        x = sample_increments(StableParams(1.5, 3, seed), 1.0, 10**4).values
+        assert (_ks.kstest_pvalue(x[:, 0], cdf)
+                == stats.kstest(x[:, 0], cdf).pvalue), seed
+    with pytest.raises(ParameterError, match="n > 140"):
+        _ks.kstest_pvalue(np.zeros(140), cdf)
 
 
 def test_scaling_self_similarity_of_increments():
