@@ -49,10 +49,10 @@ class ExperimentConfig:
     def validate(self, m_constant: float) -> None:
         """Cross-field admissibility; raises AdmissibilityError citing the
         violated hypothesis, and ConfigurationError naming the key for a
-        seed outside [0, 2^64), a non-positive dt or half_length, an empty
-        t_list, lambda_ladder or mu_ladder, a hardy drift whose delta or
-        alpha is not the config's, or a grid_n with no lattice or too
-        coarse a lattice for a mollifier."""
+        seed outside [0, 2^64), a non-positive dt, a half_length that is not
+        positive or sets mollification level 0, an empty t_list, lambda or
+        mu ladder, a hardy drift whose delta or alpha is not the config's,
+        or a grid_n with no lattice or too coarse a lattice for a mollifier."""
         if not 0 <= self.seed < 2**64:
             raise ConfigurationError(
                 f"seed = {self.seed} must lie in [0, 2^64)")
@@ -63,6 +63,11 @@ class ExperimentConfig:
         for key in ("t_list", "lambda_ladder", "mu_ladder"):
             if not len(getattr(self, key)):
                 raise ConfigurationError(f"{key} must not be empty")
+        if (self.scenario in ("formbound_audit", "resolvent_verify",
+                              "full_suite") and self.half_length < 2):
+            raise ConfigurationError(
+                f"half_length = {self.half_length} must be at least 2: "
+                f"{self.scenario} mollifies at level int(half_length / 2)")
         if self.drift.kind == "hardy":  # the audits measure cfg.delta
             for key in ("delta", "alpha"):
                 if self.drift.parameters.get(key) != getattr(self, key):
@@ -118,14 +123,15 @@ class ExperimentConfig:
         return doc
 
 
-def _coerce(name: str, value, dim: int):
+def _coerce(name: str, value, own: dict):
     """``value`` as the kind of the field's default in ExperimentConfig:
     an int (from a float only if it is integral, as the key=value form
     refuses "32.9"), a float, or a tuple of floats (from a list or a comma
-    or space separated string).  A drift is built from its document in
-    ``dim``; ``m_constant`` is a float or None."""
+    or space separated string).  A drift is built from its document and
+    ``own``, the config's dim, alpha and delta; ``m_constant`` is a float
+    or None."""
     if name == "drift":
-        return _drift_from_doc(value, dim) if value else None
+        return _drift_from_doc(value, own) if value else None
     if name == "m_constant":
         return None if value is None else float(value)
     default = getattr(ExperimentConfig, name)
@@ -189,17 +195,19 @@ def _config_from_mapping(doc: dict) -> ExperimentConfig:
     for key in sorted(doc, key=lambda k: k == "drift"):
         if key not in known:
             raise ConfigurationError(f"unknown config key {key!r}")
-        kwargs[key] = _checked(key, _coerce, key, doc[key],
-                               kwargs.get("dim", ExperimentConfig.dim))
+        own = {k: kwargs.get(k, getattr(ExperimentConfig, k))
+               for k in ("dim", "alpha", "delta")}
+        kwargs[key] = _checked(key, _coerce, key, doc[key], own)
     try:
         return ExperimentConfig(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"invalid config: {exc}") from exc
 
 
-def _drift_from_doc(doc, dim: int) -> DriftSpec:
+def _drift_from_doc(doc, own: dict) -> DriftSpec:
     """A drift from its document; a hardy drift is rebuilt from its
-    parameters, in the config's ``dim`` unless they name one."""
+    parameters, with the config's ``own`` dim, alpha and delta where they
+    name none."""
     if isinstance(doc, DriftSpec):
         return doc
     if not isinstance(doc, dict):
@@ -207,9 +215,9 @@ def _drift_from_doc(doc, dim: int) -> DriftSpec:
     kind = doc.get("kind", "hardy")
     params = dict(doc.get("parameters", {}))
     if kind == "hardy":
-        return hardy_drift(params.get("delta", 0.05),
-                           params.get("alpha", 1.5),
-                           int(params.get("dim", dim)))
+        return hardy_drift(params.get("delta", own["delta"]),
+                           params.get("alpha", own["alpha"]),
+                           int(params.get("dim", own["dim"])))
     return DriftSpec(kind=kind, parameters=params,
                      singular_points=doc.get("singular_points", []))
 

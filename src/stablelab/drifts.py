@@ -107,10 +107,12 @@ class DriftSpec:
 
     def lattice_magnitude(self, grid: TorusGrid) -> np.ndarray:
         """``component_magnitude`` of ``on_lattice(grid)`` bit for bit,
-        summed one component at a time without the (d, N, ..., N) array
+        filled one axis-0 slab at a time, with no whole-lattice temporary
         (same checks)."""
-        mag = component_magnitude(self.components(grid.coordinates()),
-                                  grid.shape)
+        mag = np.empty(grid.shape)
+        for sl, coords in grid.coordinate_slabs():
+            mag[sl] = component_magnitude(self.components(coords),
+                                          mag[sl].shape)
         for pt in self.singular_points:
             mag[grid.site_index(pt)] = 0.0
         return _check_data(grid, mag)

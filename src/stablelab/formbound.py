@@ -184,10 +184,10 @@ def estimate_kato_norm(b, lam: float, grid: TorusGrid, alpha: float) -> float:
     """Kato-class norm: sup over the lattice of (lam+A)^(-(alpha-1)/alpha)|b|."""
     if lam <= 0:
         raise ParameterError("lam must be positive")
-    w = drift_magnitude(b, grid)
     res = resolvent_power(grid, alpha, lam, (alpha - 1.0) / alpha)
-    out = res.apply(w)
-    return float(np.max(out.real))
+    # the two halves of res.apply: |b| is freed before the inverse
+    spectrum = res.real_spectrum(drift_magnitude(b, grid))
+    return float(np.max(res.from_real_spectrum(spectrum)))
 
 
 @dataclass

@@ -61,6 +61,12 @@ class TorusGrid:
         ax = self.axis_coordinates()
         return list(np.meshgrid(*([ax] * self.dim), indexing="ij", sparse=True))
 
+    def coordinate_slabs(self):
+        """(slice i:i+1, ``coordinates()`` with axis 0 cut to it) per i."""
+        coords = self.coordinates()
+        for i in range(self.points_per_axis):
+            yield slice(i, i + 1), [coords[0][i:i + 1]] + coords[1:]
+
     def radius(self) -> np.ndarray:
         """|x| at every lattice site (dense array)."""
         coords = self.coordinates()

@@ -84,38 +84,60 @@ class FourierMultiplier(LatticeOperator):
 
     The transforms run over the last ``grid.dim`` axes only, so a stack
     of fields of shape (..., N, ..., N) takes one call.  A real, even
-    symbol maps real data to real data; such data then takes the
-    rfftn/irfftn path with the half-spectrum symbol (a view, not a copy).
-    Evenness is decided on the first real input and cached.
+    symbol maps real data to real data by ``real_spectrum`` (rfftn), then
+    ``from_real_spectrum``.  The half symbol is a view of a whole-lattice
+    symbol, found even on the first real input, or is given alone
+    (``real_even``) and mirrored to ``symbol`` when a complex path reads it.
     """
 
     def __init__(self, grid, symbol):
         super().__init__(grid)
-        self.symbol = np.broadcast_to(np.asarray(symbol), grid.shape)
+        self._symbol = np.broadcast_to(np.asarray(symbol), grid.shape)
         self._half_symbol = None  # None: undecided; False: not real and even
+        self._fft = {"axes": tuple(range(-grid.dim, 0)),
+                     "workers": _fft_workers(grid)}
+
+    @classmethod
+    def real_even(cls, grid, half_symbol):
+        """For a real symbol even in k, given on ``[..., : N // 2 + 1]``."""
+        op = cls(grid, 0.0)
+        op._symbol, op._half_symbol = None, half_symbol
+        return op
+
+    @property
+    def symbol(self):
+        if self._symbol is None:  # mirror the half: symbol[k] = symbol[-k]
+            half, n = self._half_symbol, self.grid.points_per_axis
+            neg = np.ix_(*[(-np.arange(n)) % n] * (self.grid.dim - 1),
+                         np.arange(n // 2 - 1, 0, -1))
+            self._symbol = np.concatenate([half, half[neg]], axis=-1)
+        return self._symbol
 
     def _real_half_symbol(self):
         if self._half_symbol is None:
-            sym = self.symbol
+            sym = self._symbol
             self._half_symbol = (
                 sym[..., : sym.shape[-1] // 2 + 1]
                 if not np.iscomplexobj(sym) and _is_even(sym) else False)
         return self._half_symbol
 
+    def real_spectrum(self, data):
+        """The first half of the real path: rfftn of real ``data``."""
+        return sfft.rfftn(np.asarray(data, dtype=float), **self._fft)
+
+    def from_real_spectrum(self, spectrum):
+        """The second half: ``spectrum`` (consumed) times the half symbol
+        in place, then irfftn."""
+        spectrum *= self._real_half_symbol()
+        return sfft.irfftn(spectrum, s=self.grid.shape, overwrite_x=True,
+                           **self._fft)
+
     def apply(self, data):
         data = np.asarray(data)
-        axes = tuple(range(-self.grid.dim, 0))
-        workers = _fft_workers(self.grid)
-        if not np.iscomplexobj(data):
-            half = self._real_half_symbol()
-            if half is not False:
-                data = np.asarray(data, dtype=float)
-                return sfft.irfftn(
-                    half * sfft.rfftn(data, axes=axes, workers=workers),
-                    s=self.grid.shape, axes=axes, workers=workers)
+        if not np.iscomplexobj(data) and self._real_half_symbol() is not False:
+            return self.from_real_spectrum(self.real_spectrum(data))
         return sfft.ifftn(self.symbol * sfft.fftn(
-            np.asarray(data, dtype=complex), axes=axes, workers=workers),
-            axes=axes, workers=workers)
+            np.asarray(data, dtype=complex), **self._fft), **self._fft)
 
     def adjoint(self):
         return FourierMultiplier(self.grid, np.conj(self.symbol))
@@ -258,8 +280,14 @@ def resolvent_power(grid, alpha, mu, gamma) -> FourierMultiplier:
     mu = complex(mu)
     if mu.real <= 0:
         raise ParameterError("Re(mu) must be positive")
-    if mu.imag == 0:
-        mu = mu.real
+    if mu.imag == 0:  # real and radial: built on the half spectrum, in place
+        k = grid.frequencies()
+        k[-1] = k[-1][..., : grid.points_per_axis // 2 + 1]
+        half = sum(kj**2 for kj in k)  # as in grid.frequency_radius_sq
+        half **= alpha / 2.0
+        half += mu.real
+        half **= -gamma
+        return FourierMultiplier.real_even(grid, half)
     return FourierMultiplier(grid, (mu + symbol_abs_k_alpha(grid, alpha)) ** (-gamma))
 
 

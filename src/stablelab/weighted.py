@@ -35,10 +35,7 @@ class WeightSpec:
     lattice: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
-        if not (0.0 < self.nu < self.alpha / 2.0):
-            raise ParameterError(
-                f"nu must lie in (0, alpha/2) = (0, {self.alpha / 2}), got {self.nu}")
-        eta = (1.0 + self.grid.radius() ** 2) ** self.nu
+        eta = _eta(self.grid.radius(), self.nu, self.alpha)
         if self.truncation_level is not None:
             if self.truncation_level <= 1.0:
                 raise ParameterError("truncation level must exceed min(eta) = 1")
@@ -58,6 +55,14 @@ class WeightSpec:
         powers are (mu + A_eta)^(-gamma) = eta^(-1) (mu + A)^(-gamma) eta."""
         return Compose([PointwiseMultiplier(self.grid, 1.0 / self.lattice),
                         op, PointwiseMultiplier(self.grid, self.lattice)])
+
+
+def _eta(radius, nu, alpha):
+    """(1 + |x|^2)^nu at sites of distance ``radius`` from 0."""
+    if not (0.0 < nu < alpha / 2.0):
+        raise ParameterError(
+            f"nu must lie in (0, alpha/2) = (0, {alpha / 2}), got {nu}")
+    return (1.0 + radius ** 2) ** nu
 
 
 def smooth_bump(grid: TorusGrid, center, radius: float) -> np.ndarray:
@@ -248,13 +253,14 @@ def verify_eta_b_integrability(drift: DriftSpec, nu: float, p: float,
     """Lattice value of || eta^(-1) |b|^(1/p) ||_(p, eta)^p =
     sum |b| eta^(2-p) h^d across grid refinements; finite and
     refinement-stable iff p exceeds d/(2 nu) + 2 for drifts with the
-    critical radial decay."""
+    critical radial decay.  Formed in |b|'s buffer slab by slab, one np.sum."""
     values = []
     for grid in grids:
-        weight = WeightSpec(grid, nu, alpha)
         mag = drift.lattice_magnitude(grid)
-        val = float(np.sum(mag * weight.lattice ** (2.0 - p))
-                    * grid.cell_volume)
+        for sl, coords in grid.coordinate_slabs():
+            radius = np.sqrt(sum(c**2 for c in coords))  # grid.radius()
+            mag[sl] *= _eta(radius, nu, alpha) ** (2.0 - p)
+        val = float(np.sum(mag) * grid.cell_volume)
         values.append((grid.points_per_axis, grid.half_length, val))
     threshold = grids[0].dim / (2.0 * nu) + 2.0
     admissible = p > threshold

@@ -255,7 +255,8 @@ def test_exit_code_2_on_a_hardy_drift_unlike_the_config(tmp_path):
               "[drift]\nkind = hardy\ndelta = 0.04\n",
               "drift.delta = 0.04 must equal delta = 0.05"),
              ('{"scenario": "sampler_check", "alpha": 1.4, "drift": '
-              '{"kind": "hardy", "parameters": {"delta": 0.05}}}',
+              '{"kind": "hardy", "parameters": {"delta": 0.05, '
+              '"alpha": 1.5}}}',
               "drift.alpha = 1.5 must equal alpha = 1.4")]
     for i, (text, message) in enumerate(cases):
         out = io.StringIO()
@@ -263,6 +264,48 @@ def test_exit_code_2_on_a_hardy_drift_unlike_the_config(tmp_path):
         assert cli.run(path, out_dir=str(tmp_path / "out"), stream=out) == 2
         assert out.getvalue() == f"config error: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_a_hardy_drift_takes_the_delta_and_alpha_it_does_not_name():
+    # as it takes the config's dim: a missing alpha was filled with 1.5,
+    # and this config was refused as drift.alpha = 1.5 against alpha = 1.4
+    for text in ('{"alpha": 1.4, "drift": {"kind": "hardy", '
+                 '"parameters": {"delta": 0.05}}}',
+                 '{"delta": 0.04, "alpha": 1.4, "drift": {"kind": "hardy"}}',
+                 "[parameters]\nalpha = 1.4\ndelta = 0.04\n"
+                 "[drift]\nkind = hardy\n"):
+        cfg = config.parse_config(text)
+        assert cfg.drift.parameters["alpha"] == cfg.alpha == 1.4
+        assert cfg.drift.parameters["delta"] == cfg.delta
+        assert cfg.drift.to_json() == drifts.hardy_drift(
+            cfg.delta, 1.4, 3).to_json()
+        cfg.validate(config.reference_m_constant(1.4, 3))
+
+
+def test_exit_code_2_on_a_half_length_with_no_mollification_level(
+        tmp_path, monkeypatch):
+    # formbound_audit and resolvent_verify mollify at level
+    # int(half_length / 2), which is 0 below 2: drifts.mollify refused it
+    # mid-run with a traceback and exit code 1
+    def refuse(cfg):
+        raise AssertionError("a scenario ran")
+
+    monkeypatch.setattr(cli, "run_scenario", refuse)
+    for i, (scenario, half_length) in enumerate(
+            [("formbound_audit", 0.5), ("resolvent_verify", 1.0),
+             ("full_suite", 1.5), ("formbound_audit", 1.9)]):
+        out = io.StringIO()
+        path = write(tmp_path, f"short{i}.json", json.dumps(
+            {"scenario": scenario, "half_length": half_length}))
+        assert cli.run(path, stream=out) == 2, scenario
+        assert out.getvalue() == (
+            f"config error: half_length = {half_length} must be at least "
+            f"2: {scenario} mollifies at level int(half_length / 2)\n")
+    m = config.reference_m_constant(1.5, 3)
+    for scenario in ("formbound_audit", "resolvent_verify", "full_suite"):
+        config.ExperimentConfig(scenario=scenario, half_length=2.0).validate(m)
+    config.ExperimentConfig(scenario="sampler_check",
+                            half_length=0.5).validate(m)
 
 
 def test_no_run_imports_scipy_stats(tmp_path):

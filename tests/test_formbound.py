@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
@@ -5,8 +7,9 @@ from scipy.sparse.linalg import ArpackNoConvergence
 from stablelab import drifts, formbound
 from stablelab.errors import ConvergenceError, ParameterError
 from stablelab.grid import TorusGrid
-from stablelab.operators import (Compose, PointwiseMultiplier,
-                                 resolvent_power)
+from stablelab.operators import (Compose, FourierMultiplier,
+                                 PointwiseMultiplier, resolvent_power,
+                                 symbol_abs_k_alpha)
 
 ALPHA = 1.5
 
@@ -154,6 +157,38 @@ def test_kato_norm_diverges_for_hardy():
     vals = [formbound.estimate_kato_norm(base, 0.01, TorusGrid(3, 8.0, N), ALPHA)
             for N in (16, 32)]
     assert vals[1] > vals[0]
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_kato_norm_is_the_max_of_one_resolvent_apply(n):
+    # the rung runs the two halves of the real apply around |b|; the old
+    # form applied the whole-lattice symbol to |b|
+    grid = TorusGrid(3, 8.0, n)
+    gamma = (ALPHA - 1.0) / ALPHA
+    full = FourierMultiplier(
+        grid, (0.01 + symbol_abs_k_alpha(grid, ALPHA)) ** (-gamma))
+    for b in (drifts.hardy_drift(0.05, ALPHA, 3),
+              drifts.mollify(drifts.hardy_drift(0.05, ALPHA, 3), n=4,
+                             grid=grid, epsilon_n=0.5)):
+        w = formbound.drift_magnitude(b, grid)
+        got = formbound.estimate_kato_norm(b, 0.01, grid, ALPHA)
+        assert got == float(np.max(
+            resolvent_power(grid, ALPHA, 0.01, gamma).apply(w)))
+        assert got == float(np.max(full.apply(w).real))
+
+
+def test_kato_norm_traced_peak_is_at_most_three_fields():
+    # |b| is freed before the inverse transform and the symbol is built on
+    # the half spectrum: about 2.5 fields of N^3 float64, against 3.8-4
+    grid = TorusGrid(3, 8.0, 64)
+    base = drifts.hardy_drift(0.05, ALPHA, 3)
+    tracemalloc.start()
+    try:
+        formbound.estimate_kato_norm(base, 0.01, grid, ALPHA)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.0 * 8 * 64**3
 
 
 def test_admissible_threshold_arithmetic():

@@ -243,6 +243,49 @@ def test_real_path_matches_complex_path(alpha, t, mu, gamma, n, seed):
         assert_real_part_of_complex_path(op, f)
 
 
+def bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@REAL_PATH
+@given(alpha=alphas, mu=st.floats(0.1, 50.0),
+       gamma=st.floats(0.05, 1.0) | st.just(1.0), n=sizes,
+       stack=st.sampled_from([(), (3,)]), seed=seeds)
+def test_real_apply_is_the_out_of_place_half_product(alpha, mu, gamma, n,
+                                                      stack, seed):
+    # the spectrum is multiplied in place and consumed, never the input
+    grid = TorusGrid(3, 8.0, n)
+    axes = (-3, -2, -1)
+    f = np.random.default_rng(seed).standard_normal(stack + grid.shape)
+    before = f.copy()
+    for op, symbol in [
+            (ops.heat_semigroup(grid, alpha, 0.3),
+             np.exp(-0.3 * ops.symbol_abs_k_alpha(grid, alpha))),
+            (ops.resolvent_power(grid, alpha, mu, gamma),
+             (mu + ops.symbol_abs_k_alpha(grid, alpha)) ** (-gamma))]:
+        expect = sfft.irfftn(symbol[..., : n // 2 + 1]
+                             * sfft.rfftn(f, axes=axes), s=grid.shape,
+                             axes=axes)
+        got = op.apply(f)
+        assert got.dtype == np.float64
+        assert np.array_equal(bits(got), bits(expect))
+        assert np.array_equal(bits(f), bits(before))
+
+
+@pytest.mark.parametrize("dim,n", [(1, 8), (2, 8), (3, 8), (3, 16), (3, 32)])
+def test_half_built_resolvent_symbol_mirrors_to_the_full_one(dim, n):
+    # k[-m] = -k[m] bit for bit, so mirroring the half symbol gives the
+    # bits of the formula on the whole lattice; complex mu keeps that formula
+    grid = TorusGrid(dim, 8.0, n)
+    for alpha, mu, gamma in [(1.5, 0.01, 1.0 / 3.0), (1.5, 2.0, 1.0),
+                             (1.3, 1e3, 0.5), (1.9, 5.0, 0.05),
+                             (1.5, 2.0 + 0.5j, 0.5), (1.7, 1.0 - 3.0j, 1.0)]:
+        old = (mu + ops.symbol_abs_k_alpha(grid, alpha)) ** (-gamma)
+        got = ops.resolvent_power(grid, alpha, mu, gamma).symbol
+        assert got.shape == grid.shape and got.dtype == old.dtype
+        assert np.array_equal(bits(got), bits(old))
+
+
 @REAL_PATH
 @given(n=sizes, seed=seeds)
 def test_real_path_for_symmetrised_random_symbol(n, seed):

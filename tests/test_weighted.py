@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from stablelab import drifts, weighted
 from stablelab.errors import AdmissibilityError, ParameterError
-from stablelab.grid import TorusGrid
+from stablelab.grid import TorusGrid, component_magnitude
 from stablelab.operators import frac_laplacian, heat_semigroup
 from stablelab.resolvent import assemble_lp_resolvent
 
@@ -117,6 +119,36 @@ def test_eta_b_integrability_hardy():
     rep = weighted.verify_eta_b_integrability(base, 0.675, 5.0, ALPHA, grids)
     assert rep.verdict == "pass"
     assert rep.metrics["refinement_growth"] <= 1.10
+
+
+def test_eta_b_integrability_is_the_whole_lattice_sum_bit_for_bit():
+    # |b| eta^(2-p) is formed slab by slab in one buffer and summed by one
+    # np.sum: numpy's pairwise order on the values of the whole-lattice
+    # product, also at N = 24 and 48, which are not powers of two
+    ns = (16, 24, 32, 48, 64)
+    for base in (drifts.hardy_drift(0.05, ALPHA, 3),
+                 drifts.lp_radial_drift(1.0, 0.5, 3)):
+        grids = [TorusGrid(3, 8.0, n) for n in ns]
+        rep = weighted.verify_eta_b_integrability(base, 0.675, 5.0, ALPHA,
+                                                  grids)
+        for grid, (n, _, val) in zip(grids, rep.provenance["values"]):
+            mag = component_magnitude(base.on_lattice(grid), grid.shape)
+            eta = weighted.WeightSpec(grid, 0.675, ALPHA).lattice
+            assert val == float(np.sum(mag * eta ** (2.0 - 5.0))
+                                * grid.cell_volume), n
+
+
+def test_eta_b_integrability_traced_peak_is_one_field_and_a_half():
+    # the whole-lattice form traced about 5 fields of N^3 float64
+    grid = TorusGrid(3, 8.0, 64)
+    base = drifts.hardy_drift(0.05, ALPHA, 3)
+    tracemalloc.start()
+    try:
+        weighted.verify_eta_b_integrability(base, 0.675, 5.0, ALPHA, [grid])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 8 * 64**3
 
 
 def test_eta_b_integrability_zero_drift():
