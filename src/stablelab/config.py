@@ -52,7 +52,8 @@ class ExperimentConfig:
         seed outside [0, 2^64), a non-positive dt, a half_length that is not
         positive or sets mollification level 0, an empty t_list, lambda or
         mu ladder, a hardy drift whose delta or alpha is not the config's,
-        or a grid_n with no lattice or too coarse a lattice for a mollifier."""
+        a grid_n with no lattice or too coarse a lattice for a mollifier, or
+        a half_length too short for a mollifier of fixed width."""
         if not 0 <= self.seed < 2**64:
             raise ConfigurationError(
                 f"seed = {self.seed} must lie in [0, 2^64)")
@@ -74,16 +75,24 @@ class ExperimentConfig:
                     raise ConfigurationError(
                         f"drift.{key} = {self.drift.parameters.get(key)} must "
                         f"equal {key} = {getattr(self, key)}")
-        # the lattices grid_n sets, each with the width in spacings of the
-        # mollifier bump it holds; drifts.mollifier wants the bump narrower
-        # than half_length / 2, that is more than 4 * width points per axis
-        lattices = [(self.grid_n, 0)]
+        # the lattices grid_n sets, each with the mollifier bump it holds,
+        # max(floor, width spacings) wide; drifts.mollifier wants the bump
+        # narrower than half_length / 2, that is floor < half_length / 2
+        # and more than 4 * width points per axis
+        lattices = [(self.grid_n, 0, 0.0)]
         if self.scenario in ("formbound_audit", "full_suite"):
-            lattices.append((self.grid_n // 2, 1))
+            lattices.append((self.grid_n // 2, 1, 0.0))
         if self.scenario in ("weighted_verify", "full_suite"):
-            lattices.append((min(self.grid_n, 16), 2))
-        for n, width in lattices:
+            lattices.append((min(self.grid_n, 16), 2, 0.0))
+        if self.scenario in ("sde_identify", "full_suite"):
+            lattices.append((self.grid_n, 1, 0.5))
+        for n, width, floor in lattices:
             _checked("grid_n", TorusGrid, self.dim, self.half_length, n)
+            if floor >= self.half_length / 2:
+                raise ConfigurationError(
+                    f"half_length = {self.half_length} must be more than "
+                    f"{2 * floor}: {self.scenario} holds a mollifier "
+                    f"{floor} wide")
             if n <= 4 * width:
                 raise ConfigurationError(
                     f"bad value for config key 'grid_n': {self.grid_n} sets "

@@ -412,7 +412,7 @@ def conservativeness_check(config: PropagatorConfig, x_index, k_list,
 
 
 def feller_convergence_check(drift_base, n_list, t: float, f, grid: TorusGrid,
-                             alpha: float, steps: int = 20,
+                             alpha: float, steps: int,
                              epsilon_rule=None,
                              mu_ladder=(1e2, 1e3, 1e4)) -> VerificationReport:
     """Cauchy behavior of the approximant semigroups in sup norm along the

@@ -140,11 +140,12 @@ def cutoff_mass(alpha: float, dim: int, t: float, k: float, profile) -> float:
     return inner + shell
 
 
-def stable_marginal_cdf(alpha: float, t: float = 1.0):
-    """CDF of a 1D coordinate of the d-dim increment (itself 1D symmetric
-    stable with exponent exp(-t|k|^alpha)).  Returns a vectorized callable:
-    a density spline integrated exactly on [0, _CDF_X_MAX], asymptotic
-    power tail beyond."""
+def stable_marginal_cdf(alpha: float):
+    """CDF of a 1D coordinate of the d-dim increment at time t = 1 (itself
+    1D symmetric stable with exponent exp(-|k|^alpha)).  Returns a
+    vectorized callable: a density spline integrated exactly on
+    [0, _CDF_X_MAX], asymptotic power tail beyond."""
+    t = 1.0
     _check(alpha, 1, t)
     x_max, n_points = _CDF_X_MAX, _CDF_POINTS
     xs = np.concatenate([

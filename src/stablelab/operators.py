@@ -41,11 +41,14 @@ class LatticeOperator:
     def adjoint(self) -> "LatticeOperator":
         raise NotImplementedError
 
-    def norm_probe(self, n_probes=8, p=2.0, seed=0, iterations=2):
+    def norm_probe(self, n_probes, p, seed, iterations):
         """Lower bound on the L^p -> L^p norm from random probes.
 
         Repeated application sharpens the probe: the growth ratio after a
         couple of iterations approaches the spectral radius from below.
+        No run calls it: it is the oracle of the tests of the norm of the
+        drift block T, plain and weighted, against m (p p'/4) delta, and of
+        the ratio of its Neumann terms.
         """
         rng = np.random.default_rng(seed)
         best = 0.0

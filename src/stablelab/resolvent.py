@@ -145,7 +145,7 @@ def lp_resolvent_layout(power, q_op, t_op, g_op, p, q, r, alpha):
 
 
 def l2_extremizer(potential: np.ndarray, mu: float, grid: TorusGrid,
-                  alpha: float, seed: int = 0, start=None) -> np.ndarray:
+                  alpha: float, seed: int, start=None) -> np.ndarray:
     """Top eigenfield phi of sqrt(V) (mu+A)^(-(a-1)/a) sqrt(V), the L^2
     extremizer that ``verify_lp_inequalities`` transports to every L^p;
     it does not depend on p.  Solved to tol 1e-8 from ``start`` (such as
@@ -243,7 +243,7 @@ def potential_bound_checks(label, worst, delta, c_val, p, mu, gamma):
 
 def verify_lp_inequalities(potential: np.ndarray, exponents, mu: float,
                            lam: float, grid: TorusGrid, alpha: float,
-                           n_probes: int = 50, seed: int = 0,
+                           n_probes: int, seed: int = 0,
                            delta: float | None = None,
                            extremizer: np.ndarray | None = None
                            ) -> list[VerificationReport]:

@@ -80,7 +80,7 @@ def run_sampler_check(cfg: ExperimentConfig) -> ScenarioResult:
                          provenance={"seed": cfg.seed}))
 
     pvalue = _ks.kstest_pvalue(batch.values[: min(n, 10000), 0],
-                               kernels.stable_marginal_cdf(cfg.alpha, 1.0))
+                               kernels.stable_marginal_cdf(cfg.alpha))
     rerun = sample_increments(params, 1.0, 256)
     again = sample_increments(params, 1.0, 256)
     out.add(build_report("marginal_cdf_and_reproducibility", {"n_ks": 10000},
@@ -338,7 +338,7 @@ def run_sde_identify(cfg: ExperimentConfig) -> ScenarioResult:
     probe_field = _smooth_probe(grid, cfg.alpha, cfg.seed + 2)
     out.add(sde.mc_vs_semigroup(mol, [0.0] * cfg.dim, min(cfg.t_list),
                                 probe_field, cfg.n_paths, cfg.dt, cfg.alpha,
-                                steps=20, seed=cfg.seed + 3,
+                                seed=cfg.seed + 3,
                                 n_levels=(8, 16)))
     w = weighted.WeightSpec(grid, nu=cfg.nu, alpha=cfg.alpha)
     out.add(sde.contraction_probe(mol, w, cfg.p, horizons=(0.05, 0.1),

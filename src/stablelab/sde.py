@@ -22,6 +22,7 @@ from .sampler import StableParams, _fill_slab, _increment_stream, empirical_char
 from .weighted import WeightSpec, random_bumps
 
 _PATH_BLOCK = 2048  # paths per block: integrate holds their noise at once
+_SEMIGROUP_STEPS = 20  # Strang steps of mc_vs_semigroup's lattice route
 
 
 @dataclass
@@ -216,7 +217,7 @@ def wrapped_states(ensemble: PathEnsemble, grid: TorusGrid) -> np.ndarray:
 
 
 def mc_vs_semigroup(drift: MollifiedDrift, x0, t: float, f, n_paths: int,
-                    dt: float, alpha: float, steps: int = 20, seed: int = 0,
+                    dt: float, alpha: float, seed: int,
                     n_levels=None) -> VerificationReport:
     """Two routes to E_x f(X_t): Monte Carlo mean over paths against the
     lattice semigroup applied to f, read at the starting site.  The pass
@@ -240,7 +241,8 @@ def mc_vs_semigroup(drift: MollifiedDrift, x0, t: float, f, n_paths: int,
     mean_c, se_c, abs_c, wrap_c = mc_mean(dt, drift, seed)
     mean_f, se_f, abs_f, _ = mc_mean(dt / 2.0, drift, seed + 1)
     bias_rate = 2.0 * abs(mean_c - mean_f) / dt
-    sg = propagate(PropagatorConfig(drift, alpha, t, steps), fdata)[site]
+    sg = propagate(PropagatorConfig(drift, alpha, t, _SEMIGROUP_STEPS),
+                   fdata)[site]
     band = 3.0 * se_c + bias_rate * dt + 3.0 * se_f
     gap = abs(mean_c - sg)
     checks = [
@@ -327,8 +329,8 @@ def ensemble_density(ensemble: PathEnsemble, grid: TorusGrid) -> Field:
 
 def contraction_probe(drift: MollifiedDrift, weight: WeightSpec, p: float,
                       horizons, grid: TorusGrid, alpha: float, kappa,
-                      n_probes: int = 4, steps: int = 10,
-                      seed: int = 0) -> VerificationReport:
+                      n_probes: int, steps: int,
+                      seed: int) -> VerificationReport:
     """Empirical Lipschitz ratio of the memory map
 
       (Hv)(t) = -i int_0^t exp(-(t-s)(A + b.grad)) [(kappa . b) v(s)] ds

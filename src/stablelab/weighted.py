@@ -77,7 +77,7 @@ def smooth_bump(grid: TorusGrid, center, radius: float) -> np.ndarray:
     return np.broadcast_to(vals, grid.shape).copy()
 
 
-def random_bumps(grid: TorusGrid, n: int, radius: float, seed=0,
+def random_bumps(grid: TorusGrid, n: int, radius: float, seed,
                  center_radius=None):
     """Random smooth compactly supported probe fields."""
     rng = np.random.default_rng(seed)
@@ -100,7 +100,7 @@ _LP_PROBES = 24
 
 
 def verify_weighted_markov(weight: WeightSpec, alpha: float, t_list,
-                           grid: TorusGrid, seed=0) -> VerificationReport:
+                           grid: TorusGrid, seed) -> VerificationReport:
     """Estimate the smallest growth rate omega with
     ||eta_n exp(-tA) eta_n^(-1) f||_1 <= exp(omega t) ||f||_1 over probe
     fields and plateau levels; the rate must be stable across levels, and
@@ -282,7 +282,7 @@ def verify_eta_b_integrability(drift: DriftSpec, nu: float, p: float,
 def verify_weighted_lp_inequalities(potential: np.ndarray, p: float,
                                     mu: float, lam: float, grid: TorusGrid,
                                     alpha: float, weight: WeightSpec,
-                                    seed=0) -> VerificationReport:
+                                    seed) -> VerificationReport:
     """Re-run of the three resolvent-weighted potential bounds with the
     conjugated generator A_eta and the weighted norms.  The pointwise
     comparison behind them does not involve the weight, so the same

@@ -215,7 +215,7 @@ def test_criterion_11_sde_identification(hardy, grid32):
         np.random.default_rng(SEED + 2).standard_normal(grid32.shape)).real
     mc_rep = sde.mc_vs_semigroup(mol, [0.0] * DIM, 0.25, f_field,
                                  n_paths=10**5, dt=0.0125, alpha=ALPHA,
-                                 steps=20, seed=SEED + 3, n_levels=(8, 16))
+                                 seed=SEED + 3, n_levels=(8, 16))
     w = weighted.WeightSpec(grid32, nu=0.675, alpha=ALPHA)
     contraction = sde.contraction_probe(
         mol, w, p=5.0, horizons=(0.05, 0.1), grid=grid32, alpha=ALPHA,

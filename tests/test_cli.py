@@ -21,6 +21,13 @@ def write(tmp_path, name, text):
     return str(path)
 
 
+def _refuse_to_run(monkeypatch):
+    def refuse(cfg):
+        raise AssertionError("a scenario ran")
+
+    monkeypatch.setattr(cli, "run_scenario", refuse)
+
+
 def test_parse_sectioned_config():
     cfg = config.parse_config("""
 [experiment]
@@ -180,10 +187,7 @@ def test_exit_code_2_on_unrunnable_values(tmp_path):
 
 def test_exit_code_2_on_a_grid_n_with_no_lattice(tmp_path, monkeypatch):
     # formbound_audit (alone or in full_suite) also builds grid_n // 2
-    def refuse(cfg):
-        raise AssertionError("a scenario ran")
-
-    monkeypatch.setattr(cli, "run_scenario", refuse)
+    _refuse_to_run(monkeypatch)
     cases = [('{"scenario": "formbound_audit", "grid_n": 0}', {}),
              ('{"scenario": "formbound_audit", "grid_n": 6}', {}),
              ('{"scenario": "formbound_audit", "grid_n": 10}', {}),
@@ -227,15 +231,14 @@ def test_exit_code_2_on_a_grid_n_too_coarse_for_a_mollifier(tmp_path,
                                                             monkeypatch):
     # formbound_audit mollifies on grid_n // 2 at one spacing, and
     # weighted_verify on min(grid_n, 16) at two: at grid_n 8 neither bump
-    # fits inside half a half-length, and drifts.mollifier would refuse it
-    # mid-run with a ParameterError traceback and exit code 1
-    def refuse(cfg):
-        raise AssertionError("a scenario ran")
-
-    monkeypatch.setattr(cli, "run_scenario", refuse)
+    # fits inside half a half-length, nor sde_identify's one-spacing bump
+    # on grid_n at grid_n 4, and drifts.mollifier would refuse it mid-run
+    # with a ParameterError traceback and exit code 1
+    _refuse_to_run(monkeypatch)
     for i, (scenario, grid_n, n_points, width) in enumerate(
             [("formbound_audit", 8, 4, 1), ("weighted_verify", 8, 8, 2),
-             ("full_suite", 8, 4, 1), ("weighted_verify", 6, 6, 2)]):
+             ("full_suite", 8, 4, 1), ("weighted_verify", 6, 6, 2),
+             ("sde_identify", 4, 4, 1)]):
         out = io.StringIO()
         path = write(tmp_path, f"coarse{i}.json",
                      json.dumps({"scenario": scenario, "grid_n": grid_n}))
@@ -244,6 +247,21 @@ def test_exit_code_2_on_a_grid_n_too_coarse_for_a_mollifier(tmp_path,
             f"config error: bad value for config key 'grid_n': {grid_n} "
             f"sets {n_points} points per axis where a mollifier is {width} "
             f"spacing(s) wide; it needs more than {4 * width}\n")
+
+
+def test_exit_code_2_on_a_half_length_short_of_the_sde_bump(tmp_path,
+                                                          monkeypatch):
+    # sde_identify mollifies on grid_n with a bump max(0.5, spacing) wide:
+    # at half_length 0.9 drifts.mollifier refused it mid-run with a
+    # ParameterError traceback and exit code 1
+    _refuse_to_run(monkeypatch)
+    out = io.StringIO()
+    path = write(tmp_path, "short.json", json.dumps(
+        {"scenario": "sde_identify", "half_length": 0.9, "grid_n": 8}))
+    assert cli.run(path, stream=out) == 2
+    assert out.getvalue() == (
+        "config error: half_length = 0.9 must be more than 1.0: "
+        "sde_identify holds a mollifier 0.5 wide\n")
 
 
 def test_exit_code_2_on_a_hardy_drift_unlike_the_config(tmp_path):
@@ -287,10 +305,7 @@ def test_exit_code_2_on_a_half_length_with_no_mollification_level(
     # formbound_audit and resolvent_verify mollify at level
     # int(half_length / 2), which is 0 below 2: drifts.mollify refused it
     # mid-run with a traceback and exit code 1
-    def refuse(cfg):
-        raise AssertionError("a scenario ran")
-
-    monkeypatch.setattr(cli, "run_scenario", refuse)
+    _refuse_to_run(monkeypatch)
     for i, (scenario, half_length) in enumerate(
             [("formbound_audit", 0.5), ("resolvent_verify", 1.0),
              ("full_suite", 1.5), ("formbound_audit", 1.9)]):

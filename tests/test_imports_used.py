@@ -25,7 +25,7 @@ import stablelab
 
 MODULES = sorted(p for p in Path(stablelab.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
-KNOBS = 98
+KNOBS = 82
 
 
 def _imports(tree):

@@ -101,7 +101,7 @@ def test_cutoff_mass_between_ball_masses():
 
 
 def test_marginal_cdf_properties():
-    cdf = kernels.stable_marginal_cdf(ALPHA, 1.0)
+    cdf = kernels.stable_marginal_cdf(ALPHA)
     xs = np.linspace(-30, 30, 201)
     vals = cdf(xs)
     assert np.all(np.diff(vals) >= -1e-12)
@@ -111,7 +111,7 @@ def test_marginal_cdf_properties():
 
 def test_marginal_cdf_vs_scipy():
     levy_stable = pytest.importorskip("scipy.stats").levy_stable
-    cdf = kernels.stable_marginal_cdf(ALPHA, 1.0)
+    cdf = kernels.stable_marginal_cdf(ALPHA)
     for x in (0.5, 2.0, 8.0):
         ref = levy_stable.cdf(x, ALPHA, 0, scale=1.0)
         assert cdf(x) == pytest.approx(ref, abs=2e-6)

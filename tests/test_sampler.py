@@ -78,51 +78,58 @@ def test_subordinator_scaling():
 def test_marginal_ks_against_fourier_cdf():
     p = StableParams(alpha=1.5, dim=2, seed=9)
     batch = sample_increments(p, 1.0, 10**4)
-    cdf = kernels.stable_marginal_cdf(1.5, 1.0)
+    cdf = kernels.stable_marginal_cdf(1.5)
     res = stats.kstest(batch.values[:, 0], cdf)
     assert res.pvalue > 0.01
 
 
-# D values that reach every branch of _ks._kolmogn_sf at each n: the low
-# Ruben-Gambino end (n D <= 1; at or below 1/2n), Durbin-MTW (n D^1.5 <=
-# 1.4, n <= 100000), Pelz-Good (with its underflow cut at n = 200000),
-# 2 * smirnov from n D^2 = 2.2, 0 from n D^2 = 370, D >= 0.5, the high
-# Ruben-Gambino end (n D >= n - 1) and D >= 1
+# D values that reach every branch of _ks._kolmogn_sf at each n: 1 at or
+# below n D = 1 (scipy's low Ruben-Gambino end), Pelz-Good (with its
+# underflow cut at n = 200000, and inside scipy's Durbin window
+# n D^1.5 <= 1.4 at n = 10000), 2 * smirnov from n D^2 = 2.2, and 0 from
+# n D^2 = 370 (the last double below it, the first at or above it, and
+# one further above), up to scipy's D >= 0.5, high Ruben-Gambino and
+# D >= 1 branches
 _KS_BRANCH_POINTS = {
-    141: [0.003, 0.005, 0.02, 0.04, 0.08, 0.12, 0.13, 0.3, 0.6, 0.995, 1.0],
-    10000: [3e-5, 8e-5, 0.001, 0.0026, 0.0027, 0.0028, 0.01, 0.0148, 0.0149,
-            0.1, 0.2, 0.6, 0.99995],
-    200000: [3e-6, 8e-6, 1e-4, 0.001, 0.0033, 0.004, 0.05, 0.6, 0.999997],
+    10000: [3e-5, 8e-5, 1e-4, 0.001, 0.0026, 0.0027, 0.0028, 0.01, 0.0148,
+            0.0149, 0.1, 0.19235384061671343, 0.19235384061671346, 0.1924,
+            0.2, 0.6, 0.99995, 1.0],
+    200000: [3e-6, 5e-6, 8e-6, 1e-4, 0.001, 0.0033, 0.004,
+             0.04301162633521313, 0.04301162633521314, 0.0431, 0.05, 0.6,
+             0.999997],
 }
 
 
 @pytest.mark.parametrize("n", sorted(_KS_BRANCH_POINTS))
 def test_ks_survival_function_is_scipys_bit_for_bit(n):
-    # plus a seeded grid below n = 100000, where 2 * smirnov is cheap
+    # plus a seeded grid below n = 100000, where 2 * smirnov is cheap;
+    # inside scipy's Durbin-matrix window (n <= 100000, n D > 1 and
+    # n D^1.5 <= 1.4) Pelz-Good stands in for it, to 1e-12, where
+    # sf >= 1 - 5e-7
     rng = np.random.default_rng(n)
     grid = [] if n > 100000 else [*rng.uniform(0.0, 0.03, 40),
                                   *10.0 ** rng.uniform(-6.0, 0.0, 40)]
     for d in _KS_BRANCH_POINTS[n] + grid:
-        got = _ks._kolmogn_sf(n, np.asarray(d))
-        assert float(got) == stats.distributions.kstwo.sf(d, n), d
+        got = float(_ks._kolmogn_sf(n, np.float64(d)))
+        want = stats.distributions.kstwo.sf(d, n)
+        if n <= 100000 and n * d > 1.0 and n * np.asarray(d) ** 1.5 <= 1.4:
+            assert abs(got - want) <= 1e-12, d
+        else:
+            assert got == want, d
 
 
-def test_ks_stirling_series_is_scipys_bit_for_bit():
-    # the low Ruben-Gambino end reads 1.0 in double for every n > 140, so
-    # its log(n!/n^n) is checked on its own
-    for n in (141, 10000, 200000):
-        assert (_ks._log_nfactorial_div_n_pow_n(n)
-                == stats._ksstats._log_nfactorial_div_n_pow_n(n))
+def test_ks_refuses_fewer_than_10000_points():
+    cdf = kernels.stable_marginal_cdf(1.5)
+    with pytest.raises(ParameterError, match="n >= 10000, not 9999"):
+        _ks.kstest_pvalue(np.zeros(9999), cdf)
 
 
 def test_kstest_pvalue_is_scipys_on_the_lab_marginals():
-    cdf = kernels.stable_marginal_cdf(1.5, 1.0)
+    cdf = kernels.stable_marginal_cdf(1.5)
     for seed in range(1, 21):
         x = sample_increments(StableParams(1.5, 3, seed), 1.0, 10**4).values
         assert (_ks.kstest_pvalue(x[:, 0], cdf)
                 == stats.kstest(x[:, 0], cdf).pvalue), seed
-    with pytest.raises(ParameterError, match="n > 140"):
-        _ks.kstest_pvalue(np.zeros(140), cdf)
 
 
 def test_scaling_self_similarity_of_increments():
