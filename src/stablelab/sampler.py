@@ -145,10 +145,15 @@ def _fill_increments(stream, rows: int) -> np.ndarray:
 
 
 def _fill_slab(stream, slab: np.ndarray) -> np.ndarray:
-    """The next paths x steps rows of the batch (path-major), transposed
-    into the caller's ``slab`` (steps, dim, paths): step k reads slab[k]."""
-    values = _fill_increments(stream, slab[:, 0].size)
-    np.copyto(slab, values.reshape(-1, *slab.shape[:2]).transpose(1, 2, 0))
+    """The batch's next paths x steps rows (path-major), whole paths at a
+    time, transposed into ``slab`` (steps, dim, paths): slab[k] is step k."""
+    chunk = len(stream[-1][0]) // len(slab)
+    if chunk < 1:
+        raise ParameterError("the stream's scratch holds fewer rows than a path")
+    for p0 in range(0, slab.shape[2], chunk):
+        part = slab[:, :, p0:p0 + chunk]
+        values = _fill_increments(stream, part[:, 0].size)
+        np.copyto(part, values.reshape(-1, *slab.shape[:2]).transpose(1, 2, 0))
     return slab
 
 

@@ -335,6 +335,8 @@ def run_sde_identify(cfg: ExperimentConfig) -> ScenarioResult:
                           for c, f in zip(coarse, fine))
     out.add(sde.noise_identification_report(ens, kappas,
                                             bias_allowance=allowance))
+    density = sde.ensemble_density(ens, grid).to_bytes()
+    del ens, ens_fine  # the semigroup check integrates ensembles of its own
     probe_field = _smooth_probe(grid, cfg.alpha, cfg.seed + 2)
     out.add(sde.mc_vs_semigroup(mol, [0.0] * cfg.dim, min(cfg.t_list),
                                 probe_field, cfg.n_paths, cfg.dt, cfg.alpha,
@@ -346,8 +348,7 @@ def run_sde_identify(cfg: ExperimentConfig) -> ScenarioResult:
                                   kappa=kappas[1], n_probes=2, steps=6,
                                   seed=cfg.seed))
     out.artifacts["noise_char_probes.csv"] = sde.probes_to_csv(coarse)
-    out.artifacts["final_density.field"] = sde.ensemble_density(
-        ens, grid).to_bytes()
+    out.artifacts["final_density.field"] = density
     return out
 
 

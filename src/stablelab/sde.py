@@ -6,6 +6,7 @@ Every check reads paths at the horizon T only, so only T is kept.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -14,14 +15,16 @@ import numpy as np
 from scipy import ndimage
 
 from .drifts import MollifiedDrift, mollify
-from .errors import ParameterError
+from .errors import CapacityError, ParameterError
 from .evolution import PropagatorConfig, propagate
 from .grid import Field, TorusGrid
 from .report import VerificationReport, build_report
-from .sampler import StableParams, _fill_slab, _increment_stream, empirical_char_function
+from .sampler import (_MAX_VALUES, StableParams, _fill_slab, _increment_stream,
+                      empirical_char_function)
 from .weighted import WeightSpec, random_bumps
 
 _PATH_BLOCK = 2048  # paths per block: integrate holds their noise at once
+_NOISE_ROWS = 16_384  # stream scratch rows (at least one path's steps)
 _SEMIGROUP_STEPS = 20  # Strang steps of mc_vs_semigroup's lattice route
 
 
@@ -109,6 +112,14 @@ def _padded_lattice(drift: MollifiedDrift) -> np.ndarray:
     return np.pad(drift.lattice, pad, mode="wrap")
 
 
+@functools.lru_cache(maxsize=None)
+def _corner_layout(dim: int, side: int) -> tuple:
+    """``drift_rows``' corners (last axis fastest), strides and offsets."""
+    corners = np.array(list(itertools.product((0, 1), repeat=dim)))
+    strides = side ** np.arange(dim - 1, -1, -1)
+    return corners, strides, (corners @ strides)[:, None]
+
+
 def drift_rows(wrapped: np.ndarray, table: np.ndarray,
                grid: TorusGrid) -> np.ndarray:
     """Mollified drift (dim, points) at wrapped points held as rows, from
@@ -123,11 +134,9 @@ def drift_rows(wrapped: np.ndarray, table: np.ndarray,
     base = np.floor(coords)
     w0 = 1.0 - (coords - base)
     weights = np.stack((w0, 1.0 - w0))
-    corners = np.array(list(itertools.product((0, 1), repeat=dim)))
-    strides = table.shape[1] ** np.arange(dim - 1, -1, -1)
+    corners, strides, offsets = _corner_layout(dim, table.shape[1])
     flat = strides @ base.astype(np.intp)
-    vals = np.take(table.reshape(dim, -1), flat + (corners @ strides)[:, None],
-                   axis=1)
+    vals = np.take(table.reshape(dim, -1), flat + offsets, axis=1)
     for axis in range(dim):
         vals *= weights[corners[:, axis], axis]
     out = np.zeros_like(wrapped)
@@ -143,15 +152,17 @@ def integrate(drift: MollifiedDrift, x0, t_final: float, dt: float,
     that drive the steps.
 
     Blocks of ``_PATH_BLOCK`` paths read their rows of the one-shot noise
-    batch, drawn one block ahead by a worker thread into buffers allocated
+    batch, drawn one block ahead by a worker thread (in chunks of whole
+    paths, through ``_NOISE_ROWS`` rows of scratch) into buffers allocated
     once per call, and write state and drift integrals once, after their
     last step; the ensemble's ``t_final`` is dt * n_steps.  Steps act per
     path, so the block size leaves the bits alone.  ``CapacityError``
-    bounds one block's noise, not the run's; a non-finite state raises
-    ``ParameterError`` at its step, after the worker stops.  A block holds
-    state, integrals and noise as rows (dim, paths) and reads b through
-    ``drift_rows`` from a table padded once per call; one x + L per step
-    gives the wrap count's cells and the next wrapped point.
+    bounds one block's noise, not the run's, before anything is drawn; a
+    non-finite state raises ``ParameterError`` at its step, after the
+    worker stops.  A block holds state, integrals and noise as rows (dim,
+    paths) and reads b through ``drift_rows`` from a table padded once per
+    call; one x + L per step gives the wrap count's cells and the next
+    wrapped point.
     """
     grid = drift.grid
     if dt <= 0 or t_final <= 0 or n_paths < 1:
@@ -166,11 +177,12 @@ def integrate(drift: MollifiedDrift, x0, t_final: float, dt: float,
         raise ParameterError(
             f"x0 must be a finite vector of shape ({grid.dim},), got {x0!r}")
     params = StableParams(alpha=alpha, dim=grid.dim, seed=seed)
-    states = np.empty((n_paths, grid.dim))
-    drift_int = np.empty((n_paths, grid.dim))
-    abs_drift = np.empty(n_paths)
     block = min(_PATH_BLOCK, n_paths)
-    stream = _increment_stream(params, dt, n_paths * n_steps, block * n_steps)
+    if block * n_steps * grid.dim > _MAX_VALUES:
+        raise CapacityError(f"{block} paths x {n_steps} steps of noise exceed capacity")
+    states, drift_int = np.empty((2, n_paths, grid.dim))
+    abs_drift = np.empty(n_paths)
+    stream = _increment_stream(params, dt, n_paths * n_steps, max(n_steps, _NOISE_ROWS))
     buffers = np.empty((2, n_steps * grid.dim * block))  # noise slabs, in turn
     starts = range(0, n_paths, block)
     slabs = [buffers[j % 2, :n_steps * grid.dim * min(block, n_paths - i0)]
@@ -345,9 +357,6 @@ def contraction_probe(drift: MollifiedDrift, weight: WeightSpec, p: float,
     mag = drift.magnitude()
     weight_p = mag * weight.lattice ** (2.0 - p)
 
-    def norm(v_path):
-        return grid.lp_norm(np.max(np.abs(v_path), axis=0), p, weight_p)
-
     ratios = {}
     for horizon in horizons:
         rng = np.random.default_rng(seed)  # common probes at every horizon
@@ -358,16 +367,16 @@ def contraction_probe(drift: MollifiedDrift, weight: WeightSpec, p: float,
             bumps = random_bumps(grid, steps + 1, grid.half_length / 4.0,
                                  seed=seed + 100 * i,
                                  center_radius=grid.half_length / 3.0)
-            v = np.stack([bumps[j] * rng.standard_normal()
-                          for j in range(steps + 1)])
-            hv = np.zeros((steps + 1,) + grid.shape, dtype=complex)
-            memory = np.zeros(grid.shape)
+            vmax, hmax, memory = np.zeros((3,) + grid.shape)  # sup |v|, |Hv| = |memory|
             for j in range(steps):
-                memory = propagate(stepper_cfg, memory + dt * kb * v[j])
-                hv[j + 1] = -1j * memory
-            nv = norm(v)
+                v = bumps[j] * rng.standard_normal()
+                np.maximum(vmax, np.abs(v), out=vmax)
+                memory = propagate(stepper_cfg, memory + dt * kb * v)
+                np.maximum(hmax, np.abs(memory), out=hmax)
+            np.maximum(vmax, np.abs(bumps[steps] * rng.standard_normal()), out=vmax)
+            nv = grid.lp_norm(vmax, p, weight_p)
             if nv > 0:
-                worst = max(worst, norm(hv) / nv)
+                worst = max(worst, grid.lp_norm(hmax, p, weight_p) / nv)
         ratios[float(horizon)] = worst
     hs = sorted(ratios)
     shrinking = all(ratios[hs[i]] < ratios[hs[i + 1]]

@@ -229,15 +229,25 @@ def test_increment_blocks_replay_the_one_shot_batch(sizes, dim, alpha, seed):
 @settings(max_examples=20, deadline=None)
 @given(paths=st.integers(1, 60), block=st.integers(1, 60),
        steps=st.integers(1, 9), dim=st.integers(1, 3),
-       alpha=st.floats(1.01, 1.99), seed=st.integers(0, 2**32 - 1))
-@example(paths=60, block=7, steps=9, dim=3, alpha=1.984375, seed=1)
+       alpha=st.floats(1.01, 1.99), seed=st.integers(0, 2**32 - 1),
+       chunk=st.integers(1, 61), spare=st.integers(0, 8))
+@example(paths=60, block=7, steps=9, dim=3, alpha=1.984375, seed=1,
+         chunk=7, spare=0)
+@example(paths=60, block=7, steps=9, dim=3, alpha=1.984375, seed=1,
+         chunk=3, spare=5)  # chunks of 3, 3 and a partial 1 per block
+@example(paths=23, block=10, steps=9, dim=3, alpha=1.5, seed=2,
+         chunk=1, spare=8)  # one path per chunk
 def test_slabs_in_two_buffers_are_the_batch_transposed(paths, block, steps,
-                                                       dim, alpha, seed):
+                                                       dim, alpha, seed,
+                                                       chunk, spare):
     # integrate's layout: block j of paths is written to buffer j % 2 as
-    # (steps, dim, paths), and step k reads the rows slab[k]
+    # (steps, dim, paths), and step k reads the rows slab[k]; the stream's
+    # scratch holds `chunk` whole paths and up to steps - 1 rows more, so
+    # it may be smaller than a block
     n = paths * steps
     params = StableParams(alpha, dim, seed)
-    stream = sampler._increment_stream(params, 0.3, n, block * steps)
+    rows = chunk * steps + min(spare, steps - 1)
+    stream = sampler._increment_stream(params, 0.3, n, rows)
     buffers = np.full((2, min(block, paths) * steps * dim), np.nan)
     want = sample_increments(params, 0.3, n).values.reshape(paths, steps, dim)
     for j, p0 in enumerate(range(0, paths, block)):
@@ -247,6 +257,29 @@ def test_slabs_in_two_buffers_are_the_batch_transposed(paths, block, steps,
         assert got is slab
         expect = want[p0:p0 + width].transpose(1, 2, 0)
         assert np.array_equal(got.view(np.int64), expect.view(np.int64))
+
+
+def test_a_slab_needs_scratch_for_one_path():
+    params = StableParams(1.5, 3, 0)
+    stream = sampler._increment_stream(params, 0.3, 40, 4)
+    with pytest.raises(ParameterError, match="fewer rows than a path"):
+        sampler._fill_slab(stream, np.empty((5, 3, 8)))
+    sampler._fill_slab(stream, np.empty((4, 3, 10)))
+
+
+def test_capacity_bounds_the_scratch_not_the_batch(monkeypatch):
+    # the noise of 200 x 3 values is drawn through a scratch of 20 x 3
+    monkeypatch.setattr(sampler, "_MAX_VALUES", 60)
+    params = StableParams(1.5, 3, 4)
+    with pytest.raises(CapacityError):
+        sampler._increment_stream(params, 0.3, 200, 21)
+    with pytest.raises(CapacityError):
+        sample_increments(params, 0.3, 200)
+    stream = sampler._increment_stream(params, 0.3, 200, 20)
+    slab = sampler._fill_slab(stream, np.empty((5, 3, 40)))
+    monkeypatch.undo()
+    want = sample_increments(params, 0.3, 200).values
+    assert np.array_equal(slab, want.reshape(40, 5, 3).transpose(1, 2, 0))
 
 
 def test_the_increment_stream_allocates_no_block_sized_array():

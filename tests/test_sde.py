@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from scipy import ndimage, stats
 
 from stablelab import drifts, sde, weighted
-from stablelab.errors import ParameterError
+from stablelab.errors import CapacityError, ParameterError
+from stablelab.evolution import PropagatorConfig, propagate
 from stablelab.grid import TorusGrid
 from stablelab.operators import heat_semigroup
 from stablelab.sampler import StableParams, sample_increments
@@ -260,6 +261,56 @@ def test_path_blocks_give_the_same_bits(hardy, monkeypatch):
         np.testing.assert_array_equal(getattr(blocked, name),
                                       getattr(whole, name))
     assert blocked.wrap_fraction == whole.wrap_fraction
+    # blocks of 16 paths drawn through a scratch of one path's 5 steps (one
+    # path per chunk), and of 7 paths and 2 rows (a partial last chunk)
+    monkeypatch.setattr(sde, "_PATH_BLOCK", 16)
+    for rows in (1, 7 * 5 + 2):
+        monkeypatch.setattr(sde, "_NOISE_ROWS", rows)
+        chunked = sde.integrate(*args, **kw)
+        for name in ("states", "drift_integral", "abs_drift_integral"):
+            assert np.array_equal(getattr(chunked, name), getattr(whole, name))
+        assert chunked.wrap_fraction == whole.wrap_fraction
+
+
+def test_integrate_refuses_a_block_over_capacity_before_any_noise(
+        hardy, monkeypatch):
+    # 40 paths x 5 steps x 3 coordinates of noise in one block
+    def refuse(*args, **kwargs):
+        raise AssertionError("stream set up")
+
+    args = (hardy, [0.0] * 3, 0.05, 0.01, 40)
+    whole = sde.integrate(*args, seed=4, alpha=ALPHA)
+    monkeypatch.setattr(sde, "_MAX_VALUES", 40 * 5 * 3)
+    fits = sde.integrate(*args, seed=4, alpha=ALPHA)
+    assert np.array_equal(fits.states, whole.states)
+    monkeypatch.setattr(sde, "_MAX_VALUES", 40 * 5 * 3 - 1)
+    monkeypatch.setattr(sde, "_increment_stream", refuse)
+    monkeypatch.setattr(sde, "_fill_slab", refuse)
+    with pytest.raises(CapacityError, match="40 paths x 5 steps"):
+        sde.integrate(*args, seed=4, alpha=ALPHA)
+    # a run over capacity is fine if its blocks are not
+    monkeypatch.undo()
+    monkeypatch.setattr(sde, "_MAX_VALUES", 40 * 5 * 3 - 1)
+    monkeypatch.setattr(sde, "_PATH_BLOCK", 39)
+    blocked = sde.integrate(*args, seed=4, alpha=ALPHA)
+    assert np.array_equal(blocked.states, whole.states)
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_integrate_draws_a_block_in_chunks(hardy):
+    # a block of 2048 paths x 80 steps is 3.8 MiB of noise per slab; a
+    # scratch for the whole block would add 8.3 MiB (21.4 MiB traced)
+    peak = _traced_peak(lambda: sde.integrate(
+        hardy, [0.0] * 3, 0.8, 0.01, 50_000, seed=3, alpha=ALPHA))
+    assert peak < 14 * 2**20
 
 
 def test_integrate_noise_is_held_one_block_at_a_time(hardy):
@@ -472,3 +523,65 @@ def test_contraction_probe_zero_drift(grid, zero):
                                 alpha=ALPHA, kappa=[1.0, 0.0, 0.0],
                                 n_probes=1, steps=4, seed=1)
     assert rep.provenance["ratios"][0.1] == 0.0
+
+
+def _stacked_contraction_ratios(drift, weight, p, horizons, grid, kappa,
+                                n_probes, steps, seed):
+    """``contraction_probe``'s ratios from whole (steps + 1, N^3) stacks of
+    v and of the complex Hv = -i memory, each normed by its sup in time."""
+    b = drift.lattice
+    kb = sum(kappa[j] * b[j] for j in range(grid.dim))
+    weight_p = drift.magnitude() * weight.lattice ** (2.0 - p)
+
+    def norm(v_path):
+        return grid.lp_norm(np.max(np.abs(v_path), axis=0), p, weight_p)
+
+    ratios = {}
+    for horizon in horizons:
+        rng = np.random.default_rng(seed)
+        dt = horizon / steps
+        cfg = PropagatorConfig(drift, ALPHA, dt, 1)
+        worst = 0.0
+        for i in range(n_probes):
+            bumps = weighted.random_bumps(grid, steps + 1, grid.half_length / 4.0,
+                                          seed=seed + 100 * i,
+                                          center_radius=grid.half_length / 3.0)
+            v = np.stack([bumps[j] * rng.standard_normal()
+                          for j in range(steps + 1)])
+            hv = np.zeros((steps + 1,) + grid.shape, dtype=complex)
+            memory = np.zeros(grid.shape)
+            for j in range(steps):
+                memory = propagate(cfg, memory + dt * kb * v[j])
+                hv[j + 1] = -1j * memory
+            nv = norm(v)
+            if nv > 0:
+                worst = max(worst, norm(hv) / nv)
+        ratios[float(horizon)] = worst
+    return ratios
+
+
+@pytest.mark.parametrize("seed", [0, 7, 20240801])
+def test_contraction_probe_is_the_stacked_form_bit_for_bit(seed):
+    grid = TorusGrid(3, 8.0, 16)
+    drift = drifts.mollify(drifts.hardy_drift(0.05, ALPHA, 3), n=16,
+                           grid=grid, epsilon_n=0.5)
+    w = weighted.WeightSpec(grid, nu=0.675, alpha=ALPHA)
+    kappa = np.array([1.0, 0.0, 0.0])
+    rep = sde.contraction_probe(drift, w, p=5.0, horizons=(0.05, 0.1),
+                                grid=grid, alpha=ALPHA, kappa=kappa,
+                                n_probes=2, steps=4, seed=seed)
+    want = _stacked_contraction_ratios(drift, w, 5.0, (0.05, 0.1), grid,
+                                       kappa, 2, 4, seed)
+    got = rep.provenance["ratios"]
+    assert list(got) == list(want)
+    assert all(got[h] == want[h] > 0.0 for h in want)
+
+
+def test_contraction_probe_keeps_no_stack_in_time(grid, hardy):
+    # the stacks of v and complex Hv over 7 times were 5.25 MiB at N = 32
+    # (19.1 MiB traced with them)
+    w = weighted.WeightSpec(grid, nu=0.675, alpha=ALPHA)
+    peak = _traced_peak(lambda: sde.contraction_probe(
+        hardy, w, p=5.0, horizons=(0.05, 0.1), grid=grid, alpha=ALPHA,
+        kappa=[1.0, 0.0, 0.0], n_probes=2, steps=6, seed=0))
+    assert peak < 16 * 2**20
