@@ -51,9 +51,10 @@ class ExperimentConfig:
         violated hypothesis, and ConfigurationError naming the key for a
         seed outside [0, 2^64), a non-positive dt, a half_length that is not
         positive or sets mollification level 0, an empty t_list, lambda or
-        mu ladder, a hardy drift whose delta or alpha is not the config's,
-        a grid_n with no lattice or too coarse a lattice for a mollifier, or
-        a half_length too short for a mollifier of fixed width."""
+        mu ladder, an m_constant that is not ``m_constant``, a hardy drift
+        whose delta or alpha is not the config's, a grid_n with no lattice
+        or too coarse a lattice for a mollifier, or a half_length too short
+        for a mollifier of fixed width."""
         if not 0 <= self.seed < 2**64:
             raise ConfigurationError(
                 f"seed = {self.seed} must lie in [0, 2^64)")
@@ -69,6 +70,10 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"half_length = {self.half_length} must be at least 2: "
                 f"{self.scenario} mollifies at level int(half_length / 2)")
+        if self.m_constant not in (None, m_constant):
+            raise ConfigurationError(
+                f"m_constant = {self.m_constant} must equal the reference "
+                f"constant {m_constant} of alpha and dim")
         if self.drift.kind == "hardy":  # the audits measure cfg.delta
             for key in ("delta", "alpha"):
                 if self.drift.parameters.get(key) != getattr(self, key):

@@ -175,9 +175,9 @@ def bounded_smooth_drift(amplitude, half_period: float, dim: int) -> DriftSpec:
                                  "half_period": half_period})
 
 
-def custom_drift(fn, dim: int, singular_points=None) -> DriftSpec:
+def custom_drift(fn, dim: int, singular_points) -> DriftSpec:
     return DriftSpec(kind="custom_closure", parameters={"dim": dim},
-                     singular_points=singular_points or [], closure=fn)
+                     singular_points=singular_points, closure=fn)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ class ConvergenceError(StableLabError):
 class DivergenceError(StableLabError):
     """A Neumann series cannot converge; carries the norm estimate."""
 
-    def __init__(self, message, norm_estimate=None):
+    def __init__(self, message, norm_estimate):
         super().__init__(message)
         self.norm_estimate = norm_estimate
 
@@ -44,6 +44,6 @@ class ConfigurationError(StableLabError):
 class QuadratureError(StableLabError):
     """A quadrature did not reach the requested accuracy."""
 
-    def __init__(self, message, diagnostics=None):
+    def __init__(self, message, diagnostics):
         super().__init__(message)
-        self.diagnostics = diagnostics or {}
+        self.diagnostics = diagnostics

@@ -31,8 +31,7 @@ from .drifts import MollifiedDrift, mollify
 from .errors import ConfigurationError, ParameterError
 from .grid import TorusGrid
 from .kernels import cutoff_mass
-from .operators import (DotGradient, FourierMultiplier, heat_semigroup,
-                        real_gradient)
+from .operators import FourierMultiplier, heat_semigroup, real_gradient
 from .profiles import cutoff_profile
 from .report import VerificationReport, build_report
 from .resolvent import drifted_generator
@@ -308,12 +307,11 @@ def propagate(config: PropagatorConfig, f):
 
 
 def advective_source(drift: MollifiedDrift, u: np.ndarray) -> np.ndarray:
-    """b . grad u on the lattice.  Real u gives float64 through one rfftn
-    and d irfftn calls; complex u takes the ``DotGradient`` handle."""
-    b = drift.lattice
+    """b . grad u on the lattice for a real u, through one rfftn and d
+    irfftn calls; complex u raises."""
     if np.iscomplexobj(u):
-        return DotGradient(b, FourierMultiplier(drift.grid, 1.0)).apply(u)
-    return np.sum(b * real_gradient(drift.grid, u), axis=0)
+        raise ParameterError("advective_source takes a real field")
+    return np.sum(drift.lattice * real_gradient(drift.grid, u), axis=0)
 
 
 def duhamel_residual(config: PropagatorConfig, f) -> float:
@@ -323,11 +321,13 @@ def duhamel_residual(config: PropagatorConfig, f) -> float:
 
     with composite Simpson in time on the step grid (L = A + b . grad).
     The sign of the correction follows from integrating
-    d/ds [exp(-(t-s)L) exp(-sA)] = exp(-(t-s)L) (b . grad) exp(-sA)."""
+    d/ds [exp(-(t-s)L) exp(-sA)] = exp(-(t-s)L) (b . grad) exp(-sA).
+    Complex ``f`` raises, as numpy would cast it to real without a word."""
     grid = config.grid
     data = np.asarray(f)
-    real = not np.iscomplexobj(data)
-    data = np.asarray(data, dtype=float if real else complex)
+    if np.iscomplexobj(data):
+        raise ParameterError("duhamel_residual takes a real field")
+    data = np.asarray(data, dtype=float)
     cfg = (config if config.steps % 2 == 0
            else replace(config, steps=config.steps + 1))
     steps, dt = cfg.steps, cfg.dt
@@ -412,9 +412,8 @@ def conservativeness_check(config: PropagatorConfig, x_index, k_list,
 
 
 def feller_convergence_check(drift_base, n_list, t: float, f, grid: TorusGrid,
-                             alpha: float, steps: int,
-                             epsilon_rule=None,
-                             mu_ladder=(1e2, 1e3, 1e4)) -> VerificationReport:
+                             alpha: float, steps: int, epsilon_rule,
+                             mu_ladder) -> VerificationReport:
     """Cauchy behavior of the approximant semigroups in sup norm along the
     mollification ladder, plus the strong-identity limit of the scaled
     resolvents along a mu ladder."""
@@ -422,10 +421,9 @@ def feller_convergence_check(drift_base, n_list, t: float, f, grid: TorusGrid,
 
     data = np.asarray(f)
     outs = []
-    rule = epsilon_rule or (lambda n: None)
     mols = []
     for n in n_list:
-        mol = mollify(drift_base, n=n, grid=grid, epsilon_n=rule(n))
+        mol = mollify(drift_base, n=n, grid=grid, epsilon_n=epsilon_rule(n))
         mols.append(mol)
         cfg = PropagatorConfig(mol, alpha, t, steps)
         outs.append(propagate(cfg, data))

@@ -9,7 +9,7 @@ as the machinery behind the pointwise gradient-resolvent comparison constant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar
+from functools import lru_cache
 
 import numpy as np
 from scipy import integrate, interpolate, special
@@ -25,6 +25,10 @@ _CDF_POINTS = 500
 _CDF_X_MAX = 400.0
 # log-time trapezoid nodes of the resolvent kernels
 _LAPLACE_NODES = 1400
+# log-spline knots of the kernel profile
+_PROFILE_X_MIN = 1e-3
+_PROFILE_X_MAX = 60.0
+_PROFILE_POINTS_PER_DECADE = 48
 # kappa ladder of the gradient comparison constant
 _KAPPAS = (0.5, 1.0, 2.0, 4.0)
 
@@ -185,15 +189,12 @@ class KernelProfile:
 
     alpha: float
     dim: int
-    x_min: ClassVar[float] = 1e-3
-    x_max: ClassVar[float] = 60.0
-    points_per_decade: ClassVar[int] = 48
 
     def __post_init__(self):
         _check(self.alpha, self.dim)
-        n = int(np.ceil(np.log10(self.x_max / self.x_min)
-                        * self.points_per_decade))
-        xs = np.geomspace(self.x_min, self.x_max, n)
+        n = int(np.ceil(np.log10(_PROFILE_X_MAX / _PROFILE_X_MIN)
+                        * _PROFILE_POINTS_PER_DECADE))
+        xs = np.geomspace(_PROFILE_X_MIN, _PROFILE_X_MAX, n)
         dens = np.array([heat_kernel_value(self.alpha, self.dim, 1.0, x)
                          for x in xs])
         grad = np.array([-heat_kernel_radial_derivative(self.alpha, self.dim, 1.0, x)
@@ -215,8 +216,8 @@ class KernelProfile:
     def _piecewise(self, x, small, spline, tail_coeff, tail_power):
         x = np.atleast_1d(np.asarray(x, dtype=float))
         out = np.empty_like(x)
-        lo = x < self.x_min
-        hi = x > self.x_max
+        lo = x < _PROFILE_X_MIN
+        hi = x > _PROFILE_X_MAX
         mid = ~(lo | hi)
         out[lo] = small(x[lo])
         out[mid] = np.exp(spline(np.log(x[mid])))
@@ -246,45 +247,23 @@ class KernelProfile:
             np.asarray(r) * t ** (-1.0 / self.alpha))
 
 
-_PROFILE_CACHE: dict = {}
-
-
+@lru_cache(maxsize=None)
 def kernel_profile(alpha: float, dim: int) -> KernelProfile:
-    key = (round(alpha, 12), dim)
-    if key not in _PROFILE_CACHE:
-        _PROFILE_CACHE[key] = KernelProfile(alpha, dim)
-    return _PROFILE_CACHE[key]
+    """The ``KernelProfile`` of (alpha, dim), built once per process."""
+    return KernelProfile(alpha, dim)
 
 
-def _laplace_time_nodes(mu, left_rate):
-    """Log-time trapezoid nodes for int_0^inf exp(-mu t) t^(gamma-1) (...) dt."""
-    s_hi = np.log(40.0 / mu) + 2.0
-    s_lo = min(np.log(1.0 / mu), 0.0) - 40.0 / left_rate
-    s = np.linspace(s_lo, s_hi, _LAPLACE_NODES)
-    return s, s[1] - s[0]
-
-
-def resolvent_kernel_value(alpha, dim, mu, r, gamma=1.0) -> float:
-    """Radial kernel of (mu + A)^(-gamma) via the Laplace-time integral of
-    the scaled heat kernel profile."""
+def resolvent_kernel(heat_at, mu, r, gamma) -> float:
+    """Radial kernel of (mu + A)^(-gamma) at r by the log-time trapezoid
+    rule for the Laplace-time integral of ``heat_at(t, r)``: a kernel
+    profile's ``density_at``, or its ``gradient_at`` for |d/dr| of it."""
     if mu <= 0:
         raise ParameterError("mu must be positive")
-    prof = kernel_profile(alpha, dim)
-    s, ds = _laplace_time_nodes(mu, gamma + 1.0)
+    s = np.linspace(min(np.log(1.0 / mu), 0.0) - 40.0 / (gamma + 1.0),
+                    np.log(40.0 / mu) + 2.0, _LAPLACE_NODES)
+    ds = s[1] - s[0]
     t = np.exp(s)
-    vals = np.exp(-mu * t) * t**gamma * prof.density_at(t, r)
-    return float(np.sum(vals) * ds / special.gamma(gamma))
-
-
-def resolvent_kernel_gradient(alpha, dim, mu, r) -> float:
-    """|d/dr| of the radial kernel of the whole resolvent (mu + A)^(-1)."""
-    if mu <= 0:
-        raise ParameterError("mu must be positive")
-    prof = kernel_profile(alpha, dim)
-    gamma = 1.0
-    s, ds = _laplace_time_nodes(mu, gamma + 1.0)
-    t = np.exp(s)
-    vals = np.exp(-mu * t) * t**gamma * prof.gradient_at(t, r)
+    vals = np.exp(-mu * t) * t**gamma * heat_at(t, r)
     return float(np.sum(vals) * ds / special.gamma(gamma))
 
 
@@ -319,14 +298,14 @@ def estimate_gradient_constant(alpha, dim,
         raise ParameterError("sample_spec must contain at least one (mu, r) pair")
     prof = kernel_profile(alpha, dim)
     gamma_frac = (alpha - 1.0) / alpha
-    lhs = {s: resolvent_kernel_gradient(alpha, dim, s[0], s[1])
+    lhs = {s: resolvent_kernel(prof.gradient_at, s[0], s[1], 1.0)
            for s in samples}
     per_kappa = {}
     for kappa in _KAPPAS:
         ratios = []
         for mu, r in samples:
-            rhs = resolvent_kernel_value(alpha, dim, mu / kappa, r,
-                                         gamma=gamma_frac)
+            rhs = resolvent_kernel(prof.density_at, mu / kappa, r,
+                                   gamma_frac)
             ratios.append(lhs[(mu, r)] / rhs)
         per_kappa[kappa] = max(ratios)
     kappa_est = min(per_kappa, key=per_kappa.get)
@@ -335,7 +314,7 @@ def estimate_gradient_constant(alpha, dim,
     # Envelope fits on the scaled profile: P >= C * (1 ^ x^(-d-alpha)) and
     # |P'| <= K * (1 ^ x^(-d-alpha)); the comparison chain then bounds the
     # gradient ratio at kappa = 1 by (K/C) Gamma(1 - 1/alpha).
-    xs = np.geomspace(prof.x_min, prof.x_max, 400)
+    xs = np.geomspace(_PROFILE_X_MIN, _PROFILE_X_MAX, 400)
     envelope = np.minimum(1.0, xs ** -(dim + alpha))
     c_fit = float(np.min(prof.density(xs) / envelope))
     k_fit = float(np.max(prof.gradient(xs) / envelope))

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -21,8 +21,8 @@ class VerificationReport:
     metrics: dict
     tolerances: dict
     verdict: str
-    provenance: dict = field(default_factory=dict)
-    failures: list = field(default_factory=list)
+    provenance: dict
+    failures: list
 
     def as_dict(self) -> dict:
         return {

@@ -86,7 +86,7 @@ class ResolventAssembly:
     r: float
     drift: MollifiedDrift
     handles: dict
-    theta: LatticeOperator = field(repr=False, default=None)
+    theta: LatticeOperator = field(repr=False)
 
     def apply(self, data):
         return self.theta.apply(data)
@@ -145,7 +145,7 @@ def lp_resolvent_layout(power, q_op, t_op, g_op, p, q, r, alpha):
 
 
 def l2_extremizer(potential: np.ndarray, mu: float, grid: TorusGrid,
-                  alpha: float, seed: int, start=None) -> np.ndarray:
+                  alpha: float, seed: int, start) -> np.ndarray:
     """Top eigenfield phi of sqrt(V) (mu+A)^(-(a-1)/a) sqrt(V), the L^2
     extremizer that ``verify_lp_inequalities`` transports to every L^p;
     it does not depend on p.  Solved to tol 1e-8 from ``start`` (such as
@@ -243,9 +243,8 @@ def potential_bound_checks(label, worst, delta, c_val, p, mu, gamma):
 
 def verify_lp_inequalities(potential: np.ndarray, exponents, mu: float,
                            lam: float, grid: TorusGrid, alpha: float,
-                           n_probes: int, seed: int = 0,
-                           delta: float | None = None,
-                           extremizer: np.ndarray | None = None
+                           n_probes: int, seed: int, delta: float,
+                           extremizer: np.ndarray
                            ) -> list[VerificationReport]:
     """Probe, for each p of ``exponents``, the three resolvent-weighted
     bounds for a nonnegative potential V whose weak form-bound at shift
@@ -262,14 +261,12 @@ def verify_lp_inequalities(potential: np.ndarray, exponents, mu: float,
     p != 2.  Random fields, sign fields and a concentrated bump are drawn
     once for all exponents; the transported L^2 extremizer, which attains
     ratio delta/(delta c) for candidate c = 1 in every L^p, is a probe of
-    each exponent.  ``delta`` and ``extremizer`` (``l2_extremizer(potential,
-    mu, grid, alpha, seed)``) are solved once when not given.  Each probe
+    each exponent; the caller solves ``delta`` and ``extremizer``
+    (``estimate_weak_formbound``, ``l2_extremizer``).  Each probe
     is evaluated as soon as it is drawn, so a bounded number of fields is
     alive whatever ``n_probes`` is; the ratios are maxima, which do not
     depend on the order.
     """
-    from .formbound import estimate_weak_formbound
-
     if np.any(potential < 0):
         raise ParameterError("potential must be nonnegative")
     if mu < lam:
@@ -278,9 +275,6 @@ def verify_lp_inequalities(potential: np.ndarray, exponents, mu: float,
     candidates = [{"product_quarter": p * p_c / 4.0,
                    "reciprocal": 4.0 / (p * p_c)}
                   for p in exponents for p_c in (p / (p - 1.0),)]
-    if delta is None:
-        delta = estimate_weak_formbound(potential, lam, grid, alpha,
-                                        seed=seed).delta_est
     if delta == 0.0:
         return [build_report("markov_lp_resolvent_bounds",
                              {"p": p, "mu": mu, "lam": lam},
@@ -303,13 +297,11 @@ def verify_lp_inequalities(potential: np.ndarray, exponents, mu: float,
     # transported L^2 extremizer: f = V^(1/p - 1/2) phi with phi the top
     # eigenfield of sqrt(V) R sqrt(V); the operator of bound (b),
     # V^(1/p) R V^(1/p'), maps f to delta V^(1/p-1/2) phi
-    phi = (extremizer if extremizer is not None
-           else l2_extremizer(potential, mu, grid, alpha, seed))
     mask = potential > 1e-9 * np.max(potential)
 
     def transported(p):
         with np.errstate(divide="ignore", invalid="ignore"):
-            f = np.where(mask, potential ** (1.0 / p - 0.5), 0.0) * phi
+            f = extremizer * np.where(mask, potential ** (1.0 / p - 0.5), 0.0)
         return f, np.abs(f)
 
     found = probe_potential_bounds(

@@ -157,7 +157,7 @@ def run_formbound_audit(cfg: ExperimentConfig) -> ScenarioResult:
                          checks, provenance={"kato_values": kato_vals}))
 
     adm = formbound.admissible_delta_threshold(cfg.dim, cfg.alpha,
-                                               cfg.m_constant or 1.0)
+                                               cfg.m_constant)
     p_minus, p_plus = adm.p_interval(cfg.delta)
     out.add(build_report("admissibility_window",
                          {"m": cfg.m_constant, "delta": cfg.delta},
@@ -187,12 +187,12 @@ def run_resolvent_verify(cfg: ExperimentConfig) -> ScenarioResult:
                         / np.linalg.norm(f))
     th_b = resolvent.assemble_l2_resolvent(smooth, 5.0, grid, cfg.alpha)
     f = rng.standard_normal(grid.shape)
-    lhs = theta2.apply(f) - th_b.apply(f)
-    rhs = 3.0 * theta2.apply(th_b.apply(f))
+    ref, th_b_f = theta2.apply(f), th_b.apply(f)
+    lhs = ref - th_b_f
+    rhs = 3.0 * theta2.apply(th_b_f)
     pseudo = np.linalg.norm(lhs - rhs) / np.linalg.norm(lhs)
     asm = resolvent.assemble_lp_resolvent(smooth, 2.0, p=2.5, q=3.5, r=1.8,
                                           grid=grid, alpha=cfg.alpha)
-    ref = theta2.apply(f)
     consistency = np.linalg.norm(asm.apply(f) - ref) / np.linalg.norm(ref)
     out.add(build_report("resolvent_factorization_identities",
                          {"zeta": 2.0, "eta": 5.0},
@@ -333,7 +333,7 @@ def run_sde_identify(cfg: ExperimentConfig) -> ScenarioResult:
     fine = sde.identify_driving_noise(ens_fine, kappas)
     allowance = 2.0 * max(abs(c.w_hat - f.w_hat)
                           for c, f in zip(coarse, fine))
-    out.add(sde.noise_identification_report(ens, kappas,
+    out.add(sde.noise_identification_report(ens, coarse,
                                             bias_allowance=allowance))
     density = sde.ensemble_density(ens, grid).to_bytes()
     del ens, ens_fine  # the semigroup check integrates ensembles of its own

@@ -46,9 +46,9 @@ class PathEnsemble:
     states: np.ndarray = field(repr=False)
     drift_integral: np.ndarray = field(repr=False)
     abs_drift_integral: np.ndarray = field(repr=False)
-    wrap_fraction: float = 0.0
-    seed: int = 0
-    alpha: float = 1.5
+    wrap_fraction: float
+    seed: int
+    alpha: float
 
     def __post_init__(self):
         if self.states.ndim != 2:
@@ -230,7 +230,7 @@ def wrapped_states(ensemble: PathEnsemble, grid: TorusGrid) -> np.ndarray:
 
 def mc_vs_semigroup(drift: MollifiedDrift, x0, t: float, f, n_paths: int,
                     dt: float, alpha: float, seed: int,
-                    n_levels=None) -> VerificationReport:
+                    n_levels) -> VerificationReport:
     """Two routes to E_x f(X_t): Monte Carlo mean over paths against the
     lattice semigroup applied to f, read at the starting site.  The pass
     band is 3 MC standard errors plus a weak-error allowance fitted from
@@ -263,7 +263,7 @@ def mc_vs_semigroup(drift: MollifiedDrift, x0, t: float, f, n_paths: int,
          wrap_c <= 0.01),
     ]
     abs_levels = {drift.n: abs_c}
-    for n in (n_levels or ()):
+    for n in n_levels:
         if n == drift.n:
             continue
         lev = mollify(drift.base, n=n, grid=grid, epsilon_n=drift.epsilon_n)
@@ -300,9 +300,10 @@ def identify_driving_noise(ensemble: PathEnsemble, kappa_list) -> list:
     return probes
 
 
-def noise_identification_report(ensemble: PathEnsemble, kappa_list,
-                                bias_allowance: float = 0.0) -> VerificationReport:
-    probes = identify_driving_noise(ensemble, kappa_list)
+def noise_identification_report(ensemble: PathEnsemble, probes,
+                                bias_allowance: float) -> VerificationReport:
+    """Each of the ``identify_driving_noise`` ``probes`` of ``ensemble``
+    within 3 standard errors plus ``bias_allowance`` of its target."""
     checks = []
     for pr in probes:
         band = 3.0 * pr.stderr + bias_allowance

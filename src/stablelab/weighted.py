@@ -180,7 +180,7 @@ def check_weighted_exponent(dim, alpha, nu, p) -> None:
 def verify_weighted_estimates(drift: DriftSpec, weight: WeightSpec, p: float,
                               mu_list, grid: TorusGrid, alpha: float,
                               m_levels, q: float, r: float,
-                              seed=0) -> VerificationReport:
+                              seed: int) -> VerificationReport:
     """Probe the three weighted resolvent estimates for the drifted
     generator at each mollification level m and each mu:
 

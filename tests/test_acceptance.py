@@ -130,9 +130,12 @@ def test_criterion_06_potential_bound_constants(hardy, grid32):
     potential = mol.magnitude()
     ok_product = True
     reciprocal_fails = False
+    delta = formbound.estimate_weak_formbound(potential, 0.01, grid32, ALPHA,
+                                              seed=SEED).delta_est
+    phi = resolvent.l2_extremizer(potential, 1.0, grid32, ALPHA, SEED, None)
     reports = resolvent.verify_lp_inequalities(
         potential, (2.0, 4.5), mu=1.0, lam=0.01, grid=grid32, alpha=ALPHA,
-        n_probes=50, seed=SEED)
+        n_probes=50, seed=SEED, delta=delta, extremizer=phi)
     for p_exp, rep in zip((2.0, 4.5), reports, strict=True):
         ok_product = ok_product and all(
             rep.metrics[f"product_quarter:{w}"] <= 1.0 + 1e-6
@@ -192,7 +195,8 @@ def test_criterion_10_feller_cauchy(hardy, grid32):
     rule = lambda n: 2.0 * grid32.spacing * 16.0 / n
     rep = evolution.feller_convergence_check(hardy, (8, 16, 32), 0.25, f,
                                              grid32, ALPHA, steps=10,
-                                             epsilon_rule=rule)
+                                             epsilon_rule=rule,
+                                             mu_ladder=(1e2, 1e3, 1e4))
     diffs = rep.provenance["sup_differences"]
     ok = rep.verdict == "pass" and diffs[1] < diffs[0]
     record(10, f"sup-norm Cauchy differences strictly decrease "
@@ -209,7 +213,7 @@ def test_criterion_11_sde_identification(hardy, grid32):
     fine = sde.identify_driving_noise(ens_fine, kappas)
     allowance = 2.0 * max(abs(c.w_hat - f.w_hat)
                           for c, f in zip(coarse, fine))
-    id_rep = sde.noise_identification_report(ens, kappas,
+    id_rep = sde.noise_identification_report(ens, coarse,
                                              bias_allowance=allowance)
     f_field = heat_semigroup(grid32, ALPHA, 0.3).apply(
         np.random.default_rng(SEED + 2).standard_normal(grid32.shape)).real

@@ -284,6 +284,19 @@ def test_exit_code_2_on_a_hardy_drift_unlike_the_config(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_exit_code_2_on_an_m_constant_unlike_the_reference(tmp_path):
+    # a configured m_constant used to be replaced by the reference one,
+    # and the run recorded m = 2.99... with exit 0
+    out = io.StringIO()
+    path = write(tmp_path, "m.json", '{"scenario": "formbound_audit", '
+                 '"grid_n": 16, "m_constant": 3.0}')
+    assert cli.run(path, out_dir=str(tmp_path / "out"), stream=out) == 2
+    m = config.reference_m_constant(1.5, 3)
+    assert out.getvalue() == (f"config error: m_constant = 3.0 must equal "
+                              f"the reference constant {m} of alpha and dim\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_a_hardy_drift_takes_the_delta_and_alpha_it_does_not_name():
     # as it takes the config's dim: a missing alpha was filled with 1.5,
     # and this config was refused as drift.alpha = 1.5 against alpha = 1.4
@@ -506,7 +519,7 @@ def test_report_numpy_round_trip():
     rep = VerificationReport(
         anchor="demo", inputs={"arr": np.array([1.0, 2.0])},
         metrics={"v": np.float64(0.25), "c": 1.0 + 2.0j},
-        tolerances={}, verdict="pass")
+        tolerances={}, verdict="pass", provenance={}, failures=[])
     doc = json.loads(rep.to_json())
     assert doc["inputs"]["arr"] == [1.0, 2.0]
     assert doc["metrics"]["c"] == {"re": 1.0, "im": 2.0}

@@ -74,7 +74,7 @@ def test_mollify_no_shift():
     # the convolution must keep the bump centered (no fftshift offset)
     grid = TorusGrid(2, 4.0, 32)
     base = drifts.custom_drift(
-        lambda x, y: (np.exp(-(x**2 + y**2)), np.zeros_like(x + y)), 2)
+        lambda x, y: (np.exp(-(x**2 + y**2)), np.zeros_like(x + y)), 2, [])
     mol = drifts.mollify(base, n=4, grid=grid, epsilon_n=0.5)
     peak = np.unravel_index(np.argmax(mol.lattice[0]), grid.shape)
     assert peak == grid.site_index([0.0, 0.0])
@@ -108,7 +108,7 @@ def test_mollify_sup_bound():
 
 
 def test_json_round_trip():
-    fn = drifts.custom_drift(lambda x: (x,), 1)
+    fn = drifts.custom_drift(lambda x: (x,), 1, [])
     with pytest.raises(ParameterError):
         fn.to_json()
 
@@ -209,8 +209,8 @@ def test_mollify_is_the_complex_fft_convolution(kind, n_axis, dim, level,
 
 def test_lattice_evaluation_rejects_nonfinite_and_miscounted_closures():
     grid = TorusGrid(2, 4.0, 8)
-    unlisted = drifts.custom_drift(point_source([0.0, 0.0]), 2)
-    miscounted = drifts.custom_drift(lambda x, y: (x + y,), 2)
+    unlisted = drifts.custom_drift(point_source([0.0, 0.0]), 2, [])
+    miscounted = drifts.custom_drift(lambda x, y: (x + y,), 2, [])
     for spec in (unlisted, miscounted):
         with pytest.raises(ParameterError):
             spec.on_lattice(grid)

@@ -188,7 +188,8 @@ def test_feller_convergence_hardy(grid):
     f = smooth_field(grid, 11)
     rule = lambda n: 2.0 * grid.spacing * 16.0 / n
     rep = evolution.feller_convergence_check(base, (8, 16, 32), 0.25, f, grid,
-                                             ALPHA, steps=10, epsilon_rule=rule)
+                                             ALPHA, steps=10, epsilon_rule=rule,
+                                             mu_ladder=(1e2, 1e3, 1e4))
     assert rep.verdict == "pass"
     diffs = rep.provenance["sup_differences"]
     assert diffs[1] < diffs[0]
@@ -197,7 +198,8 @@ def test_feller_convergence_hardy(grid):
 def test_feller_zero_field(grid):
     base = drifts.hardy_drift(0.05, ALPHA, 3)
     rep = evolution.feller_convergence_check(
-        base, (8, 16), 0.25, np.zeros(grid.shape), grid, ALPHA, steps=5)
+        base, (8, 16), 0.25, np.zeros(grid.shape), grid, ALPHA, steps=5,
+        epsilon_rule=lambda n: None, mu_ladder=(1e2, 1e3, 1e4))
     assert rep.provenance["sup_differences"][0] == 0.0
 
 
@@ -206,7 +208,7 @@ def test_feller_stabilized_bounded_drift(grid):
     f = smooth_field(grid, 12)
     rep = evolution.feller_convergence_check(
         base, (16, 32, 64), 0.25, f, grid, ALPHA, steps=10,
-        epsilon_rule=lambda n: 0.01)
+        epsilon_rule=lambda n: 0.01, mu_ladder=(1e2, 1e3, 1e4))
     diffs = rep.provenance["sup_differences"]
     assert all(d <= 1e-6 for d in diffs)
 
@@ -369,6 +371,17 @@ def test_advective_source_real_path_matches_complex(small_grid, small_drift,
     assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
 
 
+def test_complex_data_is_refused_by_the_duhamel_route(small_grid,
+                                                      small_drift):
+    # numpy would cast it to real without a word
+    u = smooth_field(small_grid, 1) + 1j * smooth_field(small_grid, 2)
+    cfg = evolution.PropagatorConfig(small_drift, ALPHA, 0.1, 2)
+    with pytest.raises(ParameterError, match="real field"):
+        evolution.duhamel_residual(cfg, u)
+    with pytest.raises(ParameterError, match="real field"):
+        evolution.advective_source(small_drift, u)
+
+
 @pytest.mark.parametrize("cells, which", [(1.5, "departure"),
                                           (3.0, "midpoint")])
 def test_stepper_rejects_displacement_of_a_cell(small_drift, cells, which):
@@ -487,8 +500,6 @@ def test_stacks_give_the_bits_of_one_field_at_a_time(small_grid, small_drift,
                                                               weights))
     cfg = evolution.PropagatorConfig(small_drift, ALPHA, 0.05 * steps, steps)
     f = smooth_field(small_grid, seed)
-    if is_complex:
-        f = f + 1j * smooth_field(small_grid, seed + 1)
     assert (evolution.duhamel_residual(cfg, f)
             == unstacked_duhamel_residual(cfg, f))
     site = small_grid.site_index([0.5, -1.0, 0.0])

@@ -14,6 +14,8 @@ with a default and every annotated class-body assignment with a value,
 over the package's modules.  Each is an option with a value someone
 chose; ``KNOBS`` pins the total, so that none is added unnoticed.  A
 change that moves the count updates ``KNOBS`` and says why in CHANGES.md.
+A default that no package call leaves unset is an option only tests use:
+each must be left unset by at least one call of its callee's name.
 """
 
 import ast
@@ -25,7 +27,7 @@ import stablelab
 
 MODULES = sorted(p for p in Path(stablelab.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
-KNOBS = 82
+KNOBS = 61
 
 
 def _imports(tree):
@@ -180,3 +182,102 @@ def test_knobs_are_counted():
 def test_the_knob_ledger():
     package = Path(stablelab.__file__).parent.glob("*.py")
     assert sum(knobs(p.read_text(encoding="utf-8")) for p in package) == KNOBS
+
+
+def _params(fn):
+    """(leading self, parameter names in call order, names with a
+    default) of a function definition."""
+    args = fn.args
+    positional = [a.arg for a in args.posonlyargs + args.args]
+    given = set(positional[len(positional) - len(args.defaults):])
+    given |= {a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults)
+              if d is not None}
+    leading_self = positional[:1] in (["self"], ["cls"])
+    return leading_self, positional + [a.arg for a in args.kwonlyargs], given
+
+
+def _dataclass_fields(cls):
+    """(field names in call order, names with a default) of a dataclass."""
+    names, given = [], set()
+    for s in cls.body:
+        if not (isinstance(s, ast.AnnAssign)
+                and isinstance(s.target, ast.Name)) or (
+                "ClassVar" in ast.unparse(s.annotation)):
+            continue
+        names.append(s.target.id)
+        bare_field = (isinstance(s.value, ast.Call)
+                      and getattr(s.value.func, "id", None) == "field"
+                      and not {k.arg for k in s.value.keywords}
+                      & {"default", "default_factory"})
+        if s.value is not None and not bare_field:
+            given.add(s.target.id)
+    return names, given
+
+
+def _signatures(tree):
+    """(callee name, leading self, parameter names in call order, names
+    with a default) of every function, method and dataclass of ``tree``;
+    ``__init__`` and a dataclass are called by the name of their class."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            if any("dataclass" in ast.unparse(d) for d in node.decorator_list):
+                yield (node.name, False, *_dataclass_fields(node))
+            for f in node.body:
+                if isinstance(f, ast.FunctionDef) and f.name == "__init__":
+                    yield (node.name, *_params(f))
+        elif (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and node.name != "__init__"):
+            yield (node.name, *_params(node))
+
+
+def defaults_no_call_leaves_unset(sources) -> list:
+    """``callee:parameter`` of every default that no call in ``sources``
+    leaves unset: each call of that callee name (an ``ast.Name`` or
+    ``ast.Attribute``) passes it, or there is no call.  A call with ``*``
+    or ``**`` arguments is taken to leave every default unset."""
+    trees = [ast.parse(source) for source in sources]
+    calls = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = (node.func.id if isinstance(node.func, ast.Name)
+                        else getattr(node.func, "attr", None))
+                calls.setdefault(name, []).append(node)
+
+    def leaves_unset(call, index, param):
+        return (any(isinstance(a, ast.Starred) for a in call.args)
+                or any(k.arg is None for k in call.keywords)
+                or (len(call.args) <= index
+                    and param not in {k.arg for k in call.keywords}))
+
+    found = []
+    for tree in trees:
+        for name, leading_self, params, given in _signatures(tree):
+            params = params[1:] if leading_self else params
+            found += [f"{name}:{param}"
+                      for index, param in enumerate(params)
+                      if param in given and not any(
+                          leaves_unset(call, index, param)
+                          for call in calls.get(name, ()))]
+    return found
+
+def test_default_no_call_leaves_unset_is_caught():
+    sources = ["def f(a, b=1, *, c=2):\n    pass\n\n"
+               "class K:\n    def m(self, x=0, y=1):\n        pass\n",
+               "from dataclasses import dataclass, field\n"
+               "f(0, 1)\nf(0, 2, c=3)\nK().m(1)\n\n"
+               "@dataclass\nclass D:\n    a: int = field(repr=False)\n"
+               "    b: int = 0\n    c: list = field(default_factory=list)\n"
+               "D(1, c=[])\n"
+               "def g(n=0):\n    pass\n\n"
+               "class E:\n    def __init__(self, k=0):\n        pass\n\n"
+               "def h(x=0):\n    pass\n\n"
+               "E(k=1)\nh(*[1])\n"]
+    assert defaults_no_call_leaves_unset(sources) == [
+        "f:b", "m:x", "D:c", "g:n", "E:k"]
+
+
+def test_every_default_is_left_unset_by_a_package_call():
+    package = Path(stablelab.__file__).parent.glob("*.py")
+    assert defaults_no_call_leaves_unset(
+        [p.read_text(encoding="utf-8") for p in sorted(package)]) == []

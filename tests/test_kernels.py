@@ -130,7 +130,8 @@ def test_resolvent_kernel_value_vs_balakrishnan_route():
     # whole resolvent kernel via Laplace-time integral vs an independent
     # direct time integral with scipy quadrature
     mu, r = 2.0, 1.0
-    val = kernels.resolvent_kernel_value(ALPHA, 3, mu, r)
+    val = kernels.resolvent_kernel(kernels.kernel_profile(ALPHA, 3).density_at,
+                                   mu, r, 1.0)
     direct, _ = integrate.quad(
         lambda t: np.exp(-mu * t) * kernels.heat_kernel_value(ALPHA, 3, t, r),
         0, np.inf, limit=200)

@@ -4,9 +4,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from scipy import fft as sfft
 
 from stablelab import operators as ops
-from stablelab.drifts import MollifiedDrift
 from stablelab.errors import ConvergenceError, DivergenceError, ParameterError
-from stablelab.evolution import advective_source
 from stablelab.grid import TorusGrid
 
 
@@ -432,13 +430,6 @@ def test_dot_gradient_is_per_axis_sum(kind, n, dim, seed, complex_data):
                  for j in range(dim))
     out = ops.DotGradient(v, inner).apply(f)
     assert np.linalg.norm(out - manual) <= 1e-12 * np.linalg.norm(manual)
-    if kind == "one" and complex_data:
-        # complex advective_source is this handle: the per-axis sum, bitwise
-        drift = MollifiedDrift(None, 1, 1.0, grid, v)
-        per_axis = sum(v[j] * ops.gradient_component(grid, j).apply(f)
-                       for j in range(dim))
-        assert np.array_equal(advective_source(drift, f).view(np.int64),
-                              per_axis.view(np.int64))
 
 
 def assert_adjoint_pairing(op, f, g):

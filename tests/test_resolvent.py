@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from stablelab import drifts, resolvent
+from stablelab import drifts, formbound, resolvent
 from stablelab.errors import DivergenceError, ParameterError
 from stablelab.formbound import top_eigenpair
 from stablelab.grid import TorusGrid
@@ -253,10 +253,17 @@ def test_t_norm_probe_respects_theory_bound():
     assert probe <= est.m_est * c_p * delta * 1.1
 
 
+def weak_formbound(potential, grid, seed):
+    """delta of ``potential`` at shift 0.01, the delta the tests pass."""
+    return formbound.estimate_weak_formbound(potential, 0.01, grid, ALPHA,
+                                             seed=seed).delta_est
+
+
 def test_lp_inequalities_zero_potential(grid):
-    [rep] = resolvent.verify_lp_inequalities(np.zeros(grid.shape), (4.5,),
-                                             1.0, 0.01, grid, ALPHA,
-                                             n_probes=5)
+    zero = np.zeros(grid.shape)
+    [rep] = resolvent.verify_lp_inequalities(
+        zero, (4.5,), 1.0, 0.01, grid, ALPHA, n_probes=5, seed=0,
+        delta=weak_formbound(zero, grid, 0), extremizer=zero)
     assert rep.verdict == "pass"
     assert all(v == 0.0 for v in rep.metrics.values())
 
@@ -265,9 +272,12 @@ def test_lp_inequalities_candidates_at_p2():
     grid = TorusGrid(3, 8.0, 32)
     mol = drifts.mollify(drifts.hardy_drift(0.05, ALPHA, 3), n=4, grid=grid,
                          epsilon_n=0.25)
-    [rep] = resolvent.verify_lp_inequalities(mol.magnitude(), (2.0,), 1.0,
-                                             0.01, grid, ALPHA, n_probes=20,
-                                             seed=3)
+    potential = mol.magnitude()
+    [rep] = resolvent.verify_lp_inequalities(
+        potential, (2.0,), 1.0, 0.01, grid, ALPHA, n_probes=20, seed=3,
+        delta=weak_formbound(potential, grid, 3),
+        extremizer=resolvent.l2_extremizer(potential, 1.0, grid, ALPHA, 3,
+                                           None))
     # c = 1 for both candidates at p = 2: identical ratios, all pass
     assert rep.verdict == "pass"
     assert rep.metrics["product_quarter:b"] == pytest.approx(
@@ -278,30 +288,18 @@ def test_lp_inequalities_separate_candidates_at_p45():
     grid = TorusGrid(3, 8.0, 32)
     mol = drifts.mollify(drifts.hardy_drift(0.05, ALPHA, 3), n=4, grid=grid,
                          epsilon_n=0.25)
-    [rep] = resolvent.verify_lp_inequalities(mol.magnitude(), (4.5,), 1.0,
-                                             0.01, grid, ALPHA, n_probes=50,
-                                             seed=3)
+    potential = mol.magnitude()
+    [rep] = resolvent.verify_lp_inequalities(
+        potential, (4.5,), 1.0, 0.01, grid, ALPHA, n_probes=50, seed=3,
+        delta=weak_formbound(potential, grid, 3),
+        extremizer=resolvent.l2_extremizer(potential, 1.0, grid, ALPHA, 3,
+                                           None))
     assert all(rep.metrics[f"product_quarter:{w}"] <= 1.0 + 1e-6
                for w in ("a", "b", "c"))
     assert any(rep.metrics[f"reciprocal:{w}"] > 1.0 + 1e-6
                for w in ("a", "b", "c"))
     assert rep.verdict == "fail"  # reciprocal candidate fails by design
     assert any(name.startswith("reciprocal") for name in rep.failures)
-
-
-def test_given_extremizer_gives_the_same_report(grid):
-    mol = drifts.mollify(drifts.hardy_drift(0.05, ALPHA, 3), n=4, grid=grid,
-                         epsilon_n=0.5)
-    potential = mol.magnitude()
-    phi = resolvent.l2_extremizer(potential, 1.0, grid, ALPHA, seed=3)
-    solved = resolvent.verify_lp_inequalities(
-        potential, (2.0, 4.5), 1.0, 0.01, grid, ALPHA, n_probes=8, seed=3)
-    given = resolvent.verify_lp_inequalities(
-        potential, (2.0, 4.5), 1.0, 0.01, grid, ALPHA, n_probes=8, seed=3,
-        extremizer=phi)
-    assert len(given) == len(solved) == 2
-    for g, s in zip(given, solved):
-        assert g.metrics == s.metrics
 
 
 def test_lp_probes_are_streamed():
@@ -311,7 +309,8 @@ def test_lp_probes_are_streamed():
     mol = drifts.mollify(drifts.hardy_drift(0.05, ALPHA, 3), n=4, grid=grid,
                          epsilon_n=0.25)
     potential = mol.magnitude()
-    phi = resolvent.l2_extremizer(potential, 1.0, grid, ALPHA, seed=3)
+    phi = resolvent.l2_extremizer(potential, 1.0, grid, ALPHA, seed=3,
+                                  start=None)
 
     def traced_peak(n_probes):
         tracemalloc.start()
@@ -350,8 +349,11 @@ def test_one_call_equals_one_exponent_calls_bitwise(
     grid, potential = smooth_potential(n, amplitude, seed)
     # a zero extremizer gives zero transported probes, which are skipped,
     # so that the shared probes alone set the ratios
-    kwargs = dict(n_probes=n_probes, seed=seed, extremizer=(
-        None if solve_extremizer else np.zeros(grid.shape)))
+    # (at delta = 0 no extremizer is read)
+    delta = weak_formbound(potential, grid, seed)
+    kwargs = dict(n_probes=n_probes, seed=seed, delta=delta, extremizer=(
+        resolvent.l2_extremizer(potential, 1.0, grid, ALPHA, seed, None)
+        if solve_extremizer and delta != 0.0 else np.zeros(grid.shape)))
     args = (1.0, 0.01, grid, ALPHA)
     joint = resolvent.verify_lp_inequalities(
         potential, tuple(exponents), *args, **kwargs)
@@ -391,7 +393,8 @@ def test_shared_probes_save_one_transform_each(grid, monkeypatch, n_probes):
     mol = drifts.mollify(drifts.hardy_drift(0.05, ALPHA, 3), n=4, grid=grid,
                          epsilon_n=0.5)
     potential = mol.magnitude()
-    phi = resolvent.l2_extremizer(potential, 1.0, grid, ALPHA, seed=3)
+    phi = resolvent.l2_extremizer(potential, 1.0, grid, ALPHA, seed=3,
+                                  start=None)
     calls = [0]
     apply = FourierMultiplier.apply
 

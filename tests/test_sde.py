@@ -183,7 +183,8 @@ def test_t_final_is_dt_times_the_step_count(hardy):
     ens = sde.integrate(hardy, [0.0] * 3, 0.35, 0.01, 8, seed=5, alpha=ALPHA)
     assert ens.t_final == 0.01 * 35 != 0.35
     assert type(ens.t_final) is float
-    rep = sde.noise_identification_report(ens, [[1.0, 0.0, 0.0]])
+    rep = sde.noise_identification_report(
+        ens, sde.identify_driving_noise(ens, [[1.0, 0.0, 0.0]]), 0.0)
     assert rep.inputs["t"] == 0.01 * 35
 
 
@@ -396,7 +397,8 @@ def test_recovered_noise_is_exactly_the_increments(grid, hardy):
 def test_zero_drift_paths_match_sampler_law(grid, zero):
     ens = sde.integrate(zero, [0.0] * 3, 0.5, 0.025, 20000, seed=9,
                         alpha=ALPHA)
-    rep = sde.noise_identification_report(ens, [[1.0, 0.0, 0.0]])
+    rep = sde.noise_identification_report(
+        ens, sde.identify_driving_noise(ens, [[1.0, 0.0, 0.0]]), 0.0)
     assert rep.verdict == "pass"
     from stablelab.sampler import empirical_char_function
 
@@ -441,14 +443,14 @@ def test_mc_vs_semigroup_free(grid, zero):
     f = heat_semigroup(grid, ALPHA, 0.3).apply(
         np.random.default_rng(5).standard_normal(grid.shape)).real
     rep = sde.mc_vs_semigroup(zero, [0.0] * 3, 0.5, f, n_paths=20000,
-                              dt=0.025, alpha=ALPHA, seed=2)
+                              dt=0.025, alpha=ALPHA, seed=2, n_levels=())
     assert rep.verdict == "pass"
 
 
 def test_mc_vs_semigroup_constant_field(grid, hardy):
     ones = np.ones(grid.shape)
     rep = sde.mc_vs_semigroup(hardy, [0.0] * 3, 0.25, ones, n_paths=2000,
-                              dt=0.0125, alpha=ALPHA, seed=3)
+                              dt=0.0125, alpha=ALPHA, seed=3, n_levels=())
     assert rep.provenance["mc_mean"] == pytest.approx(1.0, abs=1e-12)
     assert abs(rep.provenance["semigroup"] - 1.0) <= 1e-8
 
@@ -472,8 +474,8 @@ def test_noise_identification_kappa_zero(grid, hardy):
 def test_noise_identification_hardy(grid, hardy):
     ens = sde.integrate(hardy, [0.0] * 3, 0.5, 0.01, 20000, seed=14,
                         alpha=ALPHA)
-    rep = sde.noise_identification_report(
-        ens, [[0.5, 0, 0], [1.0, 0, 0], [0, 2.0, 0]])
+    rep = sde.noise_identification_report(ens, sde.identify_driving_noise(
+        ens, [[0.5, 0, 0], [1.0, 0, 0], [0, 2.0, 0]]), 0.0)
     assert rep.verdict == "pass"
 
 
