@@ -12,12 +12,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate, interpolate, special
+from numpy.polynomial.polynomial import polyval
+from scipy import linalg, special
 
 from .errors import ParameterError, QuadratureError
 
-_QUAD_LIMIT = 400
-_QUAD_LIMLST = 600
+# ray quadrature: decay exponent at the cut; r values per block, so that each
+# temporary (118 kB) stays below malloc's 128 KiB mmap threshold
+_RAY_CUT = 50.0
+_RAY_CHUNK = 8
 # Gauss-Legendre nodes of the 1D marginal mass on [0, R]
 _HALFLINE_NODES = 64
 # marginal CDF: density spline knots, and where the power tail takes over
@@ -57,65 +60,83 @@ def heat_kernel_peak(alpha: float, dim: int, t: float) -> float:
             / (alpha * (2.0 * np.pi) ** dim) * t ** (-dim / alpha))
 
 
-def _fourier_quad(f, w, kind, rho_scale):
-    """int_0^inf f(u) * {sin,cos}(w u) du for decaying smooth f.
+def _fourier_quad(alpha, t, r, powers):
+    """int_0^inf exp(-t u^alpha) u^j cos(r u) du for even j, and the sin
+    integral for odd j, one row per j of ``powers``, at each r >= 0.
 
-    QAWF handles the genuinely oscillatory regime; when fewer than a few
-    cycles fit under the decay scale of f, plain adaptive quadrature of
-    the explicit product is both safe and accurate (QAWF can silently
-    fail for near-zero wvar).
-    """
-    if w * rho_scale < 30.0:
-        osc = np.sin if kind == "sin" else np.cos
-        val, err = integrate.quad(lambda u: f(u) * osc(w * u), 0.0,
-                                  3.0 * rho_scale, limit=_QUAD_LIMIT)
-    else:
-        val, err = integrate.quad(f, 0.0, np.inf, weight=kind, wvar=w,
-                                  limit=_QUAD_LIMIT, limlst=_QUAD_LIMLST)
-    if not np.isfinite(val):
-        raise QuadratureError("oscillatory quadrature failed",
-                              {"weight": kind, "wvar": w, "err": err})
-    return val
+    These are parts of int exp(-t u^alpha) u^j e^(i r u) du, whose
+    integrand is analytic and decays for 0 <= arg u < pi/(2 alpha): the
+    rule runs along u = v e^(i angle) until exp(-t u^alpha) or e^(i r u)
+    is below exp(-_RAY_CUT), on the real axis if the first decays first,
+    else at angle pi/(4 alpha), u^alpha = v^alpha e^(i pi/4), taking
+    e^(i r u) (exp(-t u^alpha) - 1): the rest, j! (i/r)^(j+1), is not read."""
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    with np.errstate(divide="ignore"):
+        cut_r = _RAY_CUT / (r * np.sin(np.pi / (4.0 * alpha)))
+    cut_t = (_RAY_CUT / (t * np.cos(np.pi / 4.0))) ** (1.0 / alpha)
+    ray, cut = cut_r < cut_t, np.minimum(cut_r, cut_t)
+    turn = np.exp(1j * np.where(ray, np.pi / (4.0 * alpha), 0.0))
+    t_cut = t * cut**alpha * np.where(ray, np.exp(0.25j * np.pi), 1.0)
+    out = np.empty((len(powers), r.size))
+    for b in (slice(lo, lo + _RAY_CHUNK) for lo in range(0, r.size, _RAY_CHUNK)):
+        v = cut[b, None] * _RAY_NODES
+        z = np.exp(1j * turn[b, None] * (r[b, None] * v)) * (
+            ~ray[b, None] + np.expm1(-t_cut[b, None] * _RAY_NODES**alpha))
+        for row, j in enumerate(powers):
+            part = (z * v**j) @ _RAY_WEIGHTS * (cut[b] * turn[b] ** (j + 1))
+            out[row, b] = part.imag if j % 2 else part.real
+    if not np.all(np.isfinite(out)):
+        raise QuadratureError("ray quadrature failed", {"alpha": alpha, "t": t})
+    return out
+
+
+def _gauss(edges, n):
+    """n-point Gauss-Legendre nodes and weights on each panel of edges."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    half = 0.5 * np.diff(edges)[:, None]
+    return (edges[:-1, None] + half * (x + 1.0)).ravel(), (half * w).ravel()
+
+
+# 920 nodes on [0, 1] for every r and t: 30 panels halving toward 0 (the
+# v^alpha branch point) up to 1/16, then 16 equal panels
+_RAY_NODES, _RAY_WEIGHTS = _gauss(
+    np.r_[0.0, 2.0 ** np.arange(-33, -3), np.linspace(1 / 16, 1, 17)[1:]], 20)
+
+
+def _radial(alpha, dim, t, r):
+    """Values and radial derivatives of the kernel on R^d, d = 1 or 3, at
+    each r > 0, from the ``_fourier_quad`` integrals C_j (cos) and S_j (sin):
+    p1 = C0 / pi, p1' = -S1 / pi, p3 = S1 / (2 pi^2 r), p3' = (C2 - S1/r) / (2 pi^2 r)."""
+    _check(alpha, dim, t)
+    if dim not in (1, 3):
+        raise ParameterError(f"radial quadrature supports dim 1 or 3, got {dim}")
+    if dim == 1:
+        c0, s1 = _fourier_quad(alpha, t, r, (0, 1))
+        return c0 / np.pi, -s1 / np.pi
+    s1, c2 = _fourier_quad(alpha, t, r, (1, 2))
+    scale = 2.0 * np.pi**2 * r
+    return s1 / scale, (c2 - s1 / r) / scale
 
 
 def heat_kernel_value(alpha: float, dim: int, t: float, r: float) -> float:
     """Kernel of exp(-t(-Laplacian)^(alpha/2)) on R^d, d = 1 or 3, at r."""
-    _check(alpha, dim, t)
-    if dim not in (1, 3):
-        raise ParameterError(f"radial quadrature supports dim 1 or 3, got {dim}")
     if r < 0:
         raise ParameterError("r must be nonnegative")
-    if r == 0.0:
-        return heat_kernel_peak(alpha, dim, t)
-    scale = (45.0 / t) ** (1.0 / alpha)
-    if dim == 1:
-        return _fourier_quad(lambda u: np.exp(-t * u**alpha), r, "cos", scale) / np.pi
-    i1 = _fourier_quad(lambda u: np.exp(-t * u**alpha) * u, r, "sin", scale)
-    return i1 / (2.0 * np.pi**2 * r)
+    return (heat_kernel_peak(alpha, dim, t) if r == 0.0
+            else float(_radial(alpha, dim, t, r)[0][0]))
 
 
 def heat_kernel_radial_derivative(alpha: float, dim: int, t: float, r: float) -> float:
     """d/dr of the radial kernel profile, d = 1 or 3 (negative for r > 0)."""
-    _check(alpha, dim, t)
-    if dim not in (1, 3):
-        raise ParameterError(f"radial quadrature supports dim 1 or 3, got {dim}")
     if r <= 0:
         raise ParameterError("r must be positive")
-    scale = (45.0 / t) ** (1.0 / alpha)
-    if dim == 1:
-        return -_fourier_quad(lambda u: np.exp(-t * u**alpha) * u, r, "sin", scale) / np.pi
-    i1 = _fourier_quad(lambda u: np.exp(-t * u**alpha) * u, r, "sin", scale)
-    i2 = _fourier_quad(lambda u: np.exp(-t * u**alpha) * u * u, r, "cos", scale)
-    return (-i1 / r + i2) / (2.0 * np.pi**2 * r)
+    return float(_radial(alpha, dim, t, r)[1][0])
 
 
 def _marginal_mass_halfline(alpha, t, radius):
     """int_0^R p1(v) dv for the 1D marginal density p1."""
-    nodes, weights = np.polynomial.legendre.leggauss(_HALFLINE_NODES)
-    v = 0.5 * radius * (nodes + 1.0)
-    w = 0.5 * radius * weights
-    vals = np.array([heat_kernel_value(alpha, 1, t, vi) for vi in v])
-    return float(np.sum(w * vals))
+    v, w = _gauss(np.array([0.0, radius]), _HALFLINE_NODES)
+    return float(np.sum(w * _radial(alpha, 1, t, v)[0]))
 
 
 def ball_mass(alpha: float, dim: int, t: float, radius: float) -> float:
@@ -136,10 +157,8 @@ def cutoff_mass(alpha: float, dim: int, t: float, k: float, profile) -> float:
     """integral of p_t(|y|) * profile(|y|) with profile == 1 on [0, k] and
     0 beyond k + 1 (the smooth radial cutoff)."""
     inner = ball_mass(alpha, dim, t, k)
-    nodes, weights = np.polynomial.legendre.leggauss(24)
-    r = k + 0.5 * (nodes + 1.0)
-    w = 0.5 * weights
-    vals = np.array([heat_kernel_value(alpha, dim, t, ri) for ri in r])
+    r, w = _gauss(np.array([k, k + 1.0]), 24)
+    vals = _radial(alpha, dim, t, r)[0]
     shell = sphere_area(dim) * np.sum(w * profile(r) * vals * r ** (dim - 1))
     return inner + shell
 
@@ -150,15 +169,11 @@ def stable_marginal_cdf(alpha: float):
     vectorized callable: a density spline integrated exactly on
     [0, _CDF_X_MAX], asymptotic power tail beyond."""
     t = 1.0
-    _check(alpha, 1, t)
     x_max, n_points = _CDF_X_MAX, _CDF_POINTS
-    xs = np.concatenate([
-        np.linspace(0.0, 2.0, n_points // 3, endpoint=False),
-        np.geomspace(2.0, x_max, n_points - n_points // 3),
-    ])
-    dens = np.array([heat_kernel_value(alpha, 1, t, x) if x > 0
-                     else heat_kernel_peak(alpha, 1, t) for x in xs])
-    half_mass = interpolate.CubicSpline(xs, dens).antiderivative()
+    xs = np.r_[np.linspace(0.0, 2.0, n_points // 3, endpoint=False),
+               np.geomspace(2.0, x_max, n_points - n_points // 3)]
+    dens = np.r_[heat_kernel_peak(alpha, 1, t), _radial(alpha, 1, t, xs[1:])[0]]
+    half_mass = _Spline.not_a_knot(xs, dens).antiderivative()
     tail_c = levy_jump_constant(alpha, 1) * t / alpha
 
     def cdf(x):
@@ -172,6 +187,41 @@ def stable_marginal_cdf(alpha: float):
         return np.where(x >= 0, out, 1.0 - out)
 
     return cdf
+
+
+class _Spline:
+    """Piecewise polynomial on the knots x with coefficients c[:, i] in
+    powers of x - x[i], highest first."""
+
+    def __init__(self, x, c):
+        self.x, self.c = x, c
+
+    @classmethod
+    def not_a_knot(cls, x, y):
+        """The not-a-knot cubic spline through (x, y), built as
+        scipy.interpolate.CubicSpline builds it."""
+        dx, d0, d1 = np.diff(x), x[2] - x[0], x[-1] - x[-3]
+        slope = np.diff(y) / dx
+        bands = np.array([np.r_[0.0, d0, dx[:-1]],
+                          np.r_[dx[1], 2 * (dx[:-1] + dx[1:]), dx[-2]],
+                          np.r_[dx[1:], d1, 0.0]])
+        rhs = np.r_[((dx[0] + 2 * d0) * dx[1] * slope[0] + dx[0]**2 * slope[1]) / d0,
+                    3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:]),
+                    (dx[-1]**2 * slope[-2] + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1]
+        s = linalg.solve_banded((1, 1), bands, rhs, check_finite=False)
+        t = (s[:-1] + s[1:] - 2 * slope) / dx
+        return cls(x, np.stack([t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]]))
+
+    def __call__(self, xq):
+        i = np.clip(np.searchsorted(self.x, xq, side="right") - 1, 0, self.x.size - 2)
+        return polyval(xq - self.x[i], self.c[::-1, i], tensor=False)
+
+    def antiderivative(self):
+        """The integral from x[0]."""
+        c = np.vstack([self.c / np.arange(len(self.c), 0, -1)[:, None],
+                       np.zeros(self.x.size - 1)])
+        c[-1, 1:] = np.cumsum(polyval(np.diff(self.x), c[::-1], tensor=False)[:-1])
+        return _Spline(self.x, c)
 
 
 # ---------------------------------------------------------------------------
@@ -195,16 +245,14 @@ class KernelProfile:
         n = int(np.ceil(np.log10(_PROFILE_X_MAX / _PROFILE_X_MIN)
                         * _PROFILE_POINTS_PER_DECADE))
         xs = np.geomspace(_PROFILE_X_MIN, _PROFILE_X_MAX, n)
-        dens = np.array([heat_kernel_value(self.alpha, self.dim, 1.0, x)
-                         for x in xs])
-        grad = np.array([-heat_kernel_radial_derivative(self.alpha, self.dim, 1.0, x)
-                         for x in xs])
+        dens, grad = _radial(self.alpha, self.dim, 1.0, xs)
+        grad = -grad  # |P'|
         if np.any(dens <= 0) or np.any(grad <= 0):
             raise QuadratureError("kernel profile lost positivity",
                                   {"alpha": self.alpha, "dim": self.dim})
         self._logx = np.log(xs)
-        self._dens = interpolate.CubicSpline(self._logx, np.log(dens))
-        self._grad = interpolate.CubicSpline(self._logx, np.log(grad))
+        self._dens = _Spline.not_a_knot(self._logx, np.log(dens))
+        self._grad = _Spline.not_a_knot(self._logx, np.log(grad))
         self.peak = heat_kernel_peak(self.alpha, self.dim, 1.0)
         # Radial curvature at the origin: Laplacian of p_1 at 0 divided by d.
         self.curvature = (sphere_area(self.dim)
@@ -213,8 +261,8 @@ class KernelProfile:
         self._tail_dens = dens[-1] * xs[-1] ** (self.dim + self.alpha)
         self._tail_grad = grad[-1] * xs[-1] ** (self.dim + self.alpha + 1.0)
 
-    def _piecewise(self, x, small, spline, tail_coeff, tail_power):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
+    def _piecewise(self, x_in, small, spline, tail_coeff, tail_power):
+        x = np.atleast_1d(np.asarray(x_in, dtype=float))
         out = np.empty_like(x)
         lo = x < _PROFILE_X_MIN
         hi = x > _PROFILE_X_MAX
@@ -222,21 +270,19 @@ class KernelProfile:
         out[lo] = small(x[lo])
         out[mid] = np.exp(spline(np.log(x[mid])))
         out[hi] = tail_coeff * x[hi] ** -tail_power
-        return out
+        return out if np.ndim(x_in) else float(out[0])
 
     def density(self, x):
         """P(x) = p_1(x), vectorized."""
-        out = self._piecewise(
+        return self._piecewise(
             x, lambda y: self.peak - 0.5 * self.curvature * y**2,
             self._dens, self._tail_dens, self.dim + self.alpha)
-        return out if np.ndim(x) else float(out[0])
 
     def gradient(self, x):
         """|P'(x)|, vectorized."""
-        out = self._piecewise(
+        return self._piecewise(
             x, lambda y: self.curvature * y,
             self._grad, self._tail_grad, self.dim + self.alpha + 1.0)
-        return out if np.ndim(x) else float(out[0])
 
     def density_at(self, t, r):
         return t ** (-self.dim / self.alpha) * self.density(
@@ -300,14 +346,9 @@ def estimate_gradient_constant(alpha, dim,
     gamma_frac = (alpha - 1.0) / alpha
     lhs = {s: resolvent_kernel(prof.gradient_at, s[0], s[1], 1.0)
            for s in samples}
-    per_kappa = {}
-    for kappa in _KAPPAS:
-        ratios = []
-        for mu, r in samples:
-            rhs = resolvent_kernel(prof.density_at, mu / kappa, r,
-                                   gamma_frac)
-            ratios.append(lhs[(mu, r)] / rhs)
-        per_kappa[kappa] = max(ratios)
+    per_kappa = {kappa: max(lhs[(mu, r)] / resolvent_kernel(
+        prof.density_at, mu / kappa, r, gamma_frac) for mu, r in samples)
+        for kappa in _KAPPAS}
     kappa_est = min(per_kappa, key=per_kappa.get)
     m_est = per_kappa[kappa_est]
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 
@@ -46,7 +47,8 @@ class VerificationReport:
 def build_report(anchor: str, inputs: dict, checks: list, provenance=None,
                  trend_only=False) -> VerificationReport:
     """Assemble a report from (name, value, tolerance_description, ok)
-    tuples.  Failing probes are listed individually, never averaged away.
+    tuples.  Failing probes are listed individually, never averaged away;
+    a non-finite float value fails its check, whatever ``ok`` says.
     """
     metrics = {}
     tolerances = {}
@@ -54,7 +56,7 @@ def build_report(anchor: str, inputs: dict, checks: list, provenance=None,
     for name, value, tol, ok in checks:
         metrics[name] = value
         tolerances[name] = tol
-        if not ok:
+        if not ok or (isinstance(value, float) and not math.isfinite(value)):
             failures.append(name)
     if failures:
         verdict = "fail"

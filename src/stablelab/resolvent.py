@@ -152,6 +152,8 @@ def l2_extremizer(potential: np.ndarray, mu: float, grid: TorusGrid,
     a weak form-bound eigenfield of V) or from the ``seed`` draw."""
     from .formbound import symmetrized_sandwich, top_eigenpair
 
+    if not np.any(potential):
+        raise ParameterError("the potential is zero on the lattice")
     return top_eigenpair(symmetrized_sandwich(potential, mu, grid, alpha),
                          grid, tol=1e-8, seed=seed, start=start)[1]
 

@@ -131,10 +131,10 @@ def verify_weighted_markov(weight: WeightSpec, alpha: float, t_list,
             for f in probes:
                 out = eta_n * heat.apply(f / eta_n).real
                 ratio = grid.lp_norm(out, 1) / grid.lp_norm(f, 1)
-                if ratio > 1.0:
-                    worst = max(worst, np.log(ratio) / t)
+                if not ratio <= 1.0:  # a NaN enters, and np.maximum keeps it
+                    worst = float(np.maximum(worst, np.log(ratio) / t))
                 pos = eta_n * heat.apply(np.abs(f) / eta_n).real
-                positivity_floor = min(positivity_floor, float(pos.min()))
+                positivity_floor = float(np.minimum(positivity_floor, pos.min()))
         omegas[level] = worst
     fitted = max(omegas.values())
     spread_ok = (max(omegas.values()) <= 1.2 * max(min(omegas.values()), 1e-12)
@@ -146,7 +146,7 @@ def verify_weighted_markov(weight: WeightSpec, alpha: float, t_list,
         for f in probes:
             g = np.clip(f / np.max(np.abs(f)), -1.0, 1.0)
             val = np.exp(-fitted * t) * np.max(np.abs(ch.apply(g)))
-            contraction_excess = max(contraction_excess, val - 1.0)
+            contraction_excess = float(np.maximum(contraction_excess, val - 1.0))
     # kernel positivity holds up to the spectral truncation tail of the
     # discrete semigroup at the smallest probed time
     k_max_a = float(np.max(grid.frequency_radius_sq())) ** (alpha / 2.0)

@@ -336,9 +336,15 @@ def test_exit_code_2_on_a_half_length_with_no_mollification_level(
                             half_length=0.5).validate(m)
 
 
-def test_no_run_imports_scipy_stats(tmp_path):
-    # scipy.stats costs about 17 MB and 0.3 s to import; the one KS test
-    # of sampler_check takes its p-value from stablelab._ks instead
+# scipy.stats costs about 17 MB and 0.3 s to import, and scipy.integrate
+# and scipy.interpolate about 15 MB through scipy.optimize, which both
+# import: the KS p-value comes from stablelab._ks, and the kernel
+# quadratures and splines are the package's own
+HEAVY_SCIPY = ("scipy.integrate", "scipy.interpolate", "scipy.optimize",
+               "scipy.stats")
+
+
+def test_no_run_imports_scipy_optimize_or_stats(tmp_path):
     src = Path(cli.__file__).resolve().parents[1]
     for path in sorted(src.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -348,20 +354,38 @@ def test_no_run_imports_scipy_stats(tmp_path):
                 names = [f"{node.module}.{alias.name}" for alias in node.names]
             else:
                 continue
-            assert not any(name == "scipy.stats"
-                           or name.startswith("scipy.stats.")
-                           for name in names), (path.name, node.lineno)
-    cfg = write(tmp_path, "sampler.json", '{"scenario": "sampler_check"}')
+            assert not any(name == heavy or name.startswith(heavy + ".")
+                           for name in names for heavy in HEAVY_SCIPY), (
+                path.name, node.lineno)
+    cfg = write(tmp_path, "suite.json", '{"scenario": "full_suite"}')
     code = ("import sys\nfrom stablelab import cli\n"
             f"code = cli.run({cfg!r}, out_dir={str(tmp_path / 'out')!r}, "
-            "grid_n=16)\n"
+            "quick=True)\n"
             "assert code == 0, code\n"
-            "assert 'scipy.stats' not in sys.modules\n")
+            f"heavy = {HEAVY_SCIPY!r}\n"
+            "loaded = sorted(m for m in sys.modules if m.startswith(heavy))\n"
+            "assert not loaded, loaded\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stdout + done.stderr
+
+
+def test_exit_code_1_names_the_check_a_nan_probe_fails(tmp_path):
+    # bumps of radius 0.25 on a lattice of spacing 0.4 can miss every
+    # site, so f / ||f||_1 is NaN; the Markov report fails on them
+    path = write(tmp_path, "coarse.json", json.dumps(
+        {"scenario": "weighted_verify", "grid_n": 10, "half_length": 2.0}))
+    out = io.StringIO()
+    with np.errstate(invalid="ignore"):
+        assert cli.run(path, out_dir=str(tmp_path / "out"), stream=out) == 1
+    assert "[FAIL] weighted_verify: weighted_markov_generator" in out.getvalue()
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    [markov] = [rep for rep in summary["scenarios"][0]["reports"]
+                if rep["anchor"] == "weighted_markov_generator"]
+    assert {"fitted_omega", "positivity_floor",
+            "contraction_excess"} <= set(markov["failures"])
 
 
 def test_exit_code_2_on_an_unsupported_dimension(tmp_path):
@@ -506,6 +530,19 @@ def test_report_builder_failure_listing():
     assert rep.failures == ["bad_metric"]
     clone = json.loads(rep.to_json())
     assert clone["metrics"]["bad_metric"] == 2.0
+
+
+def test_report_fails_a_non_finite_value():
+    # a NaN compares false and an inf may pass a one-sided bound: neither
+    # may pass a check
+    rep = build_report("demo", {}, [
+        ("nan_metric", float("nan"), "<= 1", True),
+        ("inf_metric", np.float64(np.inf), ">= 0", True),
+        ("ok_metric", 0.5, "<= 1", True),
+        ("flag", True, "true", True),
+    ])
+    assert rep.verdict == "fail"
+    assert rep.failures == ["nan_metric", "inf_metric"]
 
 
 def test_report_trend_only():

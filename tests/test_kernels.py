@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -157,3 +160,100 @@ def test_estimate_gradient_constant():
 def test_estimate_gradient_constant_empty_spec():
     with pytest.raises(ParameterError):
         kernels.estimate_gradient_constant(ALPHA, 3, [])
+
+
+# Closed-form oracles of the time-one 1D density p1 (Nolan's series):
+# p1(x) = 1/(pi alpha) sum_k (-1)^k Gamma((2k+1)/alpha) x^(2k) / (2k)!,
+# convergent for every x, and p1(x) ~ 1/pi sum_(k>=1) (-1)^(k+1)
+# Gamma(alpha k + 1) / k! sin(k pi alpha / 2) x^(-alpha k - 1) as x -> oo.
+# The lift p3(r) = -p1'(r) / (2 pi r) carries both to d = 3.
+
+
+def small_x_series(x, dim, derivative):
+    """p1, p1', p3 or p3' at x <= 1, from the convergent series summed
+    term by term: p3(x) = -1/(2 pi) sum_(k>=1) c_k x^(2k-2) / (2k-1)!
+    with c_k the coefficients of p1, so no term cancels another."""
+    total = 0.0
+    for k in range(0 if dim == 1 else 1, 60):
+        c = (-1) ** k * math.gamma((2 * k + 1) / ALPHA) / (math.pi * ALPHA)
+        if dim == 1:
+            n, c = 2 * k, c / math.factorial(2 * k)
+        else:
+            n, c = 2 * k - 2, -c / (2 * math.pi * math.factorial(2 * k - 1))
+        if derivative:
+            n, c = n - 1, c * n
+        total += c * x ** n
+    return total
+
+
+def large_x_series(x, dim, terms):
+    """p1 or p3 at large x from the first ``terms`` terms of the power
+    tail; d = 3 through the lift, term by term."""
+    total = 0.0
+    for k in range(1, terms + 1):
+        a = ((-1) ** (k + 1) * math.gamma(ALPHA * k + 1) / math.factorial(k)
+             * math.sin(k * math.pi * ALPHA / 2) / math.pi)
+        if dim == 1:
+            total += a * x ** (-ALPHA * k - 1)
+        else:
+            total += a * (ALPHA * k + 1) * x ** (-ALPHA * k - 3) / (2 * math.pi)
+    return total
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("x", [1e-3, 0.05, 0.3, 0.7, 1.0])
+def test_small_x_values_match_the_convergent_series(dim, x):
+    value = kernels.heat_kernel_value(ALPHA, dim, 1.0, x)
+    assert value == pytest.approx(small_x_series(x, dim, 0), rel=1e-9)
+    der = kernels.heat_kernel_radial_derivative(ALPHA, dim, 1.0, x)
+    assert der == pytest.approx(small_x_series(x, dim, 1), rel=1e-9)
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("x", [100.0, 200.0, 400.0])
+def test_large_x_values_match_the_power_tail_series(dim, x):
+    value = kernels.heat_kernel_value(ALPHA, dim, 1.0, x)
+    assert value == pytest.approx(large_x_series(x, dim, 4), rel=1e-9)
+
+
+def test_a_short_time_takes_the_same_nodes():
+    # p_t(r) = t^(-d/alpha) p1(t^(-1/alpha) r): at t = 1e-6, r = 0.3 is
+    # x = 3000 on the time-one scale, deep in the power tail; the ray
+    # rule keeps its nodes, where a rule on [0, (45/t)^(1/alpha)] would
+    # need some 10^5 of them
+    t, r = 1e-6, 0.3
+    x = r * t ** (-1.0 / ALPHA)
+    tracemalloc.start()
+    try:
+        value = kernels.heat_kernel_value(ALPHA, 1, t, r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == pytest.approx(
+        t ** (-1.0 / ALPHA) * large_x_series(x, 1, 4), rel=1e-9)
+    assert peak < 2**20
+
+
+def spline_knots():
+    """The knots and values the package splines: the kernel profile's log
+    density, and the marginal CDF's density."""
+    xs = kernels.kernel_profile(ALPHA, 3)._logx
+    yield xs, np.log(kernels._radial(ALPHA, 3, 1.0, np.exp(xs))[0])
+    n = kernels._CDF_POINTS
+    xs = np.r_[np.linspace(0.0, 2.0, n // 3, endpoint=False),
+               np.geomspace(2.0, kernels._CDF_X_MAX, n - n // 3)]
+    yield xs, np.concatenate([[kernels.heat_kernel_peak(ALPHA, 1, 1.0)],
+                              kernels._radial(ALPHA, 1, 1.0, xs[1:])[0]])
+
+
+def test_spline_and_its_antiderivative_are_scipys():
+    interpolate = pytest.importorskip("scipy.interpolate")
+    for xs, ys in spline_knots():
+        points = np.concatenate([xs, 0.5 * (xs[1:] + xs[:-1]),
+                                 np.linspace(xs[0], xs[-1], 997)])
+        ours = kernels._Spline.not_a_knot(xs, ys)
+        theirs = interpolate.CubicSpline(xs, ys)
+        np.testing.assert_allclose(ours(points), theirs(points), rtol=1e-13)
+        np.testing.assert_allclose(ours.antiderivative()(points),
+                                   theirs.antiderivative()(points),
+                                   rtol=1e-13, atol=1e-16)

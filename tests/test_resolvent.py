@@ -268,6 +268,13 @@ def test_lp_inequalities_zero_potential(grid):
     assert all(v == 0.0 for v in rep.metrics.values())
 
 
+def test_l2_extremizer_refuses_a_zero_potential(grid):
+    # ARPACK would stop on a zero start vector with its own error
+    with pytest.raises(ParameterError, match="zero on the lattice"):
+        resolvent.l2_extremizer(np.zeros(grid.shape), 1.0, grid, ALPHA,
+                                seed=0, start=None)
+
+
 def test_lp_inequalities_candidates_at_p2():
     grid = TorusGrid(3, 8.0, 32)
     mol = drifts.mollify(drifts.hardy_drift(0.05, ALPHA, 3), n=4, grid=grid,
