@@ -6,8 +6,8 @@ and Monte Carlo identification of the driving noise."""
 from ._blas import pin_one_thread
 from .config import ExperimentConfig, load_config, parse_config
 from .drifts import (DriftSpec, MollifiedDrift, bounded_smooth_drift,
-                     custom_drift, hardy_constant, hardy_drift,
-                     kato_example_drift, lp_radial_drift, mollifier, mollify)
+                     hardy_constant, hardy_drift, kato_example_drift,
+                     lp_radial_drift, mollifier, mollify)
 from .errors import (AdmissibilityError, CapacityError, ConfigurationError,
                      ConvergenceError, DivergenceError, ParameterError,
                      QuadratureError, StableLabError)
@@ -44,9 +44,8 @@ __all__ = [
     "admissible_delta_threshold", "assemble_l2_resolvent",
     "assemble_lp_resolvent", "balakrishnan_resolvent_power", "ball_mass",
     "bounded_smooth_drift", "conservativeness_check", "contraction_probe",
-    "custom_drift", "drifted_generator", "duhamel_residual",
-    "empirical_char_function", "estimate_formbound",
-    "estimate_gradient_constant", "estimate_kato_norm",
+    "drifted_generator", "duhamel_residual", "empirical_char_function",
+    "estimate_formbound", "estimate_gradient_constant", "estimate_kato_norm",
     "estimate_weak_formbound", "estimate_weak_formbound_ladder",
     "feller_convergence_check", "frac_laplacian", "gradient_component",
     "hardy_constant", "hardy_drift", "heat_kernel_peak",

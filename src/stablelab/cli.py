@@ -82,8 +82,8 @@ def run(config_path, out_dir=None, seed=None, grid_n=None, quick=False,
             (bundle_dir / f"{res.name}__{i:02d}_{rep.anchor}.json").write_text(
                 rep.to_json(), encoding="utf-8")
     summary["verdict"] = "pass" if all_passed else "fail"
-    (bundle_dir / "summary.json").write_text(
-        json.dumps(_plain(summary), sort_keys=True, indent=1),
+    (bundle_dir / "summary.json").write_text(json.dumps(
+        _plain(summary), sort_keys=True, indent=1, allow_nan=False),
         encoding="utf-8")
     for res in results:
         for rep in res.reports:

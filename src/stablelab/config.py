@@ -9,11 +9,12 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .drifts import DriftSpec, hardy_drift
+from .drifts import KINDS, DriftSpec, hardy_drift
 from .errors import AdmissibilityError, ConfigurationError
 from .formbound import admissible_delta_threshold
 from .grid import TorusGrid
 from .scenarios import SCENARIO_RUNNERS
+from .sde import step_count
 from .weighted import check_weighted_exponent
 
 
@@ -50,8 +51,10 @@ class ExperimentConfig:
         """Cross-field admissibility; raises AdmissibilityError citing the
         violated hypothesis, and ConfigurationError naming the key for a
         seed outside [0, 2^64), a non-positive dt, a half_length that is not
-        positive or sets mollification level 0, an empty t_list, lambda or
-        mu ladder, an m_constant that is not ``m_constant``, a hardy drift
+        positive or sets mollification level 0, a t_list, lambda or mu
+        ladder that is empty or has an entry that is not positive, a
+        shortest or longest sde_identify horizon that is no whole multiple
+        of dt, an m_constant that is not ``m_constant``, a hardy drift
         whose delta or alpha is not the config's, a grid_n with no lattice
         or too coarse a lattice for a mollifier, or a half_length too short
         for a mollifier of fixed width."""
@@ -63,8 +66,13 @@ class ExperimentConfig:
                 raise ConfigurationError(
                     f"{key} = {getattr(self, key)} must be positive")
         for key in ("t_list", "lambda_ladder", "mu_ladder"):
-            if not len(getattr(self, key)):
-                raise ConfigurationError(f"{key} must not be empty")
+            values = getattr(self, key)
+            if not (len(values) and all(v > 0 for v in values)):
+                raise ConfigurationError(f"{key} = {list(values)} must be "
+                                         f"non-empty with positive entries")
+        if self.scenario in ("sde_identify", "full_suite"):  # its horizons
+            for t in (min(self.t_list), max(self.t_list)):
+                _checked("t_list", step_count, t, self.dt)
         if (self.scenario in ("formbound_audit", "resolvent_verify",
                               "full_suite") and self.half_length < 2):
             raise ConfigurationError(
@@ -125,16 +133,10 @@ class ExperimentConfig:
                        n_paths=max(1000, self.n_paths // 2))
 
     def as_dict(self) -> dict:
-        doc = {}
-        for f in fields(self):
-            val = getattr(self, f.name)
-            if f.name == "drift":
-                doc[f.name] = None if val is None else json.loads(val.to_json())
-            elif isinstance(val, tuple):
-                doc[f.name] = list(val)
-            else:
-                doc[f.name] = val
-        return doc
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc["drift"] = json.loads(self.drift.to_json())
+        return {k: list(v) if isinstance(v, tuple) else v
+                for k, v in doc.items()}
 
 
 def _coerce(name: str, value, own: dict):
@@ -219,21 +221,27 @@ def _config_from_mapping(doc: dict) -> ExperimentConfig:
 
 
 def _drift_from_doc(doc, own: dict) -> DriftSpec:
-    """A drift from its document; a hardy drift is rebuilt from its
-    parameters, with the config's ``own`` dim, alpha and delta where they
-    name none."""
-    if isinstance(doc, DriftSpec):
-        return doc
+    """A drift rebuilt from its document by its constructor in ``KINDS``,
+    in the config's ``own`` dim; a hardy drift takes the config's delta
+    and alpha where it names none.  What else the document names (a dim,
+    hardy's prefactor, the singular points) must be what it rebuilds."""
     if not isinstance(doc, dict):
         raise TypeError(f"a drift is a mapping with a kind, not {doc!r}")
-    kind = doc.get("kind", "hardy")
-    params = dict(doc.get("parameters", {}))
+    kind, params = doc.get("kind", "hardy"), dict(doc.get("parameters", {}))
+    if kind not in KINDS:
+        raise ValueError(f"unknown drift kind {kind!r}")
+    named = {"dim": params.pop("dim", None),
+             "singular_points": doc.get("singular_points")}
     if kind == "hardy":
-        return hardy_drift(params.get("delta", own["delta"]),
-                           params.get("alpha", own["alpha"]),
-                           int(params.get("dim", own["dim"])))
-    return DriftSpec(kind=kind, parameters=params,
-                     singular_points=doc.get("singular_points", []))
+        named["prefactor"] = params.pop("prefactor", None)
+        params = {"delta": own["delta"], "alpha": own["alpha"], **params}
+    spec = KINDS[kind](**params, dim=own["dim"])
+    built = dict(spec.parameters, dim=own["dim"],
+                 singular_points=spec.singular_points)
+    for key, value in named.items():
+        if value is not None and value != built[key]:
+            raise ValueError(f"drift {key} = {value} must be {built[key]}")
+    return spec
 
 
 def load_config(path) -> ExperimentConfig:

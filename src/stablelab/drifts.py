@@ -17,6 +17,7 @@ from scipy import special
 from .errors import ParameterError
 from .grid import TorusGrid, _check_data, component_magnitude
 from .operators import even_convolution
+from .profiles import cutoff_profile
 
 
 def hardy_constant(alpha: float, dim: int) -> float:
@@ -36,36 +37,22 @@ def hardy_constant(alpha: float, dim: int) -> float:
 
 @dataclass
 class DriftSpec:
-    """Symbolic drift description: a catalog kind plus parameters.
-
-    ``custom_closure`` drifts carry a callable in ``closure`` and are not
-    JSON-serializable.
-    """
+    """Symbolic drift description: a kind of the catalogue ``KINDS`` plus
+    its parameters, as its constructor there builds it."""
 
     kind: str
     parameters: dict
     singular_points: list = field(default_factory=list)
-    closure: object = None
-
-    _KINDS = ("hardy", "lp_radial", "bounded_smooth", "kato_example",
-              "custom_closure")
 
     def __post_init__(self):
-        if self.kind not in self._KINDS:
+        if self.kind not in KINDS:
             raise ParameterError(f"unknown drift kind {self.kind!r}")
-        if self.kind == "custom_closure" and not callable(self.closure):
-            raise ParameterError("custom_closure drift needs a callable")
 
     def components(self, coords):
         """Iterable of the components of b at broadcastable coordinates;
         singular sites (zero radius or listed points) evaluate to 0.
         Radial kinds hand out g(|x|) * x_j one component at a time."""
         p = self.parameters
-        if self.kind == "custom_closure":
-            comps = [np.asarray(c) for c in self.closure(*coords)]
-            if len(comps) != len(coords):
-                raise ParameterError("closure must return one component per axis")
-            return comps
         if self.kind == "bounded_smooth":
             amp = np.atleast_1d(np.asarray(p["amplitude"], dtype=float))
             half = float(p["half_period"])
@@ -82,17 +69,11 @@ class DriftSpec:
         elif self.kind == "lp_radial":
             g = p["prefactor"] * safe ** (-p["beta"] - 1.0)
         elif self.kind == "kato_example":
-            from .profiles import cutoff_profile
-
             g = (p["prefactor"] * safe ** (-p["beta"] - 1.0)
                  * cutoff_profile(r, p["radius"]))
         del safe
         g = np.where(r > 0, g, 0.0)
         return (g * np.asarray(c) for c in coords)
-
-    def magnitude(self, coords):
-        comps = self.components(coords)
-        return np.sqrt(sum(np.abs(c) ** 2 for c in comps))
 
     def on_lattice(self, grid: TorusGrid) -> np.ndarray:
         """The (d, N, ..., N) float64 array of b, allocated once, filled
@@ -118,8 +99,6 @@ class DriftSpec:
         return _check_data(grid, mag)
 
     def to_json(self) -> str:
-        if self.kind == "custom_closure":
-            raise ParameterError("custom_closure drifts are not serializable")
         return json.dumps({"kind": self.kind, "parameters": self.parameters,
                            "singular_points": self.singular_points},
                           sort_keys=True)
@@ -175,9 +154,9 @@ def bounded_smooth_drift(amplitude, half_period: float, dim: int) -> DriftSpec:
                                  "half_period": half_period})
 
 
-def custom_drift(fn, dim: int, singular_points) -> DriftSpec:
-    return DriftSpec(kind="custom_closure", parameters={"dim": dim},
-                     singular_points=singular_points, closure=fn)
+KINDS = {"hardy": hardy_drift, "lp_radial": lp_radial_drift,
+         "kato_example": kato_example_drift,
+         "bounded_smooth": bounded_smooth_drift}
 
 
 # ---------------------------------------------------------------------------

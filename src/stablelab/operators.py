@@ -60,7 +60,7 @@ class LatticeOperator:
                 den = self.grid.lp_norm(v, p)
                 if den == 0.0:
                     break
-                best = max(best, num / den)
+                best = float(np.maximum(best, num / den))
                 if num == 0.0:
                     break
                 v = fv / num

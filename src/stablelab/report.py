@@ -6,6 +6,8 @@ import json
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass
 class VerificationReport:
@@ -37,7 +39,7 @@ class VerificationReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True)
+        return json.dumps(self.as_dict(), sort_keys=True, allow_nan=False)
 
     @property
     def passed(self) -> bool:
@@ -68,9 +70,8 @@ def build_report(anchor: str, inputs: dict, checks: list, provenance=None,
 
 
 def _plain(obj):
-    """Recursively convert numpy scalars/arrays for JSON round-trips."""
-    import numpy as np
-
+    """Recursively convert numpy scalars/arrays for strict JSON round-trips;
+    a non-finite float becomes the string "nan", "inf" or "-inf"."""
     if isinstance(obj, dict):
         return {str(k): _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -78,7 +79,9 @@ def _plain(obj):
     if isinstance(obj, np.ndarray):
         return [_plain(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+        obj = obj.item()
     if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
+        return {"re": _plain(obj.real), "im": _plain(obj.imag)}
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return str(obj)
     return obj

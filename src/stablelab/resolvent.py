@@ -201,7 +201,7 @@ def probe_potential_bounds(potential, res, exponents, weight, shared,
     def fold():
         for i, nf, norms in pending:
             for w, n in zip("abc", norms.result()):
-                worst[i][w] = max(worst[i][w], n / nf)
+                worst[i][w] = float(np.maximum(worst[i][w], n / nf))
         pending.clear()
 
     def take(worker, f, which):

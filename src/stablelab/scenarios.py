@@ -183,8 +183,8 @@ def run_resolvent_verify(cfg: ExperimentConfig) -> ScenarioResult:
     for _ in range(10):
         f = rng.standard_normal(grid.shape)
         u = theta2.apply(f)
-        worst_inv = max(worst_inv, np.linalg.norm(gen.apply(u) + 2.0 * u - f)
-                        / np.linalg.norm(f))
+        worst_inv = float(np.maximum(worst_inv, np.linalg.norm(
+            gen.apply(u) + 2.0 * u - f) / np.linalg.norm(f)))
     th_b = resolvent.assemble_l2_resolvent(smooth, 5.0, grid, cfg.alpha)
     f = rng.standard_normal(grid.shape)
     ref, th_b_f = theta2.apply(f), th_b.apply(f)

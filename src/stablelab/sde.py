@@ -145,6 +145,14 @@ def drift_rows(wrapped: np.ndarray, table: np.ndarray,
     return out
 
 
+def step_count(t_final: float, dt: float) -> int:
+    """The dt steps to t_final, a whole multiple of dt to 1e-9 relative."""
+    n_steps = int(round(t_final / dt))
+    if abs(n_steps * dt - t_final) > 1e-9 * t_final:
+        raise ParameterError(f"t_final = {t_final} is no multiple of dt = {dt}")
+    return n_steps
+
+
 def integrate(drift: MollifiedDrift, x0, t_final: float, dt: float,
               n_paths: int, seed: int, alpha: float) -> PathEnsemble:
     """Explicit Euler steps X' = X - b(X) dt + dZ with exact stable
@@ -169,9 +177,7 @@ def integrate(drift: MollifiedDrift, x0, t_final: float, dt: float,
         raise ParameterError("dt, t_final and n_paths must be positive")
     if dt * drift.sup_norm() > grid.half_length / 8.0:
         raise ParameterError("dt too large: a single drift step could wrap")
-    n_steps = int(round(t_final / dt))
-    if abs(n_steps * dt - t_final) > 1e-9 * t_final:
-        raise ParameterError("t_final must be an integer multiple of dt")
+    n_steps = step_count(t_final, dt)
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (grid.dim,) or not np.all(np.isfinite(x0)):
         raise ParameterError(
@@ -377,7 +383,8 @@ def contraction_probe(drift: MollifiedDrift, weight: WeightSpec, p: float,
             np.maximum(vmax, np.abs(bumps[steps] * rng.standard_normal()), out=vmax)
             nv = grid.lp_norm(vmax, p, weight_p)
             if nv > 0:
-                worst = max(worst, grid.lp_norm(hmax, p, weight_p) / nv)
+                worst = float(np.maximum(
+                    worst, grid.lp_norm(hmax, p, weight_p) / nv))
         ratios[float(horizon)] = worst
     hs = sorted(ratios)
     shrinking = all(ratios[hs[i]] < ratios[hs[i + 1]]

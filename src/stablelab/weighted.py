@@ -212,13 +212,13 @@ def verify_weighted_estimates(drift: DriftSpec, weight: WeightSpec, p: float,
                 denom2 = weight.lp_norm(bm_p * h, p)
                 lhs1 = np.max(np.abs(theta.apply(eta * h) / eta))
                 if denom1 > 0:
-                    s1 = max(s1, lhs1 / denom1)
+                    s1 = float(np.maximum(s1, lhs1 / denom1))
                 if denom2 > 1e-300:
                     core = np.abs(theta.apply(eta * bm * h))
                     lhs2 = np.max(core / eta)
                     lhs3 = weight.lp_norm(bm_p * core / eta, p)
-                    s2 = max(s2, lhs2 / denom2)
-                    s3 = max(s3, lhs3 / denom2)
+                    s2 = float(np.maximum(s2, lhs2 / denom2))
+                    s3 = float(np.maximum(s3, lhs3 / denom2))
             for tag, val in zip(ratios, (s1, s2, s3)):
                 ratios[tag][(m, mu)] = val
     checks = []

@@ -1,9 +1,11 @@
 import ast
 import io
+import re
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from stablelab import cli, config, drifts
 from stablelab.errors import AdmissibilityError, ConfigurationError
 from stablelab.report import VerificationReport, build_report
+from stablelab.scenarios import ScenarioResult
 
 
 def write(tmp_path, name, text):
@@ -67,6 +70,8 @@ _DRIFTS = st.one_of(
     st.none(),
     st.builds(drifts.hardy_drift, _POSITIVE, st.floats(1.05, 1.95), _DIM),
     st.builds(drifts.lp_radial_drift, _REAL, st.floats(-2.0, 2.9), _DIM),
+    st.builds(drifts.kato_example_drift, _REAL, st.floats(-2.0, 2.9),
+              _POSITIVE, _DIM),
     st.builds(drifts.bounded_smooth_drift, st.lists(_REAL, min_size=1,
                                                     max_size=1), _POSITIVE,
               _DIM))
@@ -334,6 +339,121 @@ def test_exit_code_2_on_a_half_length_with_no_mollification_level(
         config.ExperimentConfig(scenario=scenario, half_length=2.0).validate(m)
     config.ExperimentConfig(scenario="sampler_check",
                             half_length=0.5).validate(m)
+
+
+# each passed validate, ran, and died mid-run with a traceback and exit 1
+# (ROADMAP item 19), but for evolution_verify's t_list, which it never
+# reads and is refused on purpose; with a fragment of its one-line refusal
+_REFUSED_BEFORE_THE_RUN = [
+    ({"scenario": "sde_identify", "dt": 0.3},
+     "'t_list': t_final = 0.1 is no multiple of dt = 0.3"),
+    ({"scenario": "sde_identify", "t_list": [0.01]},
+     "'t_list': t_final = 0.01 is no multiple of dt = 0.0125"),
+    ({"scenario": "sde_identify", "t_list": [0.0]}, "t_list = [0.0] must"),
+    ({"scenario": "sde_identify", "t_list": [-0.1]}, "t_list = [-0.1] must"),
+    ({"scenario": "evolution_verify", "t_list": [-0.1]},
+     "t_list = [-0.1] must"),
+    ({"scenario": "formbound_audit", "lambda_ladder": [-1.0]},
+     "lambda_ladder = [-1.0] must"),
+    ({"scenario": "weighted_verify", "mu_ladder": [0.0]},
+     "mu_ladder = [0.0] must"),
+    ({"scenario": "weighted_verify", "mu_ladder": [-1.0]},
+     "mu_ladder = [-1.0] must"),
+    ({"scenario": "evolution_verify", "mu_ladder": [-5.0]},
+     "mu_ladder = [-5.0] must"),
+    ({"scenario": "formbound_audit", "drift": {"kind": "bounded_smooth"}},
+     "'drift': bounded_smooth_drift() missing 2 required positional "
+     "arguments: 'amplitude' and 'half_period'"),
+    ({"scenario": "formbound_audit", "drift": {"kind": "lp_radial"}},
+     "'drift': lp_radial_drift() missing 2 required positional "
+     "arguments: 'prefactor' and 'beta'"),
+    ({"scenario": "sde_identify", "drift": {"kind": "kato_example"}},
+     "'drift': kato_example_drift() missing 3 required positional "
+     "arguments: 'prefactor', 'beta', and 'radius'"),
+    ({"scenario": "sde_identify", "drift": {
+        "kind": "bounded_smooth",
+        "parameters": {"amplitudes": [0.5], "half_period": 8.0}}},
+     "'drift': bounded_smooth_drift() got an unexpected keyword argument "
+     "'amplitudes'"),
+    ({"scenario": "sde_identify", "drift": {
+        "kind": "bounded_smooth", "parameters": {"amplitude": [0.5]}}},
+     "'drift': bounded_smooth_drift() missing 1 required positional "
+     "argument: 'half_period'"),
+    ({"scenario": "formbound_audit", "drift": {
+        "kind": "lp_radial", "parameters": {"prefactor": 1.0}}},
+     "'drift': lp_radial_drift() missing 1 required positional argument: "
+     "'beta'"),
+    ({"scenario": "formbound_audit", "drift": {
+        "kind": "lp_radial", "parameters": {"prefactor": 1.0, "beta": 3.5}}},
+     "'drift': beta >= dim is not locally integrable"),
+]
+
+
+@pytest.mark.parametrize("doc, fragment", _REFUSED_BEFORE_THE_RUN, ids=[
+    f"{i:02d}-{doc['scenario']}"
+    for i, (doc, _) in enumerate(_REFUSED_BEFORE_THE_RUN)])
+def test_exit_code_2_before_the_run(tmp_path, monkeypatch, doc, fragment):
+    _refuse_to_run(monkeypatch)
+    out = io.StringIO()
+    path = write(tmp_path, "refused.json", json.dumps(dict(doc, grid_n=16)))
+    start = time.perf_counter()
+    assert cli.run(path, stream=out) == 2
+    assert time.perf_counter() - start < 1.0
+    [line] = out.getvalue().splitlines()
+    assert line.startswith("config error: ") and fragment in line, line
+
+
+def test_only_the_sde_horizons_are_whole_multiples_of_dt():
+    # sde_identify integrates to min(t_list) and max(t_list) alone
+    m = config.reference_m_constant(1.5, 3)
+    config.parse_config(json.dumps(
+        {"scenario": "sde_identify", "grid_n": 16, "n_paths": 2000,
+         "t_list": [0.1, 0.13, 0.5]})).validate(m)
+    config.ExperimentConfig(scenario="formbound_audit", grid_n=16,
+                            t_list=(0.01,)).validate(m)
+
+
+def test_a_drift_document_names_only_what_its_constructor_gives():
+    # a dim, hardy's prefactor and the singular points are derived
+    for drift, fragment in [
+            ({"kind": "lp_radial", "parameters": {
+                "prefactor": 1.0, "beta": 1.0, "dim": 4}},
+             "drift dim = 4 must be 3"),
+            ({"kind": "hardy", "parameters": {"prefactor": 1.0}},
+             "drift prefactor = 1.0 must be"),
+            ({"kind": "bounded_smooth", "singular_points": [[0.0] * 3],
+              "parameters": {"amplitude": 1.0, "half_period": 8.0}},
+             "drift singular_points = [[0.0, 0.0, 0.0]] must be []")]:
+        with pytest.raises(ConfigurationError, match=re.escape(fragment)):
+            config.parse_config(json.dumps({"drift": drift}))
+    cfg = config.parse_config(
+        "[drift]\nkind = kato_example\nprefactor = 1\nbeta = 0.25\n"
+        "radius = 1.5\ndim = 3\n")
+    assert cfg.drift == drifts.kato_example_drift(1.0, 0.25, 1.5, 3)
+
+
+def test_a_bundle_is_strict_json(tmp_path, monkeypatch):
+    # a non-finite metric was written as a bare NaN or Infinity token,
+    # which RFC 8259 parsers refuse; it is now a string, and still fails
+    result = ScenarioResult("sampler_check")
+    result.add(build_report("probe", {"t": np.float64(np.inf)}, [
+        ("ratio", np.float64(np.nan), "<= 1", True),
+        ("gap", -np.inf, "<= 1", True), ("fine", 0.5, "<= 1", True)]))
+    monkeypatch.setattr(cli, "run_scenario", lambda cfg: [result])
+    path = write(tmp_path, "nan.json", '{"scenario": "sampler_check"}')
+    out = tmp_path / "out"
+    assert cli.run(path, out_dir=str(out), stream=io.StringIO()) == 1
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    docs = [json.loads(f.read_text(encoding="utf-8"), parse_constant=refuse)
+            for f in sorted(out.glob("*.json"))]
+    [report, summary] = docs
+    assert summary["scenarios"][0]["reports"] == [report]
+    assert report["metrics"] == {"ratio": "nan", "gap": "-inf", "fine": 0.5}
+    assert report["inputs"] == {"t": "inf"}
+    assert report["failures"] == ["ratio", "gap"]
 
 
 # scipy.stats costs about 17 MB and 0.3 s to import, and scipy.integrate

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +25,7 @@ def test_hardy_drift_magnitude_formula():
     spec = drifts.hardy_drift(delta, ALPHA, 3)
     kappa = drifts.hardy_constant(ALPHA, 3)
     pts = [np.array([0.5]), np.array([-1.0]), np.array([2.0])]
-    mag = spec.magnitude(pts)
+    mag = component_magnitude(spec.components(pts), (1,))
     r = np.sqrt(0.25 + 1.0 + 4.0)
     assert mag[0] == pytest.approx(delta * kappa**2 * r ** (1.0 - ALPHA), rel=1e-12)
 
@@ -34,7 +36,7 @@ def test_hardy_drift_oddness_and_singularity():
     minus = spec.components([np.array([-0.3]), np.array([-0.4]), np.array([-1.2])])
     for a, b in zip(plus, minus):
         np.testing.assert_allclose(a, -b, rtol=1e-14)
-    at_origin = spec.magnitude([np.zeros(1)] * 3)
+    at_origin = component_magnitude(spec.components([np.zeros(1)] * 3), (1,))
     assert at_origin[0] == 0.0
 
 
@@ -71,19 +73,23 @@ def test_mollify_bounded_smooth_converges_sup():
 
 
 def test_mollify_no_shift():
-    # the convolution must keep the bump centered (no fftshift offset)
+    # the convolution must keep the bump centered (no fftshift offset): the
+    # even bump maps each sine of a bounded_smooth field to a multiple of
+    # itself, where a shift by one site would move its phase by pi / 8
     grid = TorusGrid(2, 4.0, 32)
-    base = drifts.custom_drift(
-        lambda x, y: (np.exp(-(x**2 + y**2)), np.zeros_like(x + y)), 2, [])
-    mol = drifts.mollify(base, n=4, grid=grid, epsilon_n=0.5)
-    peak = np.unravel_index(np.argmax(mol.lattice[0]), grid.shape)
-    assert peak == grid.site_index([0.0, 0.0])
+    base = drifts.bounded_smooth_drift([1.0, 0.5], 4.0, 2)
+    exact = base.on_lattice(grid)
+    mol = drifts.mollify(base, n=8, grid=grid, epsilon_n=0.5)
+    scale = np.max(mol.lattice[0]) / np.max(exact[0])
+    assert 0.5 < scale < 1.0
+    np.testing.assert_allclose(mol.lattice, scale * exact, rtol=0, atol=1e-12)
 
 
 def test_mollify_hardy_l1_convergence_in_n():
     grid = TorusGrid(3, 4.0, 32)
     base = drifts.hardy_drift(0.05, ALPHA, 3)
-    raw_mag = base.magnitude(grid.coordinates())
+    raw_mag = component_magnitude(base.components(grid.coordinates()),
+                                  grid.shape)
     raw_mag[grid.site_index([0.0] * 3)] = 0.0
     dists = []
     for n, eps in ((4, 1.0), (8, 0.5), (16, 0.25)):
@@ -108,9 +114,12 @@ def test_mollify_sup_bound():
 
 
 def test_json_round_trip():
-    fn = drifts.custom_drift(lambda x: (x,), 1, [])
-    with pytest.raises(ParameterError):
-        fn.to_json()
+    # every drift is a plain value: its JSON document rebuilds it
+    for kind in drifts.KINDS:
+        spec, _ = catalog_drift(kind, 3, np.random.default_rng(7))
+        assert drifts.DriftSpec(**json.loads(spec.to_json())) == spec
+    with pytest.raises(ParameterError, match="unknown drift kind"):
+        drifts.DriftSpec("custom_closure", {})
 
 
 def test_bounded_smooth_divergence_free():
@@ -127,23 +136,13 @@ def test_bounded_smooth_divergence_free():
 def test_kato_example_compact_support():
     grid = TorusGrid(3, 4.0, 16)
     spec = drifts.kato_example_drift(1.0, 0.25, radius=1.5, dim=3)
-    mag = spec.magnitude(grid.coordinates())
+    mag = component_magnitude(spec.components(grid.coordinates()), grid.shape)
     r = grid.radius()
     assert np.all(mag[r > 2.5] == 0.0)
     assert np.max(mag) > 0.0
 
 
-def point_source(x0):
-    """(x - x0) / |x - x0|^2, non-finite at x0 unless x0 is listed."""
-    def field(*coords):
-        diff = [c - x for c, x in zip(coords, x0)]
-        r2 = sum(d**2 for d in diff)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return [d / r2 for d in diff]
-    return field
-
-
-CATALOG = ["hardy", "lp_radial", "kato_example", "bounded_smooth"]
+CATALOG = list(drifts.KINDS)
 
 
 def catalog_drift(kind, dim, rng):
@@ -162,20 +161,16 @@ def catalog_drift(kind, dim, rng):
 
 
 @settings(max_examples=40, deadline=None)
-@given(kind=st.sampled_from(CATALOG + ["custom_closure"]),
-       n=st.sampled_from([8, 16]), dim=st.integers(1, 3),
-       seed=st.integers(0, 2**31 - 1))
-def test_lattice_magnitude_is_vector_magnitude_bitwise(kind, n, dim, seed):
-    rng = np.random.default_rng(seed)
-    if kind in CATALOG:
-        spec, dim = catalog_drift(kind, dim, rng)
-    else:
-        # a listed singular point away from the origin, where the closure
-        # is not finite
-        grid = TorusGrid(dim, 4.0, n)
-        x0 = [grid.axis_coordinates()[i] for i in rng.integers(0, n, dim)]
-        spec = drifts.custom_drift(point_source(x0), dim, [x0])
-    grid = TorusGrid(dim, 4.0, n)
+@given(kind=st.sampled_from(CATALOG),
+       lattice=st.sampled_from([(4.0, 8), (4.0, 16), (0.9, 10), (0.9, 12)]),
+       dim=st.integers(1, 3), seed=st.integers(0, 2**31 - 1))
+def test_lattice_magnitude_is_vector_magnitude_bitwise(kind, lattice, dim,
+                                                       seed):
+    # at half_length 0.9 the site nearest the origin lies about 1e-16 off
+    # it, where a radial field is finite but huge: only the listed
+    # singular point's zeroing makes it 0
+    spec, dim = catalog_drift(kind, dim, np.random.default_rng(seed))
+    grid = TorusGrid(dim, *lattice)
     expect = component_magnitude(spec.on_lattice(grid), grid.shape)
     got = spec.lattice_magnitude(grid)
     assert got.dtype == np.float64
@@ -207,12 +202,15 @@ def test_mollify_is_the_complex_fft_convolution(kind, n_axis, dim, level,
             <= 1e-14 * np.max(np.abs(expect)))
 
 
-def test_lattice_evaluation_rejects_nonfinite_and_miscounted_closures():
+def test_lattice_evaluation_rejects_nonfinite_and_miscounted_fields():
     grid = TorusGrid(2, 4.0, 8)
-    unlisted = drifts.custom_drift(point_source([0.0, 0.0]), 2, [])
-    miscounted = drifts.custom_drift(lambda x, y: (x + y,), 2, [])
-    for spec in (unlisted, miscounted):
+    nonfinite = drifts.bounded_smooth_drift([np.nan, 1.0], 4.0, 2)
+    miscounted = drifts.bounded_smooth_drift([1.0, 1.0, 1.0], 4.0, 3)
+    for spec in (nonfinite, miscounted):
         with pytest.raises(ParameterError):
             spec.on_lattice(grid)
         with pytest.raises(ParameterError):
             spec.lattice_magnitude(grid)
+    with pytest.raises(ParameterError):
+        drifts.MollifiedDrift(base=nonfinite, n=1, epsilon_n=1.0, grid=grid,
+                              lattice=np.full((2,) + grid.shape, np.inf))

@@ -13,6 +13,7 @@ from stablelab.formbound import top_eigenpair
 from stablelab.grid import TorusGrid
 from stablelab.operators import (Compose, DotGradient, FourierMultiplier,
                                  PointwiseMultiplier, resolvent_power)
+from stablelab.report import build_report
 from stablelab.weighted import WeightSpec
 
 ALPHA = 1.5
@@ -393,6 +394,22 @@ def test_probe_ratios_are_homogeneous_of_degree_0(n, amplitude, seed, scale,
         assert count_plain == count_scaled == 3
         for w in "abc":
             assert w_scaled[w] == pytest.approx(w_plain[w], rel=1e-12)
+
+
+def test_a_nan_probe_keeps_its_nan_ratio_and_fails():
+    # Python's max kept its first argument against a NaN, so a NaN probe
+    # after a finite one dropped out of the worst ratios unseen
+    grid, potential = smooth_potential(8, 1.0, 3)
+    res = resolvent_power(grid, ALPHA, 1.0, (ALPHA - 1.0) / ALPHA)
+    probes = [rand(grid, 3), np.full(grid.shape, np.nan)]
+    [(worst, count)] = resolvent.probe_potential_bounds(
+        potential, res, [3.0], None, probes)
+    assert count == 2 and all(np.isnan(worst[w]) for w in "abc")
+    checks = resolvent.potential_bound_checks("p=3", worst, 1.0, 1.0, 3.0,
+                                              1.0, (ALPHA - 1.0) / ALPHA)
+    report = build_report("potential_bounds", {}, checks)
+    assert report.verdict == "fail"
+    assert report.failures == ["p=3:a", "p=3:b", "p=3:c"]
 
 
 @pytest.mark.parametrize("n_probes", [3, 8])
