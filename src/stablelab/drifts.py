@@ -9,6 +9,8 @@ supported bump mollifier.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +20,27 @@ from .errors import ParameterError
 from .grid import TorusGrid, _check_data, component_magnitude
 from .operators import even_convolution
 from .profiles import cutoff_profile
+
+
+def _real(name: str, value) -> float:
+    """A drift's scalar parameter as a finite float: a string, a bool or a
+    non-finite number would pass parsing and fail mid-run."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ParameterError(f"{name} must be a real number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ParameterError(f"{name} must be finite, got {value!r}")
+    return number
+
+
+def _positive(name: str, value) -> float:
+    value = _real(name, value)
+    if value <= 0.0:
+        raise ParameterError(f"{name} must be positive, got {value!r}")
+    return value
 
 
 def hardy_constant(alpha: float, dim: int) -> float:
@@ -112,8 +135,7 @@ def hardy_drift(delta: float, alpha: float, dim: int) -> DriftSpec:
     the sharp fractional Hardy inequality, whose best constant is
     kappa^(-2).  Not in the Kato class for any bound.
     """
-    if delta <= 0:
-        raise ParameterError("delta must be positive")
+    delta, alpha = _positive("delta", delta), _real("alpha", alpha)
     kappa = hardy_constant(alpha, dim)  # validates alpha, dim
     return DriftSpec(
         kind="hardy",
@@ -125,6 +147,7 @@ def hardy_drift(delta: float, alpha: float, dim: int) -> DriftSpec:
 
 def lp_radial_drift(prefactor: float, beta: float, dim: int) -> DriftSpec:
     """Radial power drift with |b| = prefactor * |x|^(-beta)."""
+    prefactor, beta = _real("prefactor", prefactor), _real("beta", beta)
     if beta >= dim:
         raise ParameterError("beta >= dim is not locally integrable")
     return DriftSpec(kind="lp_radial",
@@ -137,6 +160,8 @@ def kato_example_drift(prefactor: float, beta: float, radius: float,
     """Compactly supported radial drift with a sub-critical singularity
     |b| = prefactor * |x|^(-beta) near the origin; lies in the Kato class
     whenever beta < alpha - 1."""
+    prefactor, beta = _real("prefactor", prefactor), _real("beta", beta)
+    radius = _positive("radius", radius)
     if beta >= dim:
         raise ParameterError("beta >= dim is not locally integrable")
     return DriftSpec(kind="kato_example",
@@ -148,6 +173,7 @@ def kato_example_drift(prefactor: float, beta: float, radius: float,
 def bounded_smooth_drift(amplitude, half_period: float, dim: int) -> DriftSpec:
     """Trigonometric drift b_j = a_j sin(pi x_(j+1 mod d) / L); exactly
     periodic on the matching torus and divergence-free for d >= 2."""
+    half_period = _positive("half_period", half_period)
     amp = np.broadcast_to(np.asarray(amplitude, dtype=float), (dim,))
     return DriftSpec(kind="bounded_smooth",
                      parameters={"amplitude": amp.tolist(),

@@ -23,7 +23,12 @@ from .sampler import (_MAX_VALUES, StableParams, _fill_slab, _increment_stream,
                       empirical_char_function)
 from .weighted import WeightSpec, random_bumps
 
-_PATH_BLOCK = 2048  # paths per block: integrate holds their noise at once
+# integrate's blocks: at most _BLOCK_PATH_STEPS path-steps of noise (2048
+# paths x 80 steps, a 3.75 MiB slab in d = 3, held twice) and at most
+# _PATH_BLOCK paths, whose (d, 2^d, paths) corner values of one step take
+# 1.6 MB in d = 3, inside a 2 MiB L2.  Short runs step fewer, wider blocks.
+_PATH_BLOCK = 8192
+_BLOCK_PATH_STEPS = 2048 * 80
 _NOISE_ROWS = 16_384  # stream scratch rows (at least one path's steps)
 _SEMIGROUP_STEPS = 20  # Strang steps of mc_vs_semigroup's lattice route
 
@@ -84,20 +89,22 @@ class CharFnProbe:
         return abs(self.w_hat - self.target)
 
 
-def _wrap_shifted(shifted: np.ndarray, half_length: float) -> np.ndarray:
-    """From shifted = x + L, in place: (x + L) % (2L) - L, bit for bit.
-    numpy's float remainder is the identity on [0, 2L) (up to the sign of
-    a zero, which subtracting L erases), so it is taken only where x + L
-    falls outside."""
-    period = 2.0 * half_length
-    outside = (shifted < 0.0) | (shifted >= period)
-    np.remainder(shifted, period, out=shifted, where=outside)
+def _wrap_shifted(shifted: np.ndarray, half_length: float,
+                  outside: np.ndarray) -> np.ndarray:
+    """From shifted = x + L, in place: (x + L) % (2L) - L, bit for bit,
+    where the mask ``outside`` holds every point whose x + L falls outside
+    [0, 2L).  numpy's float remainder is the identity on [0, 2L) (up to the
+    sign of a zero, which subtracting L erases), so it is taken only where
+    the mask is set, and a mask may hold points inside as well."""
+    np.remainder(shifted, 2.0 * half_length, out=shifted, where=outside)
     shifted -= half_length
     return shifted
 
 
 def _wrap(x: np.ndarray, half_length: float) -> np.ndarray:
-    return _wrap_shifted(np.add(x, half_length), half_length)
+    shifted = np.add(x, half_length)
+    return _wrap_shifted(shifted, half_length,
+                         (shifted < 0.0) | (shifted >= 2.0 * half_length))
 
 
 def _lattice_coords(points: np.ndarray, grid: TorusGrid) -> np.ndarray:
@@ -114,10 +121,14 @@ def _padded_lattice(drift: MollifiedDrift) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _corner_layout(dim: int, side: int) -> tuple:
-    """``drift_rows``' corners (last axis fastest), strides and offsets."""
+    """``drift_rows``' axis strides, the flat offsets (2**dim, 1) of its
+    corners (last axis fastest), and the shape that sets axis a's weights
+    (2, points) against the (dim, 2, ..., 2, points) corner values."""
     corners = np.array(list(itertools.product((0, 1), repeat=dim)))
     strides = side ** np.arange(dim - 1, -1, -1)
-    return corners, strides, (corners @ strides)[:, None]
+    shapes = [(1,) * (a + 1) + (2,) + (1,) * (dim - 1 - a) + (-1,)
+              for a in range(dim)]
+    return strides.astype(float), (corners @ strides)[:, None], shapes
 
 
 def drift_rows(wrapped: np.ndarray, table: np.ndarray,
@@ -128,21 +139,28 @@ def drift_rows(wrapped: np.ndarray, table: np.ndarray,
     axis lo = floor(c), hi = lo + 1 (no remainder: the table is padded),
     w0 = 1 - (c - floor(c)) and w1 = 1 - w0.  Each of the 2**dim corners,
     last axis fastest, is multiplied by its axis-0, axis-1, ... weights in
-    turn and added to a sum that starts at zero."""
+    turn and added to a sum that starts at zero, in one reduction over the
+    corner axis of the gathered (dim, 2**dim, points) values.  numpy adds
+    an axis in order from zero while another axis runs inside it, and
+    pairwise where it is the inner one, so one point is read as two."""
+    n_points = wrapped.shape[1]
+    if n_points == 1:
+        wrapped = np.repeat(wrapped, 2, axis=1)
     dim = grid.dim
-    coords = (wrapped + grid.half_length) / grid.spacing
-    base = np.floor(coords)
-    w0 = 1.0 - (coords - base)
-    weights = np.stack((w0, 1.0 - w0))
-    corners, strides, offsets = _corner_layout(dim, table.shape[1])
-    flat = strides @ base.astype(np.intp)
+    strides, offsets, shapes = _corner_layout(dim, table.shape[1])
+    weights = np.empty((2,) + wrapped.shape)  # c and floor(c) until w0, w1
+    coords, base = weights
+    np.add(wrapped, grid.half_length, out=coords)
+    coords /= grid.spacing
+    np.floor(coords, out=base)
+    flat = (strides @ base).astype(np.intp)  # whole numbers below 2**53
+    np.subtract(1.0, np.subtract(coords, base, out=coords), out=coords)
+    np.subtract(1.0, coords, out=base)
     vals = np.take(table.reshape(dim, -1), flat + offsets, axis=1)
+    split = vals.reshape((dim,) + (2,) * dim + vals.shape[2:])
     for axis in range(dim):
-        vals *= weights[corners[:, axis], axis]
-    out = np.zeros_like(wrapped)
-    for corner in range(len(corners)):
-        out += vals[:, corner]
-    return out
+        split *= weights[:, axis].reshape(shapes[axis])
+    return np.add.reduce(vals, axis=1)[:, :n_points]
 
 
 def step_count(t_final: float, dt: float) -> int:
@@ -159,7 +177,10 @@ def integrate(drift: MollifiedDrift, x0, t_final: float, dt: float,
     increments; drift integrals are accumulated with the same b values
     that drive the steps.
 
-    Blocks of ``_PATH_BLOCK`` paths read their rows of the one-shot noise
+    A block holds as many paths as ``_BLOCK_PATH_STEPS`` path-steps of
+    noise allow, at least one and at most ``_PATH_BLOCK``: the 80-step
+    desk ensemble steps 2048 paths a block, a 40-step one 4096 and an 8-
+    or 16-step one 8192.  Blocks read their rows of the one-shot noise
     batch, drawn one block ahead by a worker thread (in chunks of whole
     paths, through ``_NOISE_ROWS`` rows of scratch) into buffers allocated
     once per call, and write state and drift integrals once, after their
@@ -169,8 +190,9 @@ def integrate(drift: MollifiedDrift, x0, t_final: float, dt: float,
     non-finite state raises ``ParameterError`` at its step, after the
     worker stops.  A block holds state, integrals and noise as rows (dim,
     paths) and reads b through ``drift_rows`` from a table padded once per
-    call; one x + L per step gives the wrap count's cells and the next
-    wrapped point.
+    call; one x + L per step gives the cells of the wrap count, and the
+    cells that are not 0 mark where the next wrapped point takes a
+    remainder.  |b| is one reduction of b * b over the rows.
     """
     grid = drift.grid
     if dt <= 0 or t_final <= 0 or n_paths < 1:
@@ -183,7 +205,7 @@ def integrate(drift: MollifiedDrift, x0, t_final: float, dt: float,
         raise ParameterError(
             f"x0 must be a finite vector of shape ({grid.dim},), got {x0!r}")
     params = StableParams(alpha=alpha, dim=grid.dim, seed=seed)
-    block = min(_PATH_BLOCK, n_paths)
+    block = min(_PATH_BLOCK, max(_BLOCK_PATH_STEPS // n_steps, 1), n_paths)
     if block * n_steps * grid.dim > _MAX_VALUES:
         raise CapacityError(f"{block} paths x {n_steps} steps of noise exceed capacity")
     states, drift_int = np.empty((2, n_paths, grid.dim))
@@ -194,6 +216,7 @@ def integrate(drift: MollifiedDrift, x0, t_final: float, dt: float,
     slabs = [buffers[j % 2, :n_steps * grid.dim * min(block, n_paths - i0)]
              .reshape(n_steps, grid.dim, -1) for j, i0 in enumerate(starts)]
     table = _padded_lattice(drift)
+    period = 2.0 * grid.half_length
     wrap_events = 0
     with ThreadPoolExecutor(max_workers=1) as worker:
         ahead = worker.submit(_fill_slab, stream, slabs[0])
@@ -205,18 +228,22 @@ def integrate(drift: MollifiedDrift, x0, t_final: float, dt: float,
             running_int = np.zeros_like(x)
             running_abs = np.zeros(x.shape[1])
             shifted = x + grid.half_length
-            cell = np.floor(shifted / (2.0 * grid.half_length))
+            cell = np.floor(shifted / period)
             for k in range(n_steps):
-                b = drift_rows(_wrap_shifted(shifted, grid.half_length), table, grid)
-                bdt = b * dt
-                x += noise[k] - bdt  # dZ - b dt has the bits of -b dt + dZ
+                # x + L outside [0, 2L) has a cell other than 0
+                wrapped = _wrap_shifted(shifted, grid.half_length, cell != 0.0)
+                b = drift_rows(wrapped, table, grid)
+                # |b| summed as np.linalg.norm does: (b0*b0 + b1*b1) + ...
+                norm = np.sqrt(np.add.reduce(b * b, axis=0))
+                b *= dt
+                x += noise[k] - b  # dZ - b dt has the bits of -b dt + dZ
                 if not np.all(np.isfinite(x)):
                     raise ParameterError(f"path state not finite after step {k + 1}")
-                running_int += bdt
-                # |b| summed as np.linalg.norm does: (b0*b0 + b1*b1) + ...
-                running_abs += np.sqrt(sum(c * c for c in b)) * dt
+                running_int += b
+                norm *= dt
+                running_abs += norm
                 shifted = x + grid.half_length
-                new_cell = np.floor(shifted / (2.0 * grid.half_length))
+                new_cell = np.floor(shifted / period)
                 wrap_events += int(np.count_nonzero(np.any(new_cell != cell, axis=0)))
                 cell = new_cell
             paths = slice(i0, i0 + noise.shape[2])

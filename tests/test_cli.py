@@ -386,6 +386,19 @@ _REFUSED_BEFORE_THE_RUN = [
     ({"scenario": "formbound_audit", "drift": {
         "kind": "lp_radial", "parameters": {"prefactor": 1.0, "beta": 3.5}}},
      "'drift': beta >= dim is not locally integrable"),
+    # these three used to die mid-run: UFuncNoLoopError, ZeroDivisionError
+    # and "field data must be finite"
+    ({"scenario": "formbound_audit", "drift": {
+        "kind": "lp_radial", "parameters": {"prefactor": "1", "beta": 1.0}}},
+     "'drift': prefactor must be a real number, got '1'"),
+    ({"scenario": "formbound_audit", "drift": {
+        "kind": "kato_example",
+        "parameters": {"prefactor": 1.0, "beta": 0.25, "radius": -1.0}}},
+     "'drift': radius must be positive, got -1.0"),
+    ({"scenario": "formbound_audit", "drift": {
+        "kind": "bounded_smooth",
+        "parameters": {"amplitude": [0.5], "half_period": 0.0}}},
+     "'drift': half_period must be positive, got 0.0"),
 ]
 
 

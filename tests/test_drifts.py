@@ -214,3 +214,26 @@ def test_lattice_evaluation_rejects_nonfinite_and_miscounted_fields():
     with pytest.raises(ParameterError):
         drifts.MollifiedDrift(base=nonfinite, n=1, epsilon_n=1.0, grid=grid,
                               lattice=np.full((2,) + grid.shape, np.inf))
+
+
+@pytest.mark.parametrize("build, fragment", [
+    (lambda v: drifts.hardy_drift(v, 1.5, 3), "delta"),
+    (lambda v: drifts.lp_radial_drift(v, 1.0, 3), "prefactor"),
+    (lambda v: drifts.lp_radial_drift(1.0, v, 3), "beta"),
+    (lambda v: drifts.kato_example_drift(v, 0.25, 1.5, 3), "prefactor"),
+    (lambda v: drifts.kato_example_drift(1.0, 0.25, v, 3), "radius"),
+    (lambda v: drifts.bounded_smooth_drift([0.5], v, 3), "half_period")])
+def test_scalar_parameters_are_finite_floats(build, fragment):
+    spec = build(2)
+    assert all(isinstance(v, float) for v in spec.parameters.values()
+               if not isinstance(v, list))
+    for bad in ("1", True, None, [1.0], np.nan, np.inf, -np.inf, 10**400):
+        with pytest.raises(ParameterError, match=fragment):
+            build(bad)
+    positive = fragment in ("delta", "radius", "half_period")
+    for edge in (0.0, -1.0):
+        if positive:
+            with pytest.raises(ParameterError, match=f"{fragment} must be positive"):
+                build(edge)
+        else:
+            build(edge)

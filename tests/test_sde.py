@@ -50,6 +50,25 @@ def test_wrap_matches_remainder_bit_for_bit(xs):
     assert np.array_equal(got.view(np.int64), expect.view(np.int64))
 
 
+@settings(max_examples=50, deadline=None)
+@given(half=st.sampled_from([_L, 3.3, 5.1]),
+       xs=st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                             st.floats(-3 * _L, 3 * _L),
+                             st.sampled_from(_SPECIAL)),
+                   min_size=1, max_size=60))
+def test_wrap_by_cell_matches_remainder_bit_for_bit(half, xs):
+    # integrate takes the remainder where the cell of x + L is not 0, which
+    # is where x + L lies outside [0, 2L): below 2L, (x + L) / 2L rounds to
+    # at most 1 - 2**-53, also where 2L is no power of two
+    edge = half - np.spacing(half) * np.arange(8)
+    x = np.concatenate([xs, _SPECIAL, edge, -edge, -np.nextafter(edge, 0.0)])
+    expect = (x + half) % (2.0 * half) - half
+    shifted = x + half
+    cell = np.floor(shifted / (2.0 * half))
+    got = sde._wrap_shifted(shifted, half, cell != 0.0)
+    assert np.array_equal(got.view(np.int64), expect.view(np.int64))
+
+
 def _map_coordinates_drift(points, drift):
     """The reference read of the drift: one order-1 periodic
     ``map_coordinates`` call per component."""
@@ -119,6 +138,30 @@ def test_drift_at_matches_map_coordinates_bit_for_bit(case, seed):
     assert got.shape == expect.shape
     assert np.array_equal(got, expect)
     assert np.array_equal(got.view(np.int64), expect.view(np.int64))
+
+
+def test_drift_rows_matches_map_coordinates_at_every_width():
+    # integrate reads blocks of any width down to one path; at one point
+    # numpy would sum the corners pairwise, not in order from zero
+    drift = _random_drift(26, 7.3, seed=5)
+    data = drift.lattice.copy()
+    data[:, ::3] = -0.0
+    data[:, 1::5] = 0.0
+    drift = drifts.MollifiedDrift(drift.base, 1, 1.0, drift.grid, data)
+    rng = np.random.default_rng(6)
+    points = rng.uniform(-7.3, 7.3, (8192, 3))
+    sites = rng.integers(0, 26, (64, 3)) * drift.grid.spacing - 7.3
+    points[:64:2] = sites[::2]  # every corner but one has weight zero
+    points[1:64:4, 1] = -0.0
+    table = sde._padded_lattice(drift)
+    expect = _map_coordinates_drift(points, drift)
+    for lo, hi in [(i, i + 1) for i in range(64)] + [(0, 2), (5, 7),
+                                                      (0, 3), (9, 12),
+                                                      (0, 8192)]:
+        rows = sde._wrap(np.ascontiguousarray(points[lo:hi].T), 7.3)
+        got = sde.drift_rows(rows, table, drift.grid).T
+        assert got.shape == (hi - lo, 3)
+        assert np.array_equal(got.view(np.int64), expect[lo:hi].view(np.int64))
 
 
 @pytest.mark.parametrize("n,half", [(16, 3.3), (24, 8.0), (34, 5.1)])
@@ -273,6 +316,31 @@ def test_path_blocks_give_the_same_bits(hardy, monkeypatch):
         assert chunked.wrap_fraction == whole.wrap_fraction
 
 
+@pytest.mark.parametrize("n_paths, widths", [(40, [6] * 6 + [4]),
+                                             (37, [6] * 6 + [1])])
+def test_the_noise_budget_gives_the_same_bits(hardy, monkeypatch, n_paths,
+                                              widths):
+    # a budget of 30 path-steps binds at 5 steps: blocks of 6 paths
+    args = (hardy, [7.9, -0.2, 0.0], 0.05, 0.01, n_paths)
+    kw = dict(seed=4, alpha=ALPHA)
+    whole = sde.integrate(*args, **kw)
+    real_fill = sde._fill_slab
+    drawn = []
+
+    def record(stream, slab):
+        drawn.append(slab.shape[2])
+        return real_fill(stream, slab)
+
+    monkeypatch.setattr(sde, "_fill_slab", record)
+    monkeypatch.setattr(sde, "_BLOCK_PATH_STEPS", 30)
+    blocked = sde.integrate(*args, **kw)
+    assert drawn == widths
+    for name in ("states", "drift_integral", "abs_drift_integral"):
+        got, want = getattr(blocked, name), getattr(whole, name)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert blocked.wrap_fraction == whole.wrap_fraction > 0.0
+
+
 def test_integrate_refuses_a_block_over_capacity_before_any_noise(
         hardy, monkeypatch):
     # 40 paths x 5 steps x 3 coordinates of noise in one block
@@ -311,6 +379,14 @@ def test_integrate_draws_a_block_in_chunks(hardy):
     # scratch for the whole block would add 8.3 MiB (21.4 MiB traced)
     peak = _traced_peak(lambda: sde.integrate(
         hardy, [0.0] * 3, 0.8, 0.01, 50_000, seed=3, alpha=ALPHA))
+    assert peak < 14 * 2**20
+
+
+def test_short_runs_keep_their_blocks_capped(hardy):
+    # the budget alone would give 8-step blocks of 20,480 paths (twice the
+    # slabs and corner values); _PATH_BLOCK caps them at 8192
+    peak = _traced_peak(lambda: sde.integrate(
+        hardy, [0.0] * 3, 0.08, 0.01, 100_000, seed=3, alpha=ALPHA))
     assert peak < 14 * 2**20
 
 
