@@ -17,14 +17,14 @@ from pathlib import Path
 from .config import load_config, reference_m_constant
 from .errors import AdmissibilityError, ConfigurationError, StableLabError
 from .report import _plain
-from .scenarios import SCENARIO_RUNNERS, run_scenario
+from .scenarios import FULL_SUITE, SCENARIO_RUNNERS, run_scenario
 
 
 def list_scenarios() -> str:
     """Stable sorted listing of scenarios with their check anchors (each
     runner's docstring)."""
     anchors = {name: run.__doc__ for name, run in SCENARIO_RUNNERS.items()}
-    anchors["full_suite"] = "all checks in dependency order"
+    anchors[FULL_SUITE] = "all checks in dependency order"
     return "\n".join(f"{name}: {anchors[name]}" for name in sorted(anchors))
 
 

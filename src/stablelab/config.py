@@ -13,7 +13,7 @@ from .drifts import KINDS, DriftSpec, hardy_drift
 from .errors import AdmissibilityError, ConfigurationError
 from .formbound import admissible_delta_threshold
 from .grid import TorusGrid
-from .scenarios import SCENARIO_RUNNERS
+from .scenarios import FULL_SUITE, scenario_runners
 from .sde import step_count
 from .weighted import check_weighted_exponent
 
@@ -22,7 +22,7 @@ from .weighted import check_weighted_exponent
 class ExperimentConfig:
     """Validated experiment description (defaults form the desk pack)."""
 
-    scenario: str = "full_suite"
+    scenario: str = FULL_SUITE
     dim: int = 3
     alpha: float = 1.5
     delta: float = 0.05
@@ -42,22 +42,21 @@ class ExperimentConfig:
     m_constant: float = None
 
     def __post_init__(self):
-        if self.scenario not in (*SCENARIO_RUNNERS, "full_suite"):
-            raise ConfigurationError(f"unknown scenario {self.scenario!r}")
+        scenario_runners(self.scenario)  # refuses an unknown name
         if self.drift is None:
             self.drift = hardy_drift(self.delta, self.alpha, self.dim)
 
     def validate(self, m_constant: float) -> None:
         """Cross-field admissibility; raises AdmissibilityError citing the
         violated hypothesis, and ConfigurationError naming the key for a
-        seed outside [0, 2^64), a non-positive dt, a half_length that is not
-        positive or sets mollification level 0, a t_list, lambda or mu
-        ladder that is empty or has an entry that is not positive, a
-        shortest or longest sde_identify horizon that is no whole multiple
-        of dt, an m_constant that is not ``m_constant``, a hardy drift
-        whose delta or alpha is not the config's, a grid_n with no lattice
-        or too coarse a lattice for a mollifier, or a half_length too short
-        for a mollifier of fixed width."""
+        seed outside [0, 2^64), a non-positive dt or half_length, a
+        t_list, lambda or mu ladder that is empty or has an entry that is
+        not positive, an m_constant that is not ``m_constant``, a hardy
+        drift whose delta or alpha is not the config's or a grid_n with no
+        lattice; then, over the plans of the scenario's runners, for a
+        planned lattice that does not exist, a planned bump not narrower
+        than half_length / 2, a planned mollification level below 1 or a
+        planned horizon that is no whole multiple of its dt."""
         if not 0 <= self.seed < 2**64:
             raise ConfigurationError(
                 f"seed = {self.seed} must lie in [0, 2^64)")
@@ -70,14 +69,6 @@ class ExperimentConfig:
             if not (len(values) and all(v > 0 for v in values)):
                 raise ConfigurationError(f"{key} = {list(values)} must be "
                                          f"non-empty with positive entries")
-        if self.scenario in ("sde_identify", "full_suite"):  # its horizons
-            for t in (min(self.t_list), max(self.t_list)):
-                _checked("t_list", step_count, t, self.dt)
-        if (self.scenario in ("formbound_audit", "resolvent_verify",
-                              "full_suite") and self.half_length < 2):
-            raise ConfigurationError(
-                f"half_length = {self.half_length} must be at least 2: "
-                f"{self.scenario} mollifies at level int(half_length / 2)")
         if self.m_constant not in (None, m_constant):
             raise ConfigurationError(
                 f"m_constant = {self.m_constant} must equal the reference "
@@ -88,29 +79,33 @@ class ExperimentConfig:
                     raise ConfigurationError(
                         f"drift.{key} = {self.drift.parameters.get(key)} must "
                         f"equal {key} = {getattr(self, key)}")
-        # the lattices grid_n sets, each with the mollifier bump it holds,
-        # max(floor, width spacings) wide; drifts.mollifier wants the bump
-        # narrower than half_length / 2, that is floor < half_length / 2
-        # and more than 4 * width points per axis
-        lattices = [(self.grid_n, 0, 0.0)]
-        if self.scenario in ("formbound_audit", "full_suite"):
-            lattices.append((self.grid_n // 2, 1, 0.0))
-        if self.scenario in ("weighted_verify", "full_suite"):
-            lattices.append((min(self.grid_n, 16), 2, 0.0))
-        if self.scenario in ("sde_identify", "full_suite"):
-            lattices.append((self.grid_n, 1, 0.5))
-        for n, width, floor in lattices:
-            _checked("grid_n", TorusGrid, self.dim, self.half_length, n)
-            if floor >= self.half_length / 2:
-                raise ConfigurationError(
-                    f"half_length = {self.half_length} must be more than "
-                    f"{2 * floor}: {self.scenario} holds a mollifier "
-                    f"{floor} wide")
-            if n <= 4 * width:
-                raise ConfigurationError(
-                    f"bad value for config key 'grid_n': {self.grid_n} sets "
-                    f"{n} points per axis where a mollifier is {width} "
-                    f"spacing(s) wide; it needs more than {4 * width}")
+        _checked("grid_n", TorusGrid, self.dim, self.half_length, self.grid_n)
+        # every planned grid exists (the plan builds them), at a level of at
+        # least 1, with a bump narrower than half_length / 2 as
+        # drifts.mollifier wants: a floor below it and more than 4 * width
+        # points per axis; every planned horizon is whole steps of its dt
+        for run in scenario_runners(self.scenario):
+            plan = _checked("grid_n", run.plan, self)
+            for lat in plan.lattices:
+                points = lat.grid.points_per_axis
+                if lat.level < 1:
+                    raise ConfigurationError(
+                        f"half_length = {self.half_length} must be at least "
+                        f"2: {self.scenario} mollifies at level "
+                        f"int(half_length / 2)")
+                if lat.floor >= self.half_length / 2:
+                    raise ConfigurationError(
+                        f"half_length = {self.half_length} must be more than "
+                        f"{2 * lat.floor}: {self.scenario} holds a mollifier "
+                        f"{lat.floor} wide")
+                if points <= 4 * lat.width:
+                    raise ConfigurationError(
+                        f"bad value for config key 'grid_n': {self.grid_n} "
+                        f"sets {points} points per axis where a mollifier is "
+                        f"{lat.width} spacing(s) wide; it needs more than "
+                        f"{4 * lat.width}")
+            for t, dt in plan.horizons:
+                _checked("t_list", step_count, t, dt)
         self.m_constant = m_constant
         adm = admissible_delta_threshold(self.dim, self.alpha, m_constant)
         if self.delta >= adm.threshold:

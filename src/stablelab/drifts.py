@@ -175,6 +175,8 @@ def bounded_smooth_drift(amplitude, half_period: float, dim: int) -> DriftSpec:
     periodic on the matching torus and divergence-free for d >= 2."""
     half_period = _positive("half_period", half_period)
     amp = np.broadcast_to(np.asarray(amplitude, dtype=float), (dim,))
+    if not np.all(np.isfinite(amp)):
+        raise ParameterError(f"amplitude must be finite, got {amplitude!r}")
     return DriftSpec(kind="bounded_smooth",
                      parameters={"amplitude": amp.tolist(),
                                  "half_period": half_period})

@@ -3,17 +3,21 @@ verification reports plus exportable artifacts.
 
 ``SCENARIO_RUNNERS`` is the one registry of scenarios, in dependency
 order; each runner's one-line docstring is its anchor, the mathematical
-object it exercises.  ``full_suite`` runs them all.
+object it exercises.  ``full_suite`` runs them all.  Each runner builds
+its mollified lattices and path horizons from its ``plan(cfg)``, which
+``ExperimentConfig.validate`` judges before anything runs.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import (_ks, drifts, evolution, formbound, kernels, resolvent, sde,
                weighted)
+from .errors import ConfigurationError
 from .grid import TorusGrid
 from .operators import heat_semigroup
 from .report import VerificationReport, build_report
@@ -38,14 +42,45 @@ class ScenarioResult:
         return all(r.passed for r in self.reports)
 
 
-def _grid(cfg, n=None) -> TorusGrid:
-    return TorusGrid(cfg.dim, cfg.half_length, n or cfg.grid_n)
+FULL_SUITE = "full_suite"
+
+
+@dataclass(frozen=True)
+class Lattice:
+    """A grid on which a runner mollifies ``cfg.drift``: truncation at
+    ``level``, a bump max(floor, width spacings) wide."""
+
+    grid: TorusGrid
+    width: int
+    floor: float
+    level: int
+
+    def mollify(self, drift) -> drifts.MollifiedDrift:
+        return drifts.mollify(drift, n=self.level, grid=self.grid,
+                              epsilon_n=max(self.floor,
+                                            self.width * self.grid.spacing))
+
+
+@dataclass(frozen=True)
+class ScenarioPlan:
+    """A runner's ``Lattice`` tuple and its (t_final, dt) path horizons."""
+
+    lattices: tuple
+    horizons: tuple
+
+
+def _grid(cfg, n) -> TorusGrid:
+    return TorusGrid(cfg.dim, cfg.half_length, n)
 
 
 def _smooth_probe(grid, alpha, seed, t=0.3):
     rng = np.random.default_rng(seed)
     return heat_semigroup(grid, alpha, t).apply(
         rng.standard_normal(grid.shape)).real
+
+
+def plan_sampler_check(cfg: ExperimentConfig) -> ScenarioPlan:
+    return ScenarioPlan((), ())
 
 
 def run_sampler_check(cfg: ExperimentConfig) -> ScenarioResult:
@@ -96,6 +131,12 @@ def run_sampler_check(cfg: ExperimentConfig) -> ScenarioResult:
     return out
 
 
+def plan_formbound_audit(cfg: ExperimentConfig) -> ScenarioPlan:
+    level = int(cfg.half_length / 2)
+    return ScenarioPlan(tuple(Lattice(_grid(cfg, n), 1, 0.25, level)
+                              for n in (cfg.grid_n // 2, cfg.grid_n)), ())
+
+
 def run_formbound_audit(cfg: ExperimentConfig) -> ScenarioResult:
     """drift classes: weak form-bound and Kato-norm estimates"""
     out = ScenarioResult("formbound_audit")
@@ -105,15 +146,13 @@ def run_formbound_audit(cfg: ExperimentConfig) -> ScenarioResult:
         cfg.drift, min(cfg.lambda_ladder) * 10, _grid(cfg, n_axis), cfg.alpha)
         for n_axis in (cfg.grid_n // 2, cfg.grid_n, cfg.grid_n * 2)]
     estimates = {}
-    for n_axis in (cfg.grid_n // 2, cfg.grid_n):
-        grid = _grid(cfg, n_axis)
-        mol = drifts.mollify(cfg.drift, n=int(cfg.half_length / 2), grid=grid,
-                             epsilon_n=max(0.25, grid.spacing))
+    for lattice in plan_formbound_audit(cfg).lattices:
+        grid, mol = lattice.grid, lattice.mollify(cfg.drift)
         est = formbound.estimate_weak_formbound_ladder(
             mol, cfg.lambda_ladder, grid, cfg.alpha, seed=cfg.seed)
-        estimates[n_axis] = est
-    small = estimates[cfg.grid_n // 2].per_lambda[min(cfg.lambda_ladder)]
-    big = estimates[cfg.grid_n].per_lambda[min(cfg.lambda_ladder)]
+        estimates[grid.points_per_axis] = est
+    small, big = (est.per_lambda[min(cfg.lambda_ladder)]
+                  for est in estimates.values())
     err_small, err_big = abs(small - target), abs(big - target)
     checks = [
         ("vanishing_shift_estimate", big, f"within 15% of {target}",
@@ -168,6 +207,12 @@ def run_formbound_audit(cfg: ExperimentConfig) -> ScenarioResult:
     return out
 
 
+def plan_resolvent_verify(cfg: ExperimentConfig) -> ScenarioPlan:
+    # the candidate discrimination needs the singular core resolved
+    return ScenarioPlan((Lattice(_grid(cfg, max(cfg.grid_n, 32)), 1, 0.25,
+                                 int(cfg.half_length / 2)),), ())
+
+
 def run_resolvent_verify(cfg: ExperimentConfig) -> ScenarioResult:
     """perturbed resolvent factorizations and L^p potential bounds"""
     out = ScenarioResult("resolvent_verify")
@@ -205,11 +250,8 @@ def run_resolvent_verify(cfg: ExperimentConfig) -> ScenarioResult:
                          provenance={"seed": cfg.seed,
                                      "grid_n": grid.points_per_axis}))
 
-    # the candidate discrimination needs the singular core resolved
-    grid_big = _grid(cfg, max(cfg.grid_n, 32))
-    mol = drifts.mollify(cfg.drift, n=int(cfg.half_length / 2), grid=grid_big,
-                         epsilon_n=max(0.25, grid_big.spacing))
-    potential = mol.magnitude()
+    [lattice] = plan_resolvent_verify(cfg).lattices
+    grid_big, potential = lattice.grid, lattice.mollify(cfg.drift).magnitude()
     est = formbound.estimate_weak_formbound(potential, 0.01, grid_big,
                                             cfg.alpha, seed=cfg.seed)
     phi = resolvent.l2_extremizer(potential, 1.0, grid_big, cfg.alpha,
@@ -233,6 +275,11 @@ def run_resolvent_verify(cfg: ExperimentConfig) -> ScenarioResult:
     return out
 
 
+def plan_weighted_verify(cfg: ExperimentConfig) -> ScenarioPlan:
+    return ScenarioPlan((Lattice(_grid(cfg, min(cfg.grid_n, 16)), 2, 0.0, 4),),
+                        ())
+
+
 def run_weighted_verify(cfg: ExperimentConfig) -> ScenarioResult:
     """polynomial-weight resolvent estimates and conjugated generator"""
     out = ScenarioResult("weighted_verify")
@@ -240,7 +287,8 @@ def run_weighted_verify(cfg: ExperimentConfig) -> ScenarioResult:
     w = weighted.WeightSpec(grid, nu=cfg.nu, alpha=cfg.alpha)
     out.add(weighted.verify_weighted_markov(w, cfg.alpha, (0.5, 1.0), grid,
                                             seed=cfg.seed))
-    grid_small = _grid(cfg, min(cfg.grid_n, 16))
+    [lattice] = plan_weighted_verify(cfg).lattices
+    grid_small = lattice.grid
     w_small = weighted.WeightSpec(grid_small, nu=cfg.nu, alpha=cfg.alpha)
     out.add(weighted.verify_weighted_estimates(
         cfg.drift, w_small, p=cfg.p, mu_list=cfg.mu_ladder, grid=grid_small,
@@ -249,8 +297,7 @@ def run_weighted_verify(cfg: ExperimentConfig) -> ScenarioResult:
     out.add(weighted.verify_eta_b_integrability(
         cfg.drift, cfg.nu, cfg.p, cfg.alpha,
         [_grid(cfg, n_ref), _grid(cfg, n_ref * 2)]))
-    mol = drifts.mollify(cfg.drift, n=4, grid=grid_small,
-                         epsilon_n=2.0 * grid_small.spacing)
+    mol = lattice.mollify(cfg.drift)
     plain = resolvent.assemble_lp_resolvent(mol, 5.0, cfg.p, cfg.q, cfg.r,
                                             grid_small, cfg.alpha)
     wtheta = weighted.weighted_lp_resolvent(plain, w_small, cfg.alpha)
@@ -268,11 +315,17 @@ def run_weighted_verify(cfg: ExperimentConfig) -> ScenarioResult:
     return out
 
 
+def plan_evolution_verify(cfg: ExperimentConfig) -> ScenarioPlan:
+    # fixed defect tolerances assume at least the default resolution
+    return ScenarioPlan((Lattice(_grid(cfg, max(cfg.grid_n, 32)), 1, 0.25,
+                                 8),), ())
+
+
 def run_evolution_verify(cfg: ExperimentConfig) -> ScenarioResult:
     """drifted semigroup: perturbation identity, mass, approximation"""
     out = ScenarioResult("evolution_verify")
-    # fixed defect tolerances assume at least the default resolution
-    grid = _grid(cfg, max(cfg.grid_n, 32))
+    [lattice] = plan_evolution_verify(cfg).lattices
+    grid = lattice.grid
     amp = [1.0, 0.8, 0.9][: cfg.dim]
     smooth = drifts.mollify(
         drifts.bounded_smooth_drift(amp, cfg.half_length, cfg.dim),
@@ -299,8 +352,7 @@ def run_evolution_verify(cfg: ExperimentConfig) -> ScenarioResult:
     free_cfg = evolution.PropagatorConfig(zero, cfg.alpha, 0.01, 5)
     out.add(evolution.conservativeness_check(
         free_cfg, grid.site_index([0.0] * cfg.dim), k_list, tail_oracle=True))
-    mol = drifts.mollify(cfg.drift, n=8, grid=grid,
-                         epsilon_n=max(0.25, grid.spacing))
+    mol = lattice.mollify(cfg.drift)
     drift_cfg = evolution.PropagatorConfig(mol, cfg.alpha, 0.01, 5)
     out.add(evolution.conservativeness_check(
         drift_cfg, grid.site_index([0.0] * cfg.dim), k_list,
@@ -316,16 +368,24 @@ def run_evolution_verify(cfg: ExperimentConfig) -> ScenarioResult:
     return out
 
 
+def plan_sde_identify(cfg: ExperimentConfig) -> ScenarioPlan:
+    # mc_vs_semigroup, which also steps at dt / 2, to min(t_list), then the
+    # coarse and fine ensembles to max(t_list)
+    t_final = max(cfg.t_list)
+    return ScenarioPlan((Lattice(_grid(cfg, cfg.grid_n), 1, 0.5, 16),), (
+        (min(cfg.t_list), cfg.dt), (t_final, cfg.dt), (t_final, cfg.dt / 2.0)))
+
+
 def run_sde_identify(cfg: ExperimentConfig) -> ScenarioResult:
     """path law: Monte Carlo semigroup match and noise recovery"""
     out = ScenarioResult("sde_identify")
-    grid = _grid(cfg)
-    mol = drifts.mollify(cfg.drift, n=16, grid=grid,
-                         epsilon_n=max(0.5, grid.spacing))
-    t_final = max(cfg.t_list)
-    ens = sde.integrate(mol, [0.0] * cfg.dim, t_final, cfg.dt, cfg.n_paths,
+    plan = plan_sde_identify(cfg)
+    [lattice] = plan.lattices
+    (t_mc, dt_mc), horizon, horizon_fine = plan.horizons
+    grid, mol = lattice.grid, lattice.mollify(cfg.drift)
+    ens = sde.integrate(mol, [0.0] * cfg.dim, *horizon, cfg.n_paths,
                         cfg.seed, cfg.alpha)
-    ens_fine = sde.integrate(mol, [0.0] * cfg.dim, t_final, cfg.dt / 2.0,
+    ens_fine = sde.integrate(mol, [0.0] * cfg.dim, *horizon_fine,
                              max(cfg.n_paths // 2, 1000), cfg.seed + 1,
                              cfg.alpha)
     kappas = [knorm * np.eye(cfg.dim)[0] for knorm in (0.5, 1.0, 2.0)]
@@ -338,8 +398,8 @@ def run_sde_identify(cfg: ExperimentConfig) -> ScenarioResult:
     density = sde.ensemble_density(ens, grid).to_bytes()
     del ens, ens_fine  # the semigroup check integrates ensembles of its own
     probe_field = _smooth_probe(grid, cfg.alpha, cfg.seed + 2)
-    out.add(sde.mc_vs_semigroup(mol, [0.0] * cfg.dim, min(cfg.t_list),
-                                probe_field, cfg.n_paths, cfg.dt, cfg.alpha,
+    out.add(sde.mc_vs_semigroup(mol, [0.0] * cfg.dim, t_mc,
+                                probe_field, cfg.n_paths, dt_mc, cfg.alpha,
                                 seed=cfg.seed + 3,
                                 n_levels=(8, 16)))
     w = weighted.WeightSpec(grid, nu=cfg.nu, alpha=cfg.alpha)
@@ -360,10 +420,23 @@ SCENARIO_RUNNERS = {
     "evolution_verify": run_evolution_verify,
     "sde_identify": run_sde_identify,
 }
+run_sampler_check.plan = plan_sampler_check
+run_formbound_audit.plan = plan_formbound_audit
+run_resolvent_verify.plan = plan_resolvent_verify
+run_weighted_verify.plan = plan_weighted_verify
+run_evolution_verify.plan = plan_evolution_verify
+run_sde_identify.plan = plan_sde_identify
+
+
+def scenario_runners(scenario: str) -> list:
+    """The runners of ``scenario``, every one for ``FULL_SUITE``."""
+    runners = [run for name, run in SCENARIO_RUNNERS.items()
+               if scenario in (name, FULL_SUITE)]
+    if not runners:
+        raise ConfigurationError(f"unknown scenario {scenario!r}")
+    return runners
 
 
 def run_scenario(cfg: ExperimentConfig) -> list:
     """Execute the configured scenario; returns the ScenarioResult list."""
-    if cfg.scenario == "full_suite":
-        return [run(cfg) for run in SCENARIO_RUNNERS.values()]
-    return [SCENARIO_RUNNERS[cfg.scenario](cfg)]
+    return [run(cfg) for run in scenario_runners(cfg.scenario)]

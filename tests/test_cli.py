@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stablelab import cli, config, drifts
+from stablelab import cli, config, drifts, evolution, sde
 from stablelab.errors import AdmissibilityError, ConfigurationError
 from stablelab.report import VerificationReport, build_report
-from stablelab.scenarios import ScenarioResult
+from stablelab.scenarios import SCENARIO_RUNNERS, ScenarioResult
 
 
 def write(tmp_path, name, text):
@@ -80,7 +80,7 @@ _DRIFTS = st.one_of(
 @settings(max_examples=60, deadline=None)
 @given(cfg=st.builds(
     config.ExperimentConfig,
-    scenario=st.sampled_from(sorted(config.SCENARIO_RUNNERS) + ["full_suite"]),
+    scenario=st.sampled_from(sorted(SCENARIO_RUNNERS) + ["full_suite"]),
     dim=_DIM, alpha=st.floats(1.05, 1.95), delta=_POSITIVE, nu=_REAL,
     p=_REAL, q=_REAL, r=_REAL, grid_n=st.integers(4, 512),
     half_length=_POSITIVE,
@@ -399,6 +399,11 @@ _REFUSED_BEFORE_THE_RUN = [
         "kind": "bounded_smooth",
         "parameters": {"amplitude": [0.5], "half_period": 0.0}}},
      "'drift': half_period must be positive, got 0.0"),
+    # this one died mid-run with "field data must be finite" too
+    ({"scenario": "formbound_audit", "drift": {
+        "kind": "bounded_smooth",
+        "parameters": {"amplitude": [float("nan")], "half_period": 8.0}}},
+     "'drift': amplitude must be finite, got [nan]"),
 ]
 
 
@@ -424,6 +429,53 @@ def test_only_the_sde_horizons_are_whole_multiples_of_dt():
          "t_list": [0.1, 0.13, 0.5]})).validate(m)
     config.ExperimentConfig(scenario="formbound_audit", grid_n=16,
                             t_list=(0.01,)).validate(m)
+
+
+def test_every_runner_mollifies_and_integrates_as_its_plan_says(monkeypatch):
+    # each runner on a small config: its direct drifts.mollify calls of
+    # cfg.drift are its planned grids, levels and bumps, and its
+    # sde.integrate and mc_vs_semigroup horizons its planned (t_final, dt)
+    # pairs, in any order; sde_identify's spacing 0.4 leaves its bump at
+    # the 0.5 floor.  The evolution checks and the semigroup match take
+    # most of the time and are stubbed: what they do inside is their own
+    stub = lambda *args, **kwargs: build_report("stub", {}, [])
+    monkeypatch.setattr(evolution, "duhamel_residual", lambda *args: 0.0)
+    for check in ("conservativeness_check", "feller_convergence_check"):
+        monkeypatch.setattr(evolution, check, stub)
+    lattices, horizons = [], []
+    mollify, integrate = drifts.mollify, sde.integrate
+
+    def record_mollify(base, n, grid, epsilon_n=None):
+        if base is cfg.drift:
+            lattices.append((grid, n, epsilon_n))
+        return mollify(base, n=n, grid=grid, epsilon_n=epsilon_n)
+
+    def record_integrate(drift, x0, t_final, dt, *args):
+        horizons.append((t_final, dt))
+        return integrate(drift, x0, t_final, dt, *args)
+
+    def record_mc(drift, x0, t, f, n_paths, dt, *args, **kwargs):
+        horizons.append((t, dt))
+        return stub()
+
+    monkeypatch.setattr(drifts, "mollify", record_mollify)
+    monkeypatch.setattr(sde, "integrate", record_integrate)
+    monkeypatch.setattr(sde, "mc_vs_semigroup", record_mc)
+    m = config.reference_m_constant(1.5, 3)
+    for name, run in SCENARIO_RUNNERS.items():
+        cfg = config.ExperimentConfig(scenario=name, grid_n=12, n_paths=1000)
+        if name == "sde_identify":
+            cfg = config.ExperimentConfig(scenario=name, grid_n=20,
+                                          half_length=4.0, n_paths=1000)
+        cfg.validate(m)
+        lattices.clear()
+        horizons.clear()
+        run(cfg)
+        plan = run.plan(cfg)
+        assert lattices == [(lat.grid, lat.level, max(
+            lat.floor, lat.width * lat.grid.spacing))
+            for lat in plan.lattices], name
+        assert sorted(horizons) == sorted(plan.horizons), name
 
 
 def test_a_drift_document_names_only_what_its_constructor_gives():
@@ -500,7 +552,10 @@ def test_no_run_imports_scipy_optimize_or_stats(tmp_path):
             "assert not loaded, loaded\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", code], env=env,
+    # and with RuntimeWarning an error: a numpy warning (a NaN probe's
+    # divide, say) fails the run instead of passing unseen
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                           "-c", code], env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stdout + done.stderr
 

@@ -204,7 +204,10 @@ def test_mollify_is_the_complex_fft_convolution(kind, n_axis, dim, level,
 
 def test_lattice_evaluation_rejects_nonfinite_and_miscounted_fields():
     grid = TorusGrid(2, 4.0, 8)
-    nonfinite = drifts.bounded_smooth_drift([np.nan, 1.0], 4.0, 2)
+    with pytest.raises(ParameterError, match="amplitude must be finite"):
+        drifts.bounded_smooth_drift([np.nan, 1.0], 4.0, 2)
+    nonfinite = drifts.DriftSpec("bounded_smooth", {"amplitude": [np.nan, 1.0],
+                                                    "half_period": 4.0})
     miscounted = drifts.bounded_smooth_drift([1.0, 1.0, 1.0], 4.0, 3)
     for spec in (nonfinite, miscounted):
         with pytest.raises(ParameterError):

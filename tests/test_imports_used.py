@@ -27,7 +27,7 @@ import stablelab
 
 MODULES = sorted(p for p in Path(stablelab.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
-KNOBS = 60
+KNOBS = 59
 
 
 def _imports(tree):
